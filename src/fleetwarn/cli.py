@@ -238,8 +238,9 @@ def cmd_run(cfg: RunConfig, outdir: Path | None, workers: int) -> int:
     out = outdir or cfg.outdir
     if out is None:
         raise ConfigError("run needs io.outdir or --out")
+    pipeline_cfg = cfg.pipeline_config(workers)
     panels, events = _load_fleet(cfg)
-    model = train_model(panels, events, cfg.pipeline_config(workers))
+    model = train_model(panels, events, pipeline_cfg)
     out.mkdir(parents=True, exist_ok=True)
     det_dir = out / "detectors"
     det_dir.mkdir(exist_ok=True)
@@ -269,10 +270,11 @@ def cmd_crossval(cfg: RunConfig, outdir: Path | None, workers: int) -> int:
     out = outdir or cfg.outdir
     if out is None:
         raise ConfigError("crossval needs io.outdir or --out")
+    pipeline_cfg = cfg.pipeline_config(workers)
     panels, events = _load_fleet(cfg)
     if len(panels) < 2:
         raise ConfigError("crossval needs at least 2 units")
-    result = leave_one_unit_out(panels, events, cfg.pipeline_config(workers))
+    result = leave_one_unit_out(panels, events, pipeline_cfg)
     out.mkdir(parents=True, exist_ok=True)
     folds_dir = out / "folds"
     folds_dir.mkdir(exist_ok=True)

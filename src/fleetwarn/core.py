@@ -27,10 +27,6 @@ class NoTargetEventsError(ValueError):
     """Raised when an operation requires target events and none are usable."""
 
 
-def is_missing(x: float) -> bool:
-    return isinstance(x, float) and math.isnan(x)
-
-
 @dataclass(frozen=True)
 class TelemetryPanel:
     """Per-unit ordered flight records with named real-valued parameters.

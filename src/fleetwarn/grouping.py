@@ -69,29 +69,68 @@ class ParameterGrouping:
         return tuple(sorted(n for g in self.groups for n in g))
 
 
+# Rows per block of the Gram products: temporaries stay at block x P floats.
+_BLOCK_ROWS = 1024
+# A pair whose shifted sums cancel to below this share of the sum of squares
+# has lost more than two decimal digits of its variance; it is recomputed
+# from its complete rows.
+_CANCELLATION = 1e-2
+
+
+def _pair_pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Two-pass Pearson of two fully observed samples (NaN if not computable)."""
+    dx = x - x[0]
+    dy = y - y[0]
+    dx -= dx.mean()
+    dy -= dy.mean()
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    if sxx <= 0.0 or syy <= 0.0:
+        return float("nan")
+    return float(dx @ dy) / math.sqrt(sxx * syy)
+
+
 def _pearson_matrix(data: np.ndarray) -> np.ndarray:
     """Signed Pearson correlation, pairwise-complete over missing entries.
 
     Pairs with fewer than two complete rows, or a constant column on the
     complete rows, are not computable and get NaN.
+
+    All pairs come from four Gram products of the finite mask ``M`` and the
+    shifted values ``X0`` (NaN -> 0): ``n = M'M``, ``Sx = X0'M``,
+    ``Sxx = (X0*X0)'M`` and ``Sxy = X0'X0``.  Each column is shifted by its
+    first finite value (Chan, Golub & LeVeque 1983), which keeps the sums on
+    the scale of the spread and makes a constant column exactly zero.
     """
-    n_cols = data.shape[1]
-    out = np.full((n_cols, n_cols), np.nan)
-    np.fill_diagonal(out, 1.0)
+    n_rows, n_cols = data.shape
     finite = np.isfinite(data)
-    for i in range(n_cols):
-        for j in range(i + 1, n_cols):
-            both = finite[:, i] & finite[:, j]
-            if both.sum() < 2:
-                continue
-            x = data[both, i]
-            y = data[both, j]
-            sx = x.std()
-            sy = y.std()
-            if sx == 0.0 or sy == 0.0:
-                continue
-            r = float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
-            out[i, j] = out[j, i] = r
+    shift = data[np.argmax(finite, axis=0), np.arange(n_cols)]
+    shift[~finite.any(axis=0)] = 0.0
+    n = np.zeros((n_cols, n_cols))
+    sx = np.zeros((n_cols, n_cols))
+    sxx = np.zeros((n_cols, n_cols))
+    sxy = np.zeros((n_cols, n_cols))
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        mask = finite[lo : lo + _BLOCK_ROWS]
+        m = mask.astype(np.float64)
+        x0 = np.where(mask, data[lo : lo + _BLOCK_ROWS] - shift, 0.0)
+        n += m.T @ m
+        sx += x0.T @ m
+        sxx += (x0 * x0).T @ m
+        sxy += x0.T @ x0
+    # [i, j] holds column i's sums over the rows complete for (i, j).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cov = sxy - sx * sx.T / n
+        var = sxx - sx * sx / n
+        r = cov / np.sqrt(var * var.T)
+    computable = (n >= 2) & (var > 0.0) & (var.T > 0.0)
+    out = np.triu(np.where(computable, r, np.nan), 1)
+    cancelled = (n >= 2) & ((var < _CANCELLATION * sxx) | (var.T < _CANCELLATION * sxx.T))
+    for i, j in zip(*np.nonzero(np.triu(cancelled, 1))):
+        both = finite[:, i] & finite[:, j]
+        out[i, j] = _pair_pearson(data[both, i], data[both, j])
+    out += out.T
+    np.fill_diagonal(out, 1.0)
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import stdtr
 
 from fleetwarn.core import (
     AlarmSeries,
@@ -254,7 +254,7 @@ def significance_test(
     sb = vb / b.size
     t = (ma - mb) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
-    return float(sstats.t.sf(t, df))
+    return float(stdtr(df, -t))  # Student-t survival function at t
 
 
 def match_stats(

@@ -34,7 +34,7 @@ from fleetwarn.detect import (
     score_reconstruction,
     select_normal_regime,
 )
-from fleetwarn.grouping import ParameterGrouping, build_groups, dependence_from_rows
+from fleetwarn.grouping import MEASURES, ParameterGrouping, build_groups, dependence_from_rows
 from fleetwarn.matching import PeriodLayout, layout_periods
 from fleetwarn.synth import PrecursorSet, SearchConfig, compose_and, search_combinations
 
@@ -67,6 +67,8 @@ class PipelineConfig:
         for key, q in self.quantile_overrides.items():
             if not 0.0 < q < 1.0:
                 raise ValueError(f"quantile override for {key!r} must lie in (0, 1)")
+        if self.measure not in MEASURES:
+            raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
         if self.normal_before < 0 or self.normal_after < 0:
             raise ValueError("normal_before and normal_after must be >= 0")
         if self.workers < 1:

@@ -121,6 +121,28 @@ def welch_reference_p(a, b):
         )
 
 
+def pearson_reference(data):
+    """Pairwise-complete Pearson matrix by one masked pass per column pair."""
+    n_cols = data.shape[1]
+    out = np.full((n_cols, n_cols), np.nan)
+    np.fill_diagonal(out, 1.0)
+    finite = np.isfinite(data)
+    for i in range(n_cols):
+        for j in range(i + 1, n_cols):
+            both = finite[:, i] & finite[:, j]
+            if both.sum() < 2:
+                continue
+            x = data[both, i]
+            y = data[both, j]
+            sx = x.std()
+            sy = y.std()
+            if sx == 0.0 or sy == 0.0:
+                continue
+            r = float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
+            out[i, j] = out[j, i] = r
+    return out
+
+
 def exact_max_matching(flags, onsets, tolerance):
     """Maximum bipartite matching size via augmenting paths."""
     flags = sorted(flags)

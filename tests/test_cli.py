@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fleetwarn
 from fleetwarn.cli import main
 from fleetwarn.core import read_events_csv, write_scores_csv
 
@@ -75,6 +80,16 @@ class TestConfigErrors:
         path.write_text("[1, 2]")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "crossval"])
+    def test_unknown_measure_rejected_before_reading(self, command, tmp_path, capsys):
+        payload = {
+            "io": {"telemetry": "absent/telemetry.csv", "events": "absent/events.csv"},
+            "grouping": {"measure": "spearman"},
+        }
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown measure 'spearman'" in capsys.readouterr().err
+
     def test_bad_filter_kind_reported(self, ws, tmp_path, capsys):
         payload = {
             "io": {
@@ -86,6 +101,18 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "filter kind" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of a second per process and is not needed
+    src = str(Path(fleetwarn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, fleetwarn.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSimulate:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetwarn.core import TelemetryPanel
 from fleetwarn.grouping import (
+    _BLOCK_ROWS,
     DependenceMatrix,
     build_groups,
     compute_dependence,
@@ -12,7 +15,7 @@ from fleetwarn.grouping import (
     read_groups_json,
     write_groups_json,
 )
-from oracles import bfs_components
+from oracles import bfs_components, pearson_reference
 
 
 def panel_from(values, columns):
@@ -58,10 +61,20 @@ class TestPearson:
         assert math.isnan(dep.values[0, 1])
 
     def test_constant_column_is_missing(self):
-        data = np.column_stack([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
-        dep = dependence_from_rows(data, ("x", "y"))
-        assert math.isnan(dep.values[0, 1])
-        assert dep.values[0, 0] == 1.0
+        # three copies of 0.1 have a nonzero float std around their mean
+        for x, y in (([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([0.1, 0.1, 0.1], [1.0, 2.0, 4.0])):
+            dep = dependence_from_rows(np.column_stack([x, y]), ("x", "y"))
+            assert math.isnan(dep.values[0, 1])
+            assert dep.values[0, 0] == 1.0
+
+    def test_outlying_first_value_keeps_precision(self):
+        # the pair's rows sit far from the column's first value, so the
+        # shifted sums cancel; the pair must still match the two-pass value
+        x = np.array([1e6, np.nan, 1.0, 1.1, 1.3, 0.7])
+        y = np.array([np.nan, 5.0, 1.0, 2.0, 5.0, 3.0])
+        data = np.column_stack([x, y])
+        got = dependence_from_rows(data, ("x", "y")).values[0, 1]
+        assert got == pytest.approx(pearson_reference(data)[0, 1], abs=1e-12)
 
     def test_panel_entry_point(self):
         panel = panel_from([[1, 2], [2, 4], [3, 6]], ("x", "y"))
@@ -72,6 +85,51 @@ class TestPearson:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             dependence_from_rows(np.array([[1.0, 2.0]]), ("x", "y"))
+
+
+@st.composite
+def pearson_inputs(draw):
+    """Rows of noisy, constant and offset columns under assorted NaN masks."""
+    n_rows = draw(
+        st.one_of(
+            st.integers(2, 12),
+            st.sampled_from([_BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 37]),
+        )
+    )
+    n_cols = draw(st.integers(2, 8))
+    kinds = draw(st.lists(st.sampled_from(["noise", "constant", "offset"]),
+                          min_size=n_cols, max_size=n_cols))
+    masking = draw(st.sampled_from(["none", "random", "disjoint", "one_overlap"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    latent = rng.normal(size=(n_rows, 1))
+    data = latent * rng.normal(size=n_cols) + rng.normal(size=(n_rows, n_cols))
+    for j, kind in enumerate(kinds):
+        if kind == "constant":
+            data[:, j] = float(rng.integers(-5, 6))
+        elif kind == "offset":
+            data[:, j] += 1e6
+    if masking != "none":
+        data[rng.random((n_rows, n_cols)) < draw(st.sampled_from([0.1, 0.5, 0.9]))] = np.nan
+    if masking == "disjoint":
+        data[::2, 0] = np.nan
+        data[1::2, 1] = np.nan
+    elif masking == "one_overlap":
+        split = n_rows // 2
+        data[split + 1 :, 0] = np.nan
+        data[:split, 1] = np.nan
+    return data
+
+
+class TestPearsonOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(pearson_inputs())
+    def test_matches_pairwise_loop(self, data):
+        names = tuple(f"p{i}" for i in range(data.shape[1]))
+        got = dependence_from_rows(data, names).values
+        expect = pearson_reference(data)
+        assert np.array_equal(np.isnan(got), np.isnan(expect))
+        both = ~np.isnan(expect)
+        assert np.max(np.abs(got[both] - expect[both])) <= 1e-12
 
 
 class TestMutualInformation:
