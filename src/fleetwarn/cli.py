@@ -363,7 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="simulation seed")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker threads")
+        p.add_argument(
+            "--workers", type=int, default=1, help="threads over crossval folds (run ignores it)"
+        )
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -200,18 +200,20 @@ def fit_threshold(scores: np.ndarray, q: float) -> float:
     return float(clean[k - 1])
 
 
-def binarize(det: SubspaceDetector, scores: Mapping[str, Mapping[int, float]]) -> AlarmSeries:
+def binarize(
+    det: SubspaceDetector, scores: Mapping[str, tuple[np.ndarray, np.ndarray]]
+) -> AlarmSeries:
     """Alarm that fires where a score strictly exceeds the threshold.
 
-    ``scores`` maps unit -> flight -> score; missing (NaN) never fires.
+    ``scores`` maps unit -> (flights, scores), two aligned arrays as
+    :func:`score_reconstruction` gives them for a panel; missing (NaN)
+    never fires.
     """
     if det.threshold is None:
         raise ValueError("threshold not set; call fit_threshold first")
     firings = {
-        unit: frozenset(
-            t for t, s in series.items() if not math.isnan(s) and s > det.threshold
-        )
-        for unit, series in scores.items()
+        unit: frozenset(np.asarray(flights)[np.asarray(values) > det.threshold].tolist())
+        for unit, (flights, values) in scores.items()
     }
     return AlarmSeries(alarm_id=det.alarm_id, firings=firings)
 

@@ -17,7 +17,7 @@ import csv
 import math
 from bisect import insort
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -65,26 +65,10 @@ class CrossvalResult:
 
 def _aggregate(folds: Sequence[FoldResult]) -> MatchStats:
     done = [f for f in folds if not f.skipped]
-    k_plus = sum(f.stats.window_events for f in done)
-    k_minus = sum(f.stats.false_segments for f in done)
-    s_plus = sum(f.stats.true_firings for f in done)
-    s_minus = sum(f.stats.false_firings for f in done)
-    irrelevant = sum(f.stats.irrelevant_firings for f in done)
-    u_plus = sum(f.stats.covered_events for f in done)
-    u_minus = sum(f.stats.fired_false_segments for f in done)
     window_counts = [c for f in done for c in f.window_counts]
     segment_counts = [c for f in done for c in f.segment_counts]
-    return MatchStats(
-        window_events=k_plus,
-        false_segments=k_minus,
-        true_firings=s_plus,
-        false_firings=s_minus,
-        irrelevant_firings=irrelevant,
-        covered_events=u_plus,
-        fired_false_segments=u_minus,
-        false_alarm_rate=s_minus / k_plus if k_plus else float("nan"),
-        coverage=u_plus / k_plus if k_plus else float("nan"),
-        false_to_covered=s_minus / u_plus if u_plus else float("inf"),
+    return MatchStats.from_counters(
+        **{name: sum(getattr(f.stats, name) for f in done) for name in MatchStats.COUNTERS},
         p_value=significance_test(window_counts, segment_counts),
     )
 
@@ -97,19 +81,18 @@ def leave_one_unit_out(
     """One fold per unit: train without it, grade the pooled signal on it.
 
     A fold whose training units carry no target event is marked skipped.
-    ``cfg.workers`` parallelizes over folds; fold training itself then runs
-    single-threaded so results are independent of the worker count.
+    ``cfg.workers`` threads run the folds; each fold trains single-threaded,
+    so results are independent of the worker count.
     """
     panels = sorted(panels, key=lambda p: p.unit_id)
     if len(panels) < 2:
         raise ValueError("leave-one-unit-out needs at least 2 units")
-    fold_cfg = replace(cfg, workers=1)
 
     def run_fold(held: TelemetryPanel) -> FoldResult:
         train_panels = [p for p in panels if p.unit_id != held.unit_id]
         train_events = [ev for ev in events if ev.unit_id != held.unit_id]
         try:
-            model = train_model(train_panels, train_events, fold_cfg)
+            model = train_model(train_panels, train_events, cfg)
         except NoTargetEventsError:
             return FoldResult(held_out_unit=held.unit_id, skipped=True)
         pooled = pooled_on(model, [held])
@@ -279,25 +262,25 @@ def roc_pr_curves(
 
     points = [emit(float("inf"), 0, 0)]
     active: dict[str, list[int]] = {u: [] for u in units}
+    unit_tp: dict[str, int] = {u: 0 for u in units}
     n_flags = 0
     tp = 0
     i = 0
     while i < len(triples):
         nu = triples[i][0]
-        changed_matching = False
+        changed: set[str] = set()
         while i < len(triples) and triples[i][0] == nu:
             _, u, flight = triples[i]
             n_flags += 1
             if relevant[(u, flight)]:
                 insort(active[u], flight)
-                changed_matching = True
+                changed.add(u)
             i += 1
-        if changed_matching:
-            tp = sum(
-                greedy_max_matching(active[u], onsets[u], tolerance)
-                for u in units
-                if onsets[u]
-            )
+        # only a unit whose relevant flags changed can change its matching
+        for u in changed:
+            matched = greedy_max_matching(active[u], onsets[u], tolerance)
+            tp += matched - unit_tp[u]
+            unit_tp[u] = matched
         points.append(emit(float(nu), n_flags, tp))
     return points
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -58,19 +58,86 @@ class UnitLayout:
     window_events: tuple[int, ...]
 
 
+# Region kind of one flight on the compiled fleet axis.
+_FALSE, _IRRELEVANT, _TRUE = 0, 1, 2
+
+
 @dataclass(frozen=True)
 class PeriodLayout:
-    """Fleet-wide region decomposition plus the events it had to drop."""
+    """Fleet-wide region decomposition plus the events it had to drop.
+
+    On construction the decomposition is compiled into per-flight arrays
+    over one fleet axis that concatenates the units in sorted order, unit
+    ``u`` taking positions ``offsets[u] + (flight - first)``:
+
+    * ``kind``: the flight's region (``_TRUE``, ``_IRRELEVANT``, ``_FALSE``);
+    * ``owner``: for true flights, the fleet-wide id of the earliest-onset
+      window containing the flight (windows numbered in sorted unit order,
+      then event order);
+    * ``segment``: for false flights, the fleet-wide false-segment id;
+    * ``window_lo``/``window_hi``: the axis bounds ``[lo, hi)`` of every
+      window, in window id order.
+
+    The arrays are derived from ``units`` and take no part in ``repr`` or
+    equality.
+    """
 
     units: Mapping[str, UnitLayout]
     params: MatchParams
     dropped: tuple[EventRecord, ...]
+    offsets: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    kind: np.ndarray = field(init=False, repr=False, compare=False)
+    owner: np.ndarray = field(init=False, repr=False, compare=False)
+    segment: np.ndarray = field(init=False, repr=False, compare=False)
+    window_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    window_hi: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        offsets: dict[str, int] = {}
+        size = 0
+        for unit in self.unit_ids():
+            offsets[unit] = size
+            ul = self.units[unit]
+            size += ul.last - ul.first + 1
+        kind = np.full(size, _FALSE, dtype=np.int8)
+        owner = np.full(size, -1, dtype=np.int32)
+        segment = np.full(size, -1, dtype=np.int32)
+        bounds: list[tuple[int, int]] = []
+        n_segments = 0
+        for unit, base in offsets.items():
+            ul = self.units[unit]
+            shift = base - ul.first
+            for lo, hi, _ in ul.irrelevant_zones:
+                kind[lo + shift : hi + shift] = _IRRELEVANT
+            for s, (lo, hi) in enumerate(ul.false_segments):
+                segment[lo + shift : hi + shift] = n_segments + s
+            n_segments += len(ul.false_segments)
+            bounds.extend((lo + shift, hi + shift) for lo, hi, _ in ul.true_windows)
+        # later windows first, so an overlap keeps its earliest owner
+        for w, (lo, hi) in reversed(list(enumerate(bounds))):
+            kind[lo:hi] = _TRUE
+            owner[lo:hi] = w
+        windows = np.array(bounds, dtype=np.int64).reshape(-1, 2)
+        for array in (kind, owner, segment, windows):
+            array.setflags(write=False)
+        for name, value in (
+            ("offsets", offsets),
+            ("kind", kind),
+            ("owner", owner),
+            ("segment", segment),
+            ("window_lo", windows[:, 0]),
+            ("window_hi", windows[:, 1]),
+        ):
+            object.__setattr__(self, name, value)
 
     def unit_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.units))
 
     def total_window_events(self) -> int:
         return sum(len(ul.window_events) for ul in self.units.values())
+
+    def total_false_segments(self) -> int:
+        return sum(len(ul.false_segments) for ul in self.units.values())
 
 
 @dataclass(frozen=True)
@@ -95,6 +162,26 @@ class MatchStats:
     coverage: float
     false_to_covered: float
     p_value: float
+
+    # The integer counters, which sum across units and folds.
+    COUNTERS: ClassVar[tuple[str, ...]] = (
+        "window_events", "false_segments", "true_firings", "false_firings",
+        "irrelevant_firings", "covered_events", "fired_false_segments",
+    )
+
+    @classmethod
+    def from_counters(cls, *, p_value: float, **counters: int) -> "MatchStats":
+        """Stats from the ``COUNTERS`` (possibly summed over folds) and a p-value."""
+        k_plus = counters["window_events"]
+        s_minus = counters["false_firings"]
+        u_plus = counters["covered_events"]
+        return cls(
+            **counters,
+            false_alarm_rate=s_minus / k_plus if k_plus else float("nan"),
+            coverage=u_plus / k_plus if k_plus else float("nan"),
+            false_to_covered=s_minus / u_plus if u_plus else float("inf"),
+            p_value=p_value,
+        )
 
 
 def layout_periods(
@@ -200,6 +287,47 @@ def classify_firings(alarm: AlarmSeries, layout: PeriodLayout) -> list[FiringLab
     return labels
 
 
+def _grade(
+    alarm: AlarmSeries, layout: PeriodLayout
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Grade every firing of the alarm in one pass over the compiled layout.
+
+    Returns the per-window and per-segment firing counts (the significance
+    samples), the number of irrelevant firings and the number of covered
+    window events.  Raises like :func:`classify_firings` on firings outside
+    the layout.
+    """
+    positions: list[int] = []
+    for unit in alarm.units():
+        firings = alarm.firings_for(unit)
+        if not firings:
+            continue
+        ul = layout.units.get(unit)
+        if ul is None:
+            raise ValueError(f"firings on unit {unit!r} absent from layout")
+        if min(firings) < ul.first or max(firings) > ul.last:
+            t = min(t for t in firings if not ul.first <= t <= ul.last)
+            raise ValueError(
+                f"firing at flight {t} outside range [{ul.first}, {ul.last}] "
+                f"of unit {unit!r}"
+            )
+        shift = layout.offsets[unit] - ul.first
+        positions.extend(t + shift for t in firings)
+    # sorted, so that the true positions can be searched by window bound
+    pos = np.sort(np.array(positions, dtype=np.int64))
+    kind = layout.kind[pos]
+    true_pos = pos[kind == _TRUE]
+    window_counts = np.bincount(layout.owner[true_pos], minlength=layout.window_lo.size)
+    segment_counts = np.bincount(
+        layout.segment[pos[kind == _FALSE]], minlength=layout.total_false_segments()
+    )
+    fired_in_window = np.searchsorted(true_pos, layout.window_hi) - np.searchsorted(
+        true_pos, layout.window_lo
+    )
+    irrelevant = int(np.count_nonzero(kind == _IRRELEVANT))
+    return window_counts, segment_counts, irrelevant, int(np.count_nonzero(fired_in_window))
+
+
 def significance_samples(
     alarm: AlarmSeries, layout: PeriodLayout
 ) -> tuple[list[int], list[int]]:
@@ -210,24 +338,8 @@ def significance_samples(
     the earliest-onset owner's entry only, so the window counts sum to the
     total number of true firings.
     """
-    labels = classify_firings(alarm, layout)
-    window_counts: dict[tuple[str, int], int] = {}
-    segment_counts: dict[tuple[str, int], int] = {}
-    for unit in layout.unit_ids():
-        ul = layout.units[unit]
-        for i in ul.window_events:
-            window_counts[(unit, i)] = 0
-        for s in range(len(ul.false_segments)):
-            segment_counts[(unit, s)] = 0
-    for lab in labels:
-        if lab.kind is FiringKind.TRUE:
-            window_counts[(lab.unit_id, min(lab.events))] += 1
-        elif lab.kind is FiringKind.FALSE:
-            segment_counts[(lab.unit_id, lab.segment)] += 1
-    return (
-        [window_counts[k] for k in sorted(window_counts)],
-        [segment_counts[k] for k in sorted(segment_counts)],
-    )
+    window_counts, segment_counts, _, _ = _grade(alarm, layout)
+    return window_counts.tolist(), segment_counts.tolist()
 
 
 def significance_test(
@@ -273,36 +385,16 @@ def match_stats(
     k_plus = layout.total_window_events()
     if k_plus == 0 and require_events:
         raise NoTargetEventsError("no target events in range")
-    k_minus = sum(len(ul.false_segments) for ul in layout.units.values())
-    labels = classify_firings(alarm, layout)
-    s_plus = sum(1 for lab in labels if lab.kind is FiringKind.TRUE)
-    s_minus = sum(1 for lab in labels if lab.kind is FiringKind.FALSE)
-    irrelevant = sum(1 for lab in labels if lab.kind is FiringKind.IRRELEVANT)
-    covered: set[tuple[str, int]] = set()
-    fired_segments: set[tuple[str, int]] = set()
-    for lab in labels:
-        if lab.kind is FiringKind.TRUE:
-            covered.update((lab.unit_id, i) for i in lab.events)
-        elif lab.kind is FiringKind.FALSE:
-            fired_segments.add((lab.unit_id, lab.segment))
-    u_plus = len(covered)
-    u_minus = len(fired_segments)
-    fa = s_minus / k_plus if k_plus else float("nan")
-    cf = u_plus / k_plus if k_plus else float("nan")
-    fa_over_cf = s_minus / u_plus if u_plus else float("inf")
-    p_value = significance_test(*significance_samples(alarm, layout))
-    return MatchStats(
+    window_counts, segment_counts, irrelevant, covered = _grade(alarm, layout)
+    return MatchStats.from_counters(
         window_events=k_plus,
-        false_segments=k_minus,
-        true_firings=s_plus,
-        false_firings=s_minus,
+        false_segments=layout.total_false_segments(),
+        true_firings=int(window_counts.sum()),
+        false_firings=int(segment_counts.sum()),
         irrelevant_firings=irrelevant,
-        covered_events=u_plus,
-        fired_false_segments=u_minus,
-        false_alarm_rate=fa,
-        coverage=cf,
-        false_to_covered=fa_over_cf,
-        p_value=p_value,
+        covered_events=covered,
+        fired_false_segments=int(np.count_nonzero(segment_counts)),
+        p_value=significance_test(window_counts, segment_counts),
     )
 
 

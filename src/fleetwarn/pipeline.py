@@ -9,7 +9,6 @@ then score any fleet (training or held-out) with :func:`pooled_on`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -36,7 +35,7 @@ from fleetwarn.detect import (
 )
 from fleetwarn.grouping import MEASURES, ParameterGrouping, build_groups, dependence_from_rows
 from fleetwarn.matching import PeriodLayout, layout_periods
-from fleetwarn.synth import PrecursorSet, SearchConfig, compose_and, search_combinations
+from fleetwarn.synth import PrecursorSet, SearchConfig, compose_and, pool_or, search_combinations
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,9 @@ class PipelineConfig:
     """Everything the pipeline needs beyond the data itself.
 
     ``quantile_overrides`` maps a group's smallest member name to the
-    quantile used for that group instead of the default.
+    quantile used for that group instead of the default.  ``workers`` is
+    the number of threads over leave-one-unit-out folds; training itself
+    is single-threaded.
     """
 
     match: MatchParams = MatchParams()
@@ -121,15 +122,10 @@ def normal_masks(
     return masks
 
 
-def _score_map(
-    det: SubspaceDetector, panels: Sequence[TelemetryPanel]
-) -> dict[str, dict[int, float]]:
-    return {
-        panel.unit_id: dict(
-            zip((int(t) for t in panel.flights), score_reconstruction(det, panel))
-        )
-        for panel in panels
-    }
+def _alarm_on(det: SubspaceDetector, panels: Sequence[TelemetryPanel]) -> AlarmSeries:
+    return binarize(
+        det, {p.unit_id: (p.flights, score_reconstruction(det, p)) for p in panels}
+    )
 
 
 def _fit_group_detector(
@@ -173,31 +169,17 @@ def train_model(
     grouping = build_groups(dep, cfg.rho)
 
     col_index = {name: i for i, name in enumerate(panels[0].columns)}
-
-    def fit_one(group: tuple[str, ...]) -> tuple[SubspaceDetector, AlarmSeries]:
-        idx = [col_index[name] for name in group]
-        det = _fit_group_detector(group, normal_rows[:, idx], cfg)
-        alarm = binarize(det, _score_map(det, normalized))
-        return det, alarm
-
-    groups = list(grouping.groups)
-    if cfg.workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            fitted = list(pool.map(fit_one, groups))
-    else:
-        fitted = [fit_one(g) for g in groups]
-    detectors = tuple(det for det, _ in fitted)
-    alarms = tuple(alarm for _, alarm in fitted)
+    detectors = tuple(
+        _fit_group_detector(group, normal_rows[:, [col_index[n] for n in group]], cfg)
+        for group in grouping.groups
+    )
+    alarms = tuple(_alarm_on(det, normalized) for det in detectors)
 
     ranges = {p.unit_id: p.observation_range() for p in panels}
     layout = layout_periods(target_events, cfg.match, ranges)
 
     precursors = search_combinations(
-        list(alarms),
-        layout,
-        cfg.search,
-        target_code=cfg.code_prefix,
-        workers=cfg.workers,
+        list(alarms), layout, cfg.search, target_code=cfg.code_prefix
     )
     return TrainedModel(
         config=cfg,
@@ -217,22 +199,13 @@ def elementary_alarms_on(
     """Score new panels with the fitted detectors and thresholds."""
     panels = sorted(panels, key=lambda p: p.unit_id)
     normalized = [apply_column_stats(p, model.column_stats) for p in panels]
-    out: dict[str, AlarmSeries] = {}
-    for det in model.detectors:
-        out[det.alarm_id] = binarize(det, _score_map(det, normalized))
-    return out
+    return {det.alarm_id: _alarm_on(det, normalized) for det in model.detectors}
 
 
 def pooled_on(model: TrainedModel, panels: Sequence[TelemetryPanel]) -> AlarmSeries:
     """The trained warning signal applied to (possibly unseen) panels."""
     alarms = elementary_alarms_on(model, panels)
-    units = sorted(p.unit_id for p in panels)
-    firings: dict[str, set[int]] = {u: set() for u in units}
-    for combo in model.precursors.combinations:
-        members = [alarms[mid] for mid in combo.members]
-        composed = compose_and(members)
-        for unit in composed.units():
-            firings[unit].update(composed.firings_for(unit))
-    return AlarmSeries(
-        alarm_id="pooled", firings={u: frozenset(ts) for u, ts in firings.items()}
+    return pool_or(
+        compose_and([alarms[mid] for mid in combo.members])
+        for combo in model.precursors.combinations
     )

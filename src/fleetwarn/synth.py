@@ -9,11 +9,10 @@ survivors are pooled by OR into one warning signal.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from fleetwarn.core import AlarmSeries
 from fleetwarn.matching import (
@@ -85,12 +84,12 @@ def compose_and(alarms: Sequence[AlarmSeries]) -> AlarmSeries:
     return AlarmSeries(alarm_id="&".join(member_ids), firings=firings)
 
 
-def pool_or(pset: PrecursorSet) -> AlarmSeries:
-    """Union of the combinations' firing sets; empty set never fires."""
+def pool_or(alarms: Iterable[AlarmSeries]) -> AlarmSeries:
+    """OR-pool of the combinations' composed alarms; an empty pool never fires."""
     firings: dict[str, set[int]] = {}
-    for combo in pset.combinations:
-        for unit in combo.alarm.units():
-            firings.setdefault(unit, set()).update(combo.alarm.firings_for(unit))
+    for alarm in alarms:
+        for unit in alarm.units():
+            firings.setdefault(unit, set()).update(alarm.firings_for(unit))
     return AlarmSeries(
         alarm_id="pooled",
         firings={u: frozenset(ts) for u, ts in firings.items()},
@@ -105,20 +104,11 @@ def _passes(stats: MatchStats, cfg: SearchConfig) -> bool:
     return soft_filter(stats, cfg.theta)
 
 
-def _map(fn: Callable, items: Iterable, workers: int) -> list:
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def search_combinations(
     pool: Sequence[AlarmSeries],
     layout: PeriodLayout,
     cfg: SearchConfig,
     target_code: str = "",
-    workers: int = 1,
 ) -> PrecursorSet:
     """Enumerate, gate, filter, deduplicate, rank, and pool combinations.
 
@@ -137,25 +127,16 @@ def search_combinations(
     if len({a.alarm_id for a in ordered}) != len(ordered):
         raise ValueError("duplicate alarm ids in pool")
 
-    singleton_stats = _map(lambda a: match_stats(a, layout), ordered, workers)
-    gated = [
-        alarm
-        for alarm, stats in zip(ordered, singleton_stats)
-        if gate_ttest(stats, cfg.alpha)
-    ]
+    gated = [alarm for alarm in ordered if gate_ttest(match_stats(alarm, layout), cfg.alpha)]
 
     candidates: list[tuple[AlarmSeries, ...]] = []
     for size in range(1, cfg.max_size + 1):
         candidates.extend(combinations(gated, size))
 
-    def grade(members: tuple[AlarmSeries, ...]) -> tuple[AlarmSeries, MatchStats]:
-        composed = compose_and(members)
-        return composed, match_stats(composed, layout)
-
-    graded = _map(grade, candidates, workers)
-
     survivors: list[Combination] = []
-    for members, (composed, stats) in zip(candidates, graded):
+    for members in candidates:
+        composed = compose_and(members)
+        stats = match_stats(composed, layout)
         if _passes(stats, cfg):
             survivors.append(
                 Combination(
@@ -177,19 +158,12 @@ def search_combinations(
         key=lambda c: (c.stats.false_to_covered, -c.stats.coverage, c.alarm.alarm_id),
     )
 
-    interim = PrecursorSet(
-        target_code=target_code,
-        combinations=tuple(unique),
-        pooled_alarm=AlarmSeries(alarm_id="pooled", firings={}),
-        pooled_stats=singleton_stats[0],  # placeholder, replaced below
-    )
-    pooled = pool_or(interim)
-    pooled_stats = match_stats(pooled, layout)
+    pooled = pool_or(c.alarm for c in unique)
     return PrecursorSet(
         target_code=target_code,
         combinations=tuple(unique),
         pooled_alarm=pooled,
-        pooled_stats=pooled_stats,
+        pooled_stats=match_stats(pooled, layout),
     )
 
 

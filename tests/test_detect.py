@@ -216,17 +216,17 @@ class TestBinarize:
 
     def test_strictly_above_fires(self):
         det = self.detector(1.0)
-        alarm = binarize(det, {"u": {1: 0.1, 2: 5.0, 3: 0.2}})
+        alarm = binarize(det, {"u": (np.array([1, 2, 3]), np.array([0.1, 5.0, 0.2]))})
         assert alarm.firings_for("u") == frozenset({2})
 
     def test_at_threshold_does_not_fire(self):
         det = self.detector(1.0)
-        alarm = binarize(det, {"u": {1: 1.0}})
+        alarm = binarize(det, {"u": (np.array([1]), np.array([1.0]))})
         assert alarm.firings_for("u") == frozenset()
 
     def test_missing_never_fires(self):
         det = self.detector(0.5)
-        alarm = binarize(det, {"u": {1: float("nan"), 2: 2.0}})
+        alarm = binarize(det, {"u": (np.array([1, 2]), np.array([np.nan, 2.0]))})
         assert alarm.firings_for("u") == frozenset({2})
 
     def test_threshold_required(self):
@@ -234,7 +234,7 @@ class TestBinarize:
             group=("a",), mean=np.zeros(1), basis=np.ones((1, 1)), rank=1, quantile=0.9
         )
         with pytest.raises(ValueError, match="threshold"):
-            binarize(det, {"u": {1: 1.0}})
+            binarize(det, {"u": (np.array([1]), np.array([1.0]))})
 
     def test_alarm_id_records_group_rank_quantile(self):
         det = self.detector(1.0)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import exact_max_matching
 from fleetwarn.core import (
@@ -235,6 +237,47 @@ class TestCurves:
         assert points[1].tp == 0
         assert points[1].fp == 1
         assert points[-1].tp == 1
+
+
+@st.composite
+def curve_inputs(draw):
+    """Scores with ties and NaNs on 1-3 units, events on and off the scored flights."""
+    levels = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, float("nan")]), st.floats(0, 1))
+    scores = {}
+    events = []
+    for u in range(draw(st.integers(1, 3))):
+        unit = f"u{u}"
+        flights = draw(st.sets(st.integers(1, 30), max_size=25))
+        scores[unit] = {t: draw(levels) for t in sorted(flights)}
+        for onset in draw(st.lists(st.integers(-2, 33), max_size=4)):
+            events.append(EventRecord(unit, onset, onset + 1, "E"))
+    return scores, events, draw(st.integers(0, 3))
+
+
+class TestCurveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(curve_inputs())
+    def test_every_point_equals_a_recount(self, inputs):
+        scores, events, tolerance = inputs
+        points = roc_pr_curves(scores, events, tolerance, require_events=False)
+        finite = [s for series in scores.values() for s in series.values() if not math.isnan(s)]
+        assert [p.nu for p in points] == [math.inf] + sorted(set(finite), reverse=True)
+        n_scored = len(finite)
+        for p in points:
+            flags = {
+                u: [t for t, s in series.items() if not math.isnan(s) and s >= p.nu]
+                for u, series in scores.items()
+            }
+            tp = sum(
+                exact_max_matching(
+                    flags[u], [ev.onset for ev in events if ev.unit_id == u], tolerance
+                )
+                for u in scores
+            )
+            fp = sum(len(f) for f in flags.values()) - tp
+            fn = len(events) - tp
+            assert (p.tp, p.fp, p.fn) == (tp, fp, fn)
+            assert p.tn == max(n_scored - tp - fp - fn, 0)
 
 
 class TestCurveSummaries:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_match, welch_reference_p
 from fleetwarn.core import AlarmSeries, EventRecord, FiringKind, MatchParams, NoTargetEventsError
@@ -349,6 +351,120 @@ class TestMatchStats:
                 rel=1e-9,
                 abs=1e-12,
             )
+
+
+@st.composite
+def random_fleets(draw):
+    """Multi-unit fleets with overlapping, clipped and unknown-unit events.
+
+    Returns (event tuples for the oracle, EventRecords, params, ranges,
+    firings); every alarm flight lies in its unit's range, and the first
+    and last flight of a unit are drawn on purpose.
+    """
+    ranges = {}
+    events = []
+    for u in range(draw(st.integers(1, 4))):
+        unit = f"u{u}"
+        first = draw(st.integers(0, 5))
+        last = first + draw(st.integers(0, 40))
+        ranges[unit] = (first, last)
+        for _ in range(draw(st.integers(0, 4))):
+            onset = draw(st.integers(first - 12, last + 12))
+            events.append((unit, onset, onset + draw(st.integers(1, 5))))
+    for _ in range(draw(st.integers(0, 2))):
+        onset = draw(st.integers(-5, 50))
+        events.append(("ghost", onset, onset + draw(st.integers(1, 5))))
+    params = MatchParams(
+        window=draw(st.integers(1, 10)),
+        horizon=draw(st.integers(0, 5)),
+        delay=draw(st.integers(0, 5)),
+    )
+    firings = {}
+    if draw(st.booleans()):
+        for unit, (first, last) in ranges.items():
+            fires = set(draw(st.lists(st.integers(first, last), max_size=15)))
+            if draw(st.booleans()):
+                fires.add(first)
+            if draw(st.booleans()):
+                fires.add(last)
+            firings[unit] = fires
+    records = [EventRecord(u, onset, end, f"E{k}") for k, (u, onset, end) in enumerate(events)]
+    return events, records, params, ranges, firings
+
+
+def same_number(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b)
+
+
+class TestOracleProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(random_fleets())
+    def test_match_stats_equals_brute_force(self, fleet):
+        events, records, params, ranges, firings = fleet
+        layout = layout_periods(records, params, ranges)
+        alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
+        got = match_stats(alarm, layout, require_events=False)
+        ref = brute_force_match(events, params, ranges, firings)
+        for key in (
+            "window_events",
+            "false_segments",
+            "true_firings",
+            "false_firings",
+            "irrelevant_firings",
+            "covered_events",
+            "fired_false_segments",
+        ):
+            assert getattr(got, key) == ref[key], key
+        for key in ("false_alarm_rate", "coverage", "false_to_covered"):
+            assert same_number(getattr(got, key), ref[key]), key
+        assert got.p_value == pytest.approx(
+            welch_reference_p(ref["window_counts"], ref["segment_counts"]),
+            rel=1e-9,
+            abs=1e-12,
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(random_fleets())
+    def test_significance_samples_equal_brute_force(self, fleet):
+        events, records, params, ranges, firings = fleet
+        layout = layout_periods(records, params, ranges)
+        alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
+        ref = brute_force_match(events, params, ranges, firings)
+        assert significance_samples(alarm, layout) == (
+            ref["window_counts"],
+            ref["segment_counts"],
+        )
+
+
+class TestFiringPreconditions:
+    """Bad firings fail with the same message whichever grader sees them."""
+
+    LAYOUT = layout_periods(
+        [EventRecord("u", 20, 22, "E1")], MatchParams(window=5), {"u": (1, 30), "w": (5, 9)}
+    )
+
+    @pytest.mark.parametrize("grade", [classify_firings, significance_samples, match_stats])
+    @pytest.mark.parametrize(
+        "firings, message",
+        [
+            ({"ghost": {3}}, "firings on unit 'ghost' absent from layout"),
+            ({"a": {1}, "u": {40}}, "firings on unit 'a' absent from layout"),
+            ({"u": {31}}, "firing at flight 31 outside range [1, 30] of unit 'u'"),
+            ({"u": {0, 5, 40}}, "firing at flight 0 outside range [1, 30] of unit 'u'"),
+            ({"u": {5, 40, 31}}, "firing at flight 31 outside range [1, 30] of unit 'u'"),
+            ({"u": {5}, "w": {4}}, "firing at flight 4 outside range [5, 9] of unit 'w'"),
+            ({"u": {40}, "zz": {1}}, "firing at flight 40 outside range [1, 30] of unit 'u'"),
+        ],
+    )
+    def test_message(self, grade, firings, message):
+        alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
+        with pytest.raises(ValueError) as exc:
+            grade(alarm, self.LAYOUT)
+        assert str(exc.value) == message
+
+    def test_silent_unknown_unit_is_accepted(self):
+        alarm = AlarmSeries("a", {"ghost": frozenset(), "u": frozenset({16})})
+        assert match_stats(alarm, self.LAYOUT).covered_events == 1
 
 
 def make_stats(**kw):

@@ -9,8 +9,6 @@ from oracles import brute_force_match, welch_reference_p
 from fleetwarn.core import AlarmSeries, EventRecord, MatchParams
 from fleetwarn.matching import layout_periods, match_stats
 from fleetwarn.synth import (
-    Combination,
-    PrecursorSet,
     SearchConfig,
     compose_and,
     pool_or,
@@ -102,35 +100,18 @@ class TestCompose:
 
 
 class TestPool:
-    def combo(self, alarm_obj):
-        layout = fixture_layout()
-        return Combination(
-            members=(alarm_obj.alarm_id,),
-            alarm=alarm_obj,
-            stats=match_stats(alarm_obj, layout),
-            provenance="soft",
-        )
-
-    def pset(self, alarms):
-        layout = fixture_layout()
-        combos = tuple(self.combo(a) for a in alarms)
-        pooled = AlarmSeries("pooled", {})
-        return PrecursorSet("E1", combos, pooled, match_stats(pooled, layout))
-
     def test_union(self):
-        pooled = pool_or(
-            self.pset([same_everywhere("a", {1, 5}), same_everywhere("b", {5, 9})])
-        )
+        pooled = pool_or([same_everywhere("a", {1, 5}), same_everywhere("b", {5, 9})])
         assert pooled.alarm_id == "pooled"
         for u in UNITS:
             assert pooled.firings_for(u) == frozenset({1, 5, 9})
 
     def test_single_combination_identity(self):
-        pooled = pool_or(self.pset([same_everywhere("a", {3, 4})]))
+        pooled = pool_or([same_everywhere("a", {3, 4})])
         assert pooled.firings_for("u1") == frozenset({3, 4})
 
     def test_empty_set_never_fires(self):
-        pooled = pool_or(self.pset([]))
+        pooled = pool_or([])
         assert pooled.total_firings() == 0
 
     def test_contains_every_member(self):
@@ -138,7 +119,7 @@ class TestPool:
         alarms = [
             same_everywhere(f"m{i}", rng.sample(range(1, 50), 8)) for i in range(4)
         ]
-        pooled = pool_or(self.pset(alarms))
+        pooled = pool_or(alarms)
         for a in alarms:
             for u in UNITS:
                 assert a.firings_for(u) <= pooled.firings_for(u)
