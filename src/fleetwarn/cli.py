@@ -9,7 +9,8 @@ Four commands over one JSON config file:
 
 Exit codes: 0 success, 2 input/config error, 3 empty precursor set,
 4 no target events.  All commands are deterministic: the only randomness is
-the simulate seed, and worker count never changes any output byte.
+the simulate seed.  The whole config is validated when it is loaded, before
+any input file is read.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
     "grouping": ("measure", "rho"),
     "filter": ("kind", "alpha", "theta", "max_size"),
     "target": ("code_prefix",),
-    "eval": ("tolerance", "lag_depth"),
+    "eval": ("tolerance",),
     "sim": (
         "units",
         "flights_per_unit",
@@ -89,7 +90,8 @@ def _get(raw: Mapping[str, Any], section: str, key: str, default: Any) -> Any:
 class RunConfig:
     """Typed view of the JSON config with documented defaults filled in.
 
-    Relative paths resolve against the config file's directory.
+    Relative paths resolve against the config file's directory; ``pipeline``
+    holds every training setting, validated here.
     """
 
     def __init__(self, raw: Mapping[str, Any], base_dir: Path):
@@ -99,60 +101,47 @@ class RunConfig:
         self.events = self._path(_get(raw, "io", "events", None))
         self.outdir = self._path(_get(raw, "io", "outdir", None))
         self.scores = self._path(_get(raw, "io", "scores", None))
-        self.match = MatchParams(
-            window=int(_get(raw, "match", "w", 20)),
-            horizon=int(_get(raw, "match", "h", 0)),
-            delay=int(_get(raw, "match", "m", 0)),
-        )
-        self.rank = int(_get(raw, "detect", "rank", 1))
-        self.quantile = float(_get(raw, "detect", "quantile", 0.95))
         overrides = _get(raw, "detect", "quantile_overrides", {})
         if not isinstance(overrides, dict):
             raise ConfigError("detect.quantile_overrides must be an object")
-        self.quantile_overrides = {str(k): float(v) for k, v in overrides.items()}
-        self.normal_before = int(_get(raw, "detect", "normal_before", 50))
-        self.normal_after = int(_get(raw, "detect", "normal_after", 30))
-        self.measure = str(_get(raw, "grouping", "measure", "pearson"))
-        self.rho = float(_get(raw, "grouping", "rho", 0.7))
-        self.filter_kind = str(_get(raw, "filter", "kind", "hard"))
-        self.alpha = float(_get(raw, "filter", "alpha", 0.05))
-        self.theta = float(_get(raw, "filter", "theta", 2))
-        self.max_size = int(_get(raw, "filter", "max_size", 2))
-        self.code_prefix = str(_get(raw, "target", "code_prefix", ""))
+        try:
+            self.pipeline = PipelineConfig(
+                match=MatchParams(
+                    window=int(_get(raw, "match", "w", 20)),
+                    horizon=int(_get(raw, "match", "h", 0)),
+                    delay=int(_get(raw, "match", "m", 0)),
+                ),
+                rank=int(_get(raw, "detect", "rank", 1)),
+                quantile=float(_get(raw, "detect", "quantile", 0.95)),
+                quantile_overrides={str(k): float(v) for k, v in overrides.items()},
+                normal_before=int(_get(raw, "detect", "normal_before", 50)),
+                normal_after=int(_get(raw, "detect", "normal_after", 30)),
+                measure=str(_get(raw, "grouping", "measure", "pearson")),
+                rho=float(_get(raw, "grouping", "rho", 0.7)),
+                search=SearchConfig(
+                    alpha=float(_get(raw, "filter", "alpha", 0.05)),
+                    filter_kind=str(_get(raw, "filter", "kind", "hard")),
+                    theta=float(_get(raw, "filter", "theta", 2)),
+                    max_size=int(_get(raw, "filter", "max_size", 2)),
+                ),
+                code_prefix=str(_get(raw, "target", "code_prefix", "")),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
         self.tolerance = int(_get(raw, "eval", "tolerance", 2))
-        self.lag_depth = int(_get(raw, "eval", "lag_depth", 3))
         self.baseline_param = _get(raw, "curves", "baseline_param", None)
         self.baseline_direction = str(_get(raw, "curves", "baseline_direction", "above"))
+        if self.baseline_direction not in ("above", "below"):
+            raise ConfigError(
+                f"curves.baseline_direction must be 'above' or 'below', "
+                f"got {self.baseline_direction!r}"
+            )
         self.sim_raw = raw.get("sim")
 
     def _path(self, value: Any) -> Path | None:
         if value is None:
             return None
         return (self.base_dir / str(value)).resolve()
-
-    def pipeline_config(self, workers: int) -> PipelineConfig:
-        try:
-            search = SearchConfig(
-                alpha=self.alpha,
-                filter_kind=self.filter_kind,
-                theta=self.theta,
-                max_size=self.max_size,
-            )
-            return PipelineConfig(
-                match=self.match,
-                rank=self.rank,
-                quantile=self.quantile,
-                quantile_overrides=self.quantile_overrides,
-                normal_before=self.normal_before,
-                normal_after=self.normal_after,
-                measure=self.measure,
-                rho=self.rho,
-                search=search,
-                code_prefix=self.code_prefix,
-                workers=workers,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def sim_config(self, seed_override: int | None) -> SimConfig:
         raw = self.sim_raw
@@ -234,19 +223,18 @@ def _load_fleet(cfg: RunConfig):
     return panels, events
 
 
-def cmd_run(cfg: RunConfig, outdir: Path | None, workers: int) -> int:
+def cmd_run(cfg: RunConfig, outdir: Path | None) -> int:
     out = outdir or cfg.outdir
     if out is None:
         raise ConfigError("run needs io.outdir or --out")
-    pipeline_cfg = cfg.pipeline_config(workers)
     panels, events = _load_fleet(cfg)
-    model = train_model(panels, events, pipeline_cfg)
+    model = train_model(panels, events, cfg.pipeline)
     out.mkdir(parents=True, exist_ok=True)
     det_dir = out / "detectors"
     det_dir.mkdir(exist_ok=True)
     for det in model.detectors:
         write_detector_json(det_dir / f"{det.group[0]}.json", det)
-    write_groups_json(out / "groups.json", model.grouping, cfg.measure)
+    write_groups_json(out / "groups.json", model.grouping, cfg.pipeline.measure)
     composed = [c.alarm for c in model.precursors.combinations]
     write_alarms_csv(
         out / "alarms.csv",
@@ -266,15 +254,14 @@ def cmd_run(cfg: RunConfig, outdir: Path | None, workers: int) -> int:
     return 0 if model.precursors.combinations else 3
 
 
-def cmd_crossval(cfg: RunConfig, outdir: Path | None, workers: int) -> int:
+def cmd_crossval(cfg: RunConfig, outdir: Path | None) -> int:
     out = outdir or cfg.outdir
     if out is None:
         raise ConfigError("crossval needs io.outdir or --out")
-    pipeline_cfg = cfg.pipeline_config(workers)
     panels, events = _load_fleet(cfg)
     if len(panels) < 2:
         raise ConfigError("crossval needs at least 2 units")
-    result = leave_one_unit_out(panels, events, pipeline_cfg)
+    result = leave_one_unit_out(panels, events, cfg.pipeline)
     out.mkdir(parents=True, exist_ok=True)
     folds_dir = out / "folds"
     folds_dir.mkdir(exist_ok=True)
@@ -306,18 +293,19 @@ def cmd_curves(cfg: RunConfig, outdir: Path | None) -> int:
     if out is None:
         raise ConfigError("curves needs io.outdir or --out")
     _require(cfg, events=cfg.events)
-    events = [
-        ev for ev in read_events_csv(cfg.events) if ev.code.startswith(cfg.code_prefix)
-    ]
+    prefix = cfg.pipeline.code_prefix
+    events = [ev for ev in read_events_csv(cfg.events) if ev.code.startswith(prefix)]
     if not events:
-        raise NoTargetEventsError(
-            f"no events match code prefix {cfg.code_prefix!r}"
-        )
+        raise NoTargetEventsError(f"no events match code prefix {prefix!r}")
     if cfg.scores is not None:
         scores = read_scores_csv(cfg.scores)
     elif cfg.baseline_param is not None:
         _require(cfg, telemetry=cfg.telemetry)
         panels = read_telemetry_csv(cfg.telemetry)
+        if panels and cfg.baseline_param not in panels[0].columns:
+            raise ConfigError(
+                f"curves.baseline_param {cfg.baseline_param!r} is not a telemetry column"
+            )
         scores = {}
         for panel in panels:
             values = threshold_baseline(
@@ -364,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="simulation seed")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument(
-            "--workers", type=int, default=1, help="threads over crossval folds (run ignores it)"
+            "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
         )
     args = parser.parse_args(argv)
     try:
@@ -372,9 +360,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.seed, args.out)
         if args.command == "run":
-            return cmd_run(cfg, args.out, args.workers)
+            return cmd_run(cfg, args.out)
         if args.command == "crossval":
-            return cmd_crossval(cfg, args.out, args.workers)
+            return cmd_crossval(cfg, args.out)
         return cmd_curves(cfg, args.out)
     except NoTargetEventsError as exc:
         print(f"fleetwarn: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ worker threads.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -302,6 +303,15 @@ def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> N
                 writer.writerow(row)
 
 
+def _line_of(path: str | Path, unit: str, index: int) -> int:
+    """CSV line of the index-th record of ``unit``; read again for error messages only."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        lines = (reader.line_num for row in reader if row and row[0] == unit)
+        return next(itertools.islice(lines, index, None))
+
+
 def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -329,6 +339,13 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
         phases = tuple(r[1] or None for r in records)
         values = np.array([r[2] for r in records], dtype=np.float64)
         values = values.reshape(len(records), len(columns))
+        infinite = np.argwhere(np.isinf(values))
+        if infinite.size:
+            row, col = infinite[0]
+            raise ValueError(
+                f"{path}: line {_line_of(path, unit, row)}: "
+                f"infinite value in column {columns[col]!r}"
+            )
         panels.append(
             TelemetryPanel(unit_id=unit, flights=flights, columns=columns,
                            values=values, phases=phases)

@@ -169,18 +169,23 @@ def fit_subspace(
     return fit_subspace_from_rows(panel.subvalues(group)[mask], group, rank)
 
 
-def score_reconstruction(det: SubspaceDetector, panel: TelemetryPanel) -> np.ndarray:
-    """Squared distance to the subspace, aligned with panel.flights.
+def squared_distance(det: SubspaceDetector, rows: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to the subspace; NaN on incomplete rows.
 
-    NaN where any group value is missing; exact zeros at the training mean
-    and (up to rounding) everywhere when rank equals the group size.
+    Exact zeros at the training mean and (up to rounding) everywhere when
+    rank equals the group size.
     """
-    data = panel.subvalues(det.group)
-    centered = data - det.mean
-    residual = centered - (centered @ det.basis) @ det.basis.T
-    scores = np.einsum("ij,ij->i", residual, residual)
-    scores[~np.isfinite(data).all(axis=1)] = np.nan
+    with np.errstate(invalid="ignore"):  # infinite cells give NaN, masked below
+        centered = rows - det.mean
+        residual = centered - (centered @ det.basis) @ det.basis.T
+        scores = np.einsum("ij,ij->i", residual, residual)
+    scores[~np.isfinite(rows).all(axis=1)] = np.nan
     return scores
+
+
+def score_reconstruction(det: SubspaceDetector, panel: TelemetryPanel) -> np.ndarray:
+    """:func:`squared_distance` of the panel's group columns, aligned with flights."""
+    return squared_distance(det, panel.subvalues(det.group))
 
 
 def fit_threshold(scores: np.ndarray, q: float) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -81,20 +80,20 @@ def leave_one_unit_out(
     """One fold per unit: train without it, grade the pooled signal on it.
 
     A fold whose training units carry no target event is marked skipped.
-    ``cfg.workers`` threads run the folds; each fold trains single-threaded,
-    so results are independent of the worker count.
     """
     panels = sorted(panels, key=lambda p: p.unit_id)
     if len(panels) < 2:
         raise ValueError("leave-one-unit-out needs at least 2 units")
 
-    def run_fold(held: TelemetryPanel) -> FoldResult:
+    folds: list[FoldResult] = []
+    for held in panels:
         train_panels = [p for p in panels if p.unit_id != held.unit_id]
         train_events = [ev for ev in events if ev.unit_id != held.unit_id]
         try:
             model = train_model(train_panels, train_events, cfg)
         except NoTargetEventsError:
-            return FoldResult(held_out_unit=held.unit_id, skipped=True)
+            folds.append(FoldResult(held_out_unit=held.unit_id, skipped=True))
+            continue
         pooled = pooled_on(model, [held])
         held_events = [
             ev
@@ -106,54 +105,20 @@ def leave_one_unit_out(
         )
         stats = match_stats(pooled, layout, require_events=False)
         window_counts, segment_counts = significance_samples(pooled, layout)
-        return FoldResult(
-            held_out_unit=held.unit_id,
-            skipped=False,
-            stats=stats,
-            precursors=model.precursors,
-            window_counts=tuple(window_counts),
-            segment_counts=tuple(segment_counts),
+        folds.append(
+            FoldResult(
+                held_out_unit=held.unit_id,
+                skipped=False,
+                stats=stats,
+                precursors=model.precursors,
+                window_counts=tuple(window_counts),
+                segment_counts=tuple(segment_counts),
+            )
         )
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            folds = tuple(pool.map(run_fold, panels))
-    else:
-        folds = tuple(run_fold(p) for p in panels)
     return CrossvalResult(
-        folds=folds,
+        folds=tuple(folds),
         aggregate=_aggregate(folds),
         skipped_units=tuple(f.held_out_unit for f in folds if f.skipped),
-    )
-
-
-def lag_features(panel: TelemetryPanel, depth: int) -> TelemetryPanel:
-    """Append lagged copies p@lag-k (k = 1..depth) of every column.
-
-    The first k rows of a lag-k column are missing; original columns are
-    untouched, so dropping the added columns recovers the input exactly.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if depth == 0:
-        return panel
-    if depth >= panel.n_flights:
-        raise ValueError(f"depth {depth} must be < {panel.n_flights} flights")
-    blocks = [panel.values]
-    names = list(panel.columns)
-    for name in panel.columns:
-        j = panel.column_index(name)
-        for k in range(1, depth + 1):
-            lagged = np.full(panel.n_flights, np.nan)
-            lagged[k:] = panel.values[: panel.n_flights - k, j]
-            blocks.append(lagged[:, None])
-            names.append(f"{name}@lag-{k}")
-    return TelemetryPanel(
-        unit_id=panel.unit_id,
-        flights=panel.flights,
-        columns=tuple(names),
-        values=np.hstack(blocks),
-        phases=panel.phases,
     )
 
 

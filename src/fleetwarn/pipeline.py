@@ -32,6 +32,7 @@ from fleetwarn.detect import (
     fit_threshold,
     score_reconstruction,
     select_normal_regime,
+    squared_distance,
 )
 from fleetwarn.grouping import MEASURES, ParameterGrouping, build_groups, dependence_from_rows
 from fleetwarn.matching import PeriodLayout, layout_periods
@@ -43,9 +44,7 @@ class PipelineConfig:
     """Everything the pipeline needs beyond the data itself.
 
     ``quantile_overrides`` maps a group's smallest member name to the
-    quantile used for that group instead of the default.  ``workers`` is
-    the number of threads over leave-one-unit-out folds; training itself
-    is single-threaded.
+    quantile used for that group instead of the default.
     """
 
     match: MatchParams = MatchParams()
@@ -58,7 +57,6 @@ class PipelineConfig:
     rho: float = 0.7
     search: SearchConfig = SearchConfig()
     code_prefix: str = ""
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -72,8 +70,6 @@ class PipelineConfig:
             raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
         if self.normal_before < 0 or self.normal_after < 0:
             raise ValueError("normal_before and normal_after must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         object.__setattr__(self, "quantile_overrides", dict(self.quantile_overrides))
 
 
@@ -133,16 +129,12 @@ def _fit_group_detector(
     normal_rows: np.ndarray,
     cfg: PipelineConfig,
 ) -> SubspaceDetector:
-    rank = min(cfg.rank, len(group))
-    det = fit_subspace_from_rows(normal_rows, group, rank)
+    det = fit_subspace_from_rows(normal_rows, group, min(cfg.rank, len(group)))
     q = cfg.quantile_overrides.get(group[0], cfg.quantile)
-    if q != det.quantile:
-        det = replace(det, quantile=q)
-    complete = normal_rows[np.isfinite(normal_rows).all(axis=1)]
-    centered = complete - det.mean
-    residual = centered - (centered @ det.basis) @ det.basis.T
-    training_scores = np.einsum("ij,ij->i", residual, residual)
-    return det.with_threshold(fit_threshold(training_scores, q))
+    # Row-major, like the complete rows the subspace was fitted on: BLAS rounds
+    # a column selection differently, which would move thresholds by an ulp.
+    scores = squared_distance(det, np.ascontiguousarray(normal_rows))
+    return replace(det, quantile=q, threshold=fit_threshold(scores, q))
 
 
 def train_model(

@@ -31,12 +31,12 @@ from fleetwarn.core import (
     fit_column_stats,
 )
 from fleetwarn.detect import (
-    NoNormalRegimeError,
     fit_subspace_from_rows,
     fit_threshold,
     score_reconstruction,
-    select_normal_regime,
+    squared_distance,
 )
+from fleetwarn.pipeline import normal_masks
 
 
 @dataclass(frozen=True)
@@ -234,28 +234,18 @@ def _anomalies_exceed_q95(
 ) -> bool:
     """Self-check: planted flights score above the q-quantile after a
     normalize + rank-1 fit on the fleet's normal regime."""
-    masks = []
-    for panel in panels:
-        try:
-            masks.append(select_normal_regime(panel, events, before, after))
-        except NoNormalRegimeError:
-            masks.append(np.zeros(panel.n_flights, dtype=bool))
+    masks = normal_masks(panels, events, before, after)
     stats = fit_column_stats(list(panels), masks)
     normalized = {p.unit_id: apply_column_stats(p, stats) for p in panels}
-    norm_masks = {p.unit_id: m for p, m in zip(panels, masks)}
     group_cols = cfg.group_columns()
     planted_groups = sorted({g for spec in cfg.planted for g in spec.groups})
     for g in planted_groups:
         cols = group_cols[g]
         rows = np.vstack(
-            [normalized[p.unit_id].subvalues(cols)[norm_masks[p.unit_id]] for p in panels]
+            [normalized[p.unit_id].subvalues(cols)[m] for p, m in zip(panels, masks)]
         )
         det = fit_subspace_from_rows(rows, cols, rank=1)
-        complete = rows[np.isfinite(rows).all(axis=1)]
-        centered = complete - det.mean
-        residual = centered - (centered @ det.basis) @ det.basis.T
-        training_scores = np.einsum("ij,ij->i", residual, residual)
-        threshold = fit_threshold(training_scores, q)
+        threshold = fit_threshold(squared_distance(det, rows), q)
         scored: dict[str, np.ndarray] = {}
         for anom in anomalies:
             spec = cfg.planted[anom["spec"]]

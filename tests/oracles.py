@@ -7,6 +7,7 @@ arithmetic so the two sides can disagree.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -103,6 +104,53 @@ def brute_force_match(events, params, ranges, firings):
         "window_counts": window_counts,
         "segment_counts": segment_counts,
     }
+
+
+def brute_force_search(pool, events, params, ranges, alpha, filter_kind, theta, max_size):
+    """Exhaustive precursor search by set algebra and per-flight recounts.
+
+    ``pool``: alarm id -> {unit: flights}, every alarm over the same units;
+    the other inputs are as for :func:`brute_force_match`.  Alarms whose
+    own recount passes the gate (more than one covered event and a one-sided
+    Welch p below ``alpha``) are enumerated in every subset of 1 to
+    ``max_size``, composed by per-unit intersection, recounted and kept when
+    they pass the gate again and the filter: hard means at least ``theta``
+    covered events and no fired false segment, soft a finite
+    false-to-covered ratio of at most ``theta``.  Survivors with equal
+    non-empty firing sets keep the smallest member set (ties by the sorted
+    ids), and are ranked by false-to-covered ascending, coverage descending,
+    then the joined ids.  Returns ``(ids, firings, recount)`` per survivor.
+    """
+
+    def grade(ids):
+        fires = {
+            u: set.intersection(*(set(pool[i][u]) for i in ids)) for u in pool[ids[0]]
+        }
+        ref = brute_force_match(events, params, ranges, fires)
+        ref["p_value"] = welch_reference_p(ref["window_counts"], ref["segment_counts"])
+        return fires, ref
+
+    def gate(ref):
+        return ref["covered_events"] > 1 and ref["p_value"] < alpha
+
+    gated = [i for i in sorted(pool) if gate(grade([i])[1])]
+    best = {}
+    for size in range(1, max_size + 1):
+        for ids in itertools.combinations(gated, size):
+            fires, ref = grade(ids)
+            if not gate(ref):
+                continue
+            if filter_kind == "hard":
+                kept = ref["covered_events"] >= theta and ref["fired_false_segments"] == 0
+            else:
+                kept = ref["false_to_covered"] <= theta  # False for inf
+            key = tuple(sorted((u, tuple(sorted(ts))) for u, ts in fires.items() if ts))
+            if kept and (key not in best or (len(ids), ids) < (len(best[key][0]), best[key][0])):
+                best[key] = (ids, fires, ref)
+    return sorted(
+        best.values(),
+        key=lambda s: (s[2]["false_to_covered"], -s[2]["coverage"], "&".join(s[0])),
+    )
 
 
 def welch_reference_p(a, b):

@@ -80,15 +80,41 @@ class TestConfigErrors:
         path.write_text("[1, 2]")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("command", ["run", "crossval"])
-    def test_unknown_measure_rejected_before_reading(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command,section,message",
+        [
+            pytest.param(command, section, message, id=command + suffix)
+            for suffix, section, message in (
+                ("", {"grouping": {"measure": "spearman"}}, "unknown measure 'spearman'"),
+                ("-quantile", {"detect": {"quantile": 1.5}}, "quantile must lie in (0, 1)"),
+                ("-filter", {"filter": {"kind": "fuzzy"}}, "filter kind must be one of"),
+            )
+            for command in ("run", "crossval")
+        ]
+        + [
+            pytest.param(
+                "curves",
+                {"curves": {"baseline_param": "g0p0", "baseline_direction": "sideways"}},
+                "curves.baseline_direction must be 'above' or 'below', got 'sideways'",
+                id="curves-direction",
+            )
+        ],
+    )
+    def test_unknown_measure_rejected_before_reading(
+        self, command, section, message, tmp_path, capsys
+    ):
         payload = {
             "io": {"telemetry": "absent/telemetry.csv", "events": "absent/events.csv"},
-            "grouping": {"measure": "spearman"},
+            **section,
         }
         cfg = write_config(tmp_path / "c.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "unknown measure 'spearman'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_lag_depth_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"eval": {"lag_depth": 3}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key eval.lag_depth" in capsys.readouterr().err
 
     def test_bad_filter_kind_reported(self, ws, tmp_path, capsys):
         payload = {
@@ -367,6 +393,18 @@ class TestCurves:
         cfg = self.baseline_cfg(ws, tmp_path, prefix="Z")
         assert main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         assert "prefix" in capsys.readouterr().err
+
+    def test_unknown_baseline_param(self, ws, tmp_path, capsys):
+        payload = {
+            "io": {
+                "telemetry": str(ws["fleet"] / "telemetry.csv"),
+                "events": str(ws["fleet"] / "events.csv"),
+            },
+            "curves": {"baseline_param": "nosuch"},
+        }
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "curves.baseline_param 'nosuch'" in capsys.readouterr().err
 
     def test_needs_scores_or_baseline(self, ws, tmp_path, capsys):
         payload = {"io": {"events": str(ws["fleet"] / "events.csv")}}

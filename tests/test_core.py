@@ -162,6 +162,18 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match="header"):
             read_telemetry_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+    def test_telemetry_rejects_infinite_cells(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "unit_id,flight,phase,p1,p2\n"
+            "u1,1,cruise,0.5,\n"
+            "u2,1,cruise,1.0,2.0\n"
+            f"u1,2,cruise,0.25,{cell}\n"
+        )
+        with pytest.raises(ValueError, match=rf"t\.csv: line 4: infinite value in column 'p2'"):
+            read_telemetry_csv(path)
+
     def test_events(self, tmp_path):
         events = [EventRecord("u2", 30, 31, "7100W310"), EventRecord("u1", 5, 8, "E2")]
         path = tmp_path / "e.csv"

@@ -15,6 +15,7 @@ from fleetwarn.detect import (
     read_detector_json,
     score_reconstruction,
     select_normal_regime,
+    squared_distance,
     write_detector_json,
 )
 
@@ -162,6 +163,17 @@ class TestScore:
         scores = score_reconstruction(det, panel)
         assert math.isnan(scores[0])
         assert scores[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_rows_helper_behind_panel_scores(self):
+        det = self.fitted_line_detector()
+        rows = np.array([[1.0, -1.0], [np.nan, 2.0], [3.0, np.inf], [2.0, 2.0]])
+        scores = squared_distance(det, rows)
+        assert scores[0] == pytest.approx(2.0, abs=1e-12)
+        assert np.isnan(scores[1:3]).all()
+        assert scores[3] == pytest.approx(0.0, abs=1e-12)
+        # the panel entry point picks the group's columns by name
+        panel = panel_of(rows[:, ::-1], ("b", "a"))
+        assert np.array_equal(score_reconstruction(det, panel), scores, equal_nan=True)
 
     def test_scores_nonnegative(self):
         rng = np.random.default_rng(10)

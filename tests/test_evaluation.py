@@ -12,12 +12,10 @@ from fleetwarn.core import (
     EventRecord,
     MatchParams,
     NoTargetEventsError,
-    TelemetryPanel,
 )
 from fleetwarn.evaluation import (
     CurvePoint,
     greedy_max_matching,
-    lag_features,
     leave_one_unit_out,
     operating_point,
     precision_at_recall,
@@ -25,67 +23,10 @@ from fleetwarn.evaluation import (
     threshold_baseline,
     write_curves_csv,
 )
-from fleetwarn.matching import significance_test, stats_to_jsonable
+from fleetwarn.matching import significance_test
 from fleetwarn.pipeline import PipelineConfig
 from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet
 from fleetwarn.synth import SearchConfig, precursors_to_jsonable
-
-
-def panel_of(values, columns, unit="u"):
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    flights = np.arange(1, len(values) + 1)
-    return TelemetryPanel(unit, flights, tuple(columns), values)
-
-
-class TestLagFeatures:
-    def test_depth_zero_is_identity(self):
-        panel = panel_of([1.0, 2.0, 3.0], ("x",))
-        assert lag_features(panel, 0) is panel
-
-    def test_depth_one_values(self):
-        panel = panel_of([1.0, 2.0, 3.0], ("x",))
-        lagged = lag_features(panel, 1)
-        assert lagged.columns == ("x", "x@lag-1")
-        col = lagged.values[:, 1]
-        assert math.isnan(col[0])
-        assert col[1] == 1.0 and col[2] == 2.0
-
-    def test_column_count(self):
-        rng = np.random.default_rng(0)
-        panel = panel_of(rng.normal(size=(20, 3)), ("a", "b", "c"))
-        lagged = lag_features(panel, 3)
-        assert len(lagged.columns) == 3 * 4
-        assert lagged.columns[:3] == ("a", "b", "c")
-
-    def test_originals_untouched(self):
-        rng = np.random.default_rng(1)
-        panel = panel_of(rng.normal(size=(15, 2)), ("a", "b"))
-        lagged = lag_features(panel, 2)
-        assert np.array_equal(lagged.values[:, :2], panel.values)
-        assert np.array_equal(lagged.flights, panel.flights)
-
-    def test_lag_k_alignment(self):
-        rng = np.random.default_rng(2)
-        panel = panel_of(rng.normal(size=(30, 2)), ("a", "b"))
-        lagged = lag_features(panel, 4)
-        for name in ("a", "b"):
-            j = panel.column_index(name)
-            for k in range(1, 5):
-                col = lagged.values[:, lagged.column_index(f"{name}@lag-{k}")]
-                assert np.isnan(col[:k]).all()
-                assert np.array_equal(col[k:], panel.values[: 30 - k, j])
-
-    def test_depth_must_leave_rows(self):
-        panel = panel_of([1.0, 2.0, 3.0], ("x",))
-        with pytest.raises(ValueError, match="depth"):
-            lag_features(panel, 3)
-
-    def test_negative_depth(self):
-        panel = panel_of([1.0], ("x",))
-        with pytest.raises(ValueError):
-            lag_features(panel, -1)
 
 
 class TestThresholdBaseline:
@@ -425,19 +366,3 @@ class TestCrossval:
         assert result.skipped_units == (keeper,)
         for fold in result.folds:
             assert fold.skipped == (fold.held_out_unit == keeper)
-
-    def test_worker_count_does_not_change_results(self):
-        panels, events = small_fleet()
-        serial = small_crossval()
-        import dataclasses
-
-        par_cfg = dataclasses.replace(SMALL_CFG, workers=3)
-        parallel = leave_one_unit_out(list(panels), list(events), par_cfg)
-        assert [f.held_out_unit for f in parallel.folds] == [
-            f.held_out_unit for f in serial.folds
-        ]
-        # NaN-safe comparison: stats may carry NaN ratios on event-free folds
-        for a, b in zip(serial.folds, parallel.folds):
-            assert stats_to_jsonable(a.stats) == stats_to_jsonable(b.stats)
-            assert a.window_counts == b.window_counts
-        assert stats_to_jsonable(parallel.aggregate) == stats_to_jsonable(serial.aggregate)

@@ -1,14 +1,17 @@
 import json
 import math
 import random
-from itertools import combinations as icombinations
 
 import pytest
 
-from oracles import brute_force_match, welch_reference_p
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_search
 from fleetwarn.core import AlarmSeries, EventRecord, MatchParams
-from fleetwarn.matching import layout_periods, match_stats
+from fleetwarn.matching import MatchStats, layout_periods, match_stats
 from fleetwarn.synth import (
+    FILTER_KINDS,
     SearchConfig,
     compose_and,
     pool_or,
@@ -212,45 +215,88 @@ class TestSearchFixture:
 
 
 def oracle_search(pool, layout, cfg, events, ranges):
-    """Re-run the whole search with brute-force counting and set algebra."""
-
-    def grade(alarms):
-        fires = {
-            u: frozenset.intersection(*(a.firings_for(u) for a in alarms))
-            for u in alarms[0].units()
-        }
-        ref = brute_force_match(events, layout.params, ranges, fires)
-        ref["p_value"] = welch_reference_p(ref["window_counts"], ref["segment_counts"])
-        return fires, ref
-
-    def gate(ref, alpha):
-        return ref["covered_events"] > 1 and ref["p_value"] < alpha
-
-    gated = [a for a in sorted(pool, key=lambda a: a.alarm_id) if gate(grade([a])[1], cfg.alpha)]
-    survivors = []
-    for size in range(1, cfg.max_size + 1):
-        for members in icombinations(gated, size):
-            fires, ref = grade(list(members))
-            if not gate(ref, cfg.alpha):
-                continue
-            if cfg.filter_kind == "hard":
-                ok = ref["covered_events"] >= cfg.theta and ref["fired_false_segments"] == 0
-            else:
-                facf = ref["false_to_covered"]
-                ok = not math.isinf(facf) and facf <= cfg.theta
-            if ok:
-                key = tuple(sorted((u, tuple(sorted(ts))) for u, ts in fires.items() if ts))
-                ids = tuple(sorted(a.alarm_id for a in members))
-                survivors.append((key, ids, ref))
-    best = {}
-    for key, ids, ref in survivors:
-        if key not in best or (len(ids), ids) < (len(best[key][0]), best[key][0]):
-            best[key] = (ids, ref)
-    ranked = sorted(
-        best.items(),
-        key=lambda kv: (kv[1][1]["false_to_covered"], -kv[1][1]["coverage"], "&".join(kv[1][0])),
+    """Member ids of :func:`brute_force_search` survivors, best first."""
+    firings = {a.alarm_id: {u: a.firings_for(u) for u in a.units()} for a in pool}
+    ranked = brute_force_search(
+        firings, events, layout.params, ranges,
+        cfg.alpha, cfg.filter_kind, cfg.theta, cfg.max_size,
     )
-    return [ids for _, (ids, _) in ranked]
+    return [ids for ids, _, _ in ranked]
+
+
+@st.composite
+def search_instances(draw):
+    """Small fleets, layouts and alarm pools for the exhaustive reference.
+
+    Alarms draw their firings from a few flights per unit, most of them
+    inside predictive windows, so gated alarms, AND survivors and duplicate
+    composed firing sets all occur.
+    """
+    params = MatchParams(
+        window=draw(st.integers(1, 6)),
+        horizon=draw(st.integers(0, 2)),
+        delay=draw(st.integers(0, 3)),
+    )
+    ranges, events, flights = {}, [], {}
+    for u in range(draw(st.integers(1, 3))):
+        unit = f"u{u}"
+        first = draw(st.integers(0, 3))
+        last = first + draw(st.integers(8, 40))
+        ranges[unit] = (first, last)
+        onsets = draw(st.lists(st.integers(first, last + 4), min_size=1, max_size=4))
+        events += [(unit, onset, onset + draw(st.integers(1, 3))) for onset in onsets]
+        lead = params.horizon + 1 + draw(st.integers(0, params.window - 1))
+        near = {min(max(onset - lead, first), last) for onset in onsets}
+        flights[unit] = sorted(near | draw(st.sets(st.integers(first, last), max_size=2)))
+    ids = draw(st.permutations([f"a{i}" for i in range(draw(st.integers(1, 5)))]))
+    pool = {
+        alarm_id: {
+            u: draw(st.sets(st.sampled_from(fl))) if fl else set() for u, fl in flights.items()
+        }
+        for alarm_id in ids
+    }
+    kind = draw(st.sampled_from(FILTER_KINDS))
+    cfg = SearchConfig(
+        alpha=draw(st.sampled_from((0.05, 0.3, 1.0))),
+        filter_kind=kind,
+        theta=draw(st.integers(0, 3)) if kind == "hard" else draw(st.sampled_from((0.0, 0.5, 2.0))),
+        max_size=draw(st.sampled_from((2, 3))),
+    )
+    return events, params, ranges, pool, cfg
+
+
+class TestSearchProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(search_instances())
+    def test_search_equals_exhaustive_reference(self, instance):
+        events, params, ranges, pool, cfg = instance
+        records = [EventRecord(u, onset, end, "E1") for u, onset, end in events]
+        layout = layout_periods(records, params, ranges)
+        alarms = [
+            AlarmSeries(alarm_id, {u: frozenset(ts) for u, ts in fires.items()})
+            for alarm_id, fires in pool.items()
+        ]
+        if layout.total_window_events() < 1:
+            with pytest.raises(ValueError, match="no target events"):
+                search_combinations(alarms, layout, cfg)
+            return
+        pset = search_combinations(alarms, layout, cfg)
+        ranked = brute_force_search(
+            pool, events, params, ranges, cfg.alpha, cfg.filter_kind, cfg.theta, cfg.max_size
+        )
+        assert [c.members for c in pset.combinations] == [ids for ids, _, _ in ranked]
+        for combo, (ids, fires, ref) in zip(pset.combinations, ranked):
+            assert combo.alarm.alarm_id == "&".join(ids)
+            assert combo.alarm.firings == {u: frozenset(ts) for u, ts in fires.items()}
+            for key in MatchStats.COUNTERS:
+                assert getattr(combo.stats, key) == ref[key], key
+        pooled = {u: set() for u in ranges}
+        for _, fires, _ in ranked:
+            for u, ts in fires.items():
+                pooled[u] |= ts
+        assert {u: ts for u, ts in pset.pooled_alarm.firings.items() if ts} == {
+            u: frozenset(ts) for u, ts in pooled.items() if ts
+        }
 
 
 class TestSearchAgainstOracle:
