@@ -220,6 +220,9 @@ def _load_fleet(cfg: RunConfig):
     events = read_events_csv(cfg.events)
     if not panels:
         raise ConfigError(f"{cfg.telemetry}: no telemetry rows")
+    for key in cfg.pipeline.quantile_overrides:
+        if key not in panels[0].columns:
+            raise ConfigError(f"detect.quantile_overrides key {key!r} is not a telemetry column")
     return panels, events
 
 

@@ -13,7 +13,6 @@ worker threads.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -303,13 +302,30 @@ def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> N
                 writer.writerow(row)
 
 
-def _line_of(path: str | Path, unit: str, index: int) -> int:
-    """CSV line of the index-th record of ``unit``; read again for error messages only."""
+def _row_problem(row: list[str], columns: tuple[str, ...]) -> str | None:
+    """What makes a telemetry row invalid, or None if nothing does."""
+    if len(row) != 3 + len(columns):
+        return f"row arity {len(row)} != {3 + len(columns)}"
+    cells = [("flight", row[1], int), *((c, v, float) for c, v in zip(columns, row[3:]) if v)]
+    for name, cell, parse in cells:
+        try:
+            if math.isinf(parse(cell)):
+                return f"infinite value in column {name!r}"
+        except ValueError:
+            return f"cannot parse {cell!r} in column {name!r}"
+    return None
+
+
+def _first_problem(path: str | Path, columns: tuple[str, ...]) -> str:
+    """The line of the first invalid telemetry row and why; for error messages only."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        lines = (reader.line_num for row in reader if row and row[0] == unit)
-        return next(itertools.islice(lines, index, None))
+        for row in reader:
+            problem = row and _row_problem(row, columns)
+            if problem:
+                return f"{path}: line {reader.line_num}: {problem}"
+    return f"{path}: invalid telemetry"
 
 
 def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
@@ -321,17 +337,20 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
         columns = tuple(header[3:])
         per_unit: dict[str, list[tuple[int, str, list[float]]]] = {}
         order: list[str] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3 + len(columns):
-                raise ValueError(f"{path}: row arity {len(row)} != {3 + len(columns)}")
-            unit, flight, phase = row[0], int(row[1]), row[2]
-            vals = [float(c) if c != "" else float("nan") for c in row[3:]]
-            if unit not in per_unit:
-                per_unit[unit] = []
-                order.append(unit)
-            per_unit[unit].append((flight, phase, vals))
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3 + len(columns):
+                    raise ValueError  # described by _first_problem below
+                unit, flight, phase = row[0], int(row[1]), row[2]
+                vals = [float(c) if c != "" else float("nan") for c in row[3:]]
+                if unit not in per_unit:
+                    per_unit[unit] = []
+                    order.append(unit)
+                per_unit[unit].append((flight, phase, vals))
+        except ValueError:  # a decoding error recurs in the second read
+            raise ValueError(_first_problem(path, columns)) from None
     panels = []
     for unit in order:
         records = per_unit[unit]
@@ -339,13 +358,8 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
         phases = tuple(r[1] or None for r in records)
         values = np.array([r[2] for r in records], dtype=np.float64)
         values = values.reshape(len(records), len(columns))
-        infinite = np.argwhere(np.isinf(values))
-        if infinite.size:
-            row, col = infinite[0]
-            raise ValueError(
-                f"{path}: line {_line_of(path, unit, row)}: "
-                f"infinite value in column {columns[col]!r}"
-            )
+        if np.isinf(values).any():
+            raise ValueError(_first_problem(path, columns))
         panels.append(
             TelemetryPanel(unit_id=unit, flights=flights, columns=columns,
                            values=values, phases=phases)
@@ -417,21 +431,3 @@ def write_alarms_csv(path: str | Path, alarms: Iterable[AlarmSeries]) -> None:
         writer.writerow(["unit_id", "flight", "alarm_id"])
         for unit, flight, alarm_id in rows:
             writer.writerow([unit, str(flight), alarm_id])
-
-
-def read_alarms_csv(path: str | Path) -> list[AlarmSeries]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["unit_id", "flight", "alarm_id"]:
-            raise ValueError(f"{path}: expected header unit_id,flight,alarm_id")
-        sets: dict[str, dict[str, set[int]]] = {}
-        for row in reader:
-            if not row:
-                continue
-            unit, flight, alarm_id = row[0], int(row[1]), row[2]
-            sets.setdefault(alarm_id, {}).setdefault(unit, set()).add(flight)
-    return [
-        AlarmSeries(alarm_id=aid, firings={u: frozenset(ts) for u, ts in units.items()})
-        for aid, units in sorted(sets.items())
-    ]

@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from fleetwarn.core import TelemetryPanel
 
@@ -226,15 +224,19 @@ def build_groups(dep: DependenceMatrix, rho: float = 0.7) -> ParameterGrouping:
     if not rho > 0.0:
         raise ValueError("rho must be positive")
     with np.errstate(invalid="ignore"):
-        adjacency = (np.abs(dep.values) >= rho).astype(np.int8)  # NaN compares False
-    np.fill_diagonal(adjacency, 0)
-    _, labels = connected_components(
-        csr_matrix(adjacency), directed=False, return_labels=True
-    )
-    members: dict[int, list[str]] = {}
-    for idx, name in enumerate(dep.columns):
-        members.setdefault(int(labels[idx]), []).append(name)
-    groups = sorted(tuple(sorted(g)) for g in members.values())
+        adjacency = np.abs(dep.values) >= rho  # NaN compares False
+    adjacency |= adjacency.T
+    # Breadth-first by frontiers; each node is expanded once, O(P^2) in all.
+    labels = np.full(len(dep.columns), -1)
+    for start in range(labels.size):
+        if labels[start] >= 0:
+            continue
+        frontier = np.array([start])
+        while frontier.size:
+            labels[frontier] = start
+            frontier = np.flatnonzero(adjacency[frontier].any(axis=0) & (labels < 0))
+    names = np.array(dep.columns, dtype=object)
+    groups = sorted(tuple(sorted(names[labels == k])) for k in np.unique(labels))
     return ParameterGrouping(groups=tuple(groups), rho=rho)
 
 

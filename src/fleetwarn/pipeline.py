@@ -86,9 +86,6 @@ class TrainedModel:
     precursors: PrecursorSet
     target_events: tuple[EventRecord, ...]
 
-    def detector_by_alarm_id(self) -> dict[str, SubspaceDetector]:
-        return {det.alarm_id: det for det in self.detectors}
-
 
 def select_target_events(
     events: Sequence[EventRecord], code_prefix: str

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 from scipy import stats as sstats
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 def brute_force_match(events, params, ranges, firings):
@@ -240,3 +242,12 @@ def bfs_components(n, edges):
         seen |= comp
         comps.append(tuple(sorted(comp)))
     return sorted(comps)
+
+
+def scipy_components(values, rho):
+    """Components of the graph |values| >= rho (NaN: no edge) by scipy's csgraph."""
+    with np.errstate(invalid="ignore"):
+        adjacency = (np.abs(values) >= rho).astype(np.int8)
+    np.fill_diagonal(adjacency, 0)
+    _, labels = connected_components(csr_matrix(adjacency), directed=False)
+    return sorted(tuple(np.flatnonzero(labels == k).tolist()) for k in np.unique(labels))

@@ -116,6 +116,20 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "unknown key eval.lag_depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "crossval"])
+    def test_quantile_override_for_unknown_column(self, command, ws, tmp_path, capsys):
+        payload = {
+            "io": {
+                "telemetry": str(ws["fleet"] / "telemetry.csv"),
+                "events": str(ws["fleet"] / "events.csv"),
+            },
+            "detect": {"quantile_overrides": {"g9p9": 0.5}},
+        }
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "detect.quantile_overrides key 'g9p9'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_filter_kind_reported(self, ws, tmp_path, capsys):
         payload = {
             "io": {
@@ -129,16 +143,40 @@ class TestConfigErrors:
         assert "filter kind" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of a second per process and is not needed
+def _scipy_modules_after(code):
+    """Names of the scipy modules loaded after running ``code`` in a fresh process."""
     src = str(Path(fleetwarn.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, fleetwarn.cli; print('scipy.stats' in sys.modules)"
+    probe = code + "\nimport sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy would more than double the start-up of every command; no module needs it at load
+    assert _scipy_modules_after("import fleetwarn.cli") == "[]"
+
+
+def test_simulate_and_curves_never_load_scipy(tmp_path):
+    # only the t-test p-values of run and crossval import scipy
+    sim = write_config(tmp_path / "sim.json", {"sim": {**SIM_SECTION, "flights_per_unit": 80}})
+    curves = write_config(
+        tmp_path / "curves.json",
+        {
+            "io": {"telemetry": "fleet/telemetry.csv", "events": "fleet/events.csv"},
+            "curves": {"baseline_param": "g0p0"},
+        },
+    )
+    code = (
+        "from fleetwarn.cli import main\n"
+        f"assert main(['simulate', '--config', {sim!r}, '--out', {str(tmp_path / 'fleet')!r}]) == 0\n"
+        f"assert main(['curves', '--config', {curves!r}, '--out', {str(tmp_path / 'c')!r}]) == 0"
+    )
+    assert _scipy_modules_after(code) == "[]"
+    assert (tmp_path / "c" / "curves.csv").is_file()
 
 
 class TestSimulate:

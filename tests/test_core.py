@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from fleetwarn.core import (
     apply_column_stats,
     fit_column_stats,
     normalize_panel,
-    read_alarms_csv,
     read_events_csv,
     read_scores_csv,
     read_telemetry_csv,
@@ -29,6 +29,20 @@ def make_panel(values, columns=("x",), unit="u1", flights=None):
     if flights is None:
         flights = np.arange(1, len(values) + 1)
     return TelemetryPanel(unit_id=unit, flights=flights, columns=columns, values=values)
+
+
+def read_alarms_csv(path):
+    """Parse an alarms CSV back into sorted AlarmSeries (the CLI only writes them)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["unit_id", "flight", "alarm_id"]
+        sets = {}
+        for unit, flight, alarm_id in reader:
+            sets.setdefault(alarm_id, {}).setdefault(unit, set()).add(int(flight))
+    return [
+        AlarmSeries(alarm_id=aid, firings={u: frozenset(ts) for u, ts in units.items()})
+        for aid, units in sorted(sets.items())
+    ]
 
 
 class TestTelemetryPanel:
@@ -173,6 +187,29 @@ class TestCsvRoundTrips:
         )
         with pytest.raises(ValueError, match=rf"t\.csv: line 4: infinite value in column 'p2'"):
             read_telemetry_csv(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("u1,2,cruise,0.25,abc", "cannot parse 'abc' in column 'p2'"),
+            ("u1,2,cruise,x1,", "cannot parse 'x1' in column 'p1'"),
+            ("u1,x,cruise,0.25,1.0", "cannot parse 'x' in column 'flight'"),
+            ("u1,2,cruise,0.25", "row arity 4 != 5"),
+            ("u1,2,cruise,0.25,1.0,7", "row arity 6 != 5"),
+        ],
+    )
+    def test_telemetry_parse_errors_name_line_and_column(self, tmp_path, line, message):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "unit_id,flight,phase,p1,p2\n"
+            "u1,1,cruise,0.5,\n"
+            "\n"
+            f"{line}\n"
+            "u2,1,cruise,1.0,2.0\n"
+        )
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == f"{path}: line 4: {message}"
 
     def test_events(self, tmp_path):
         events = [EventRecord("u2", 30, 31, "7100W310"), EventRecord("u1", 5, 8, "E2")]

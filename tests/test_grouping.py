@@ -15,7 +15,7 @@ from fleetwarn.grouping import (
     read_groups_json,
     write_groups_json,
 )
-from oracles import bfs_components, pearson_reference
+from oracles import bfs_components, pearson_reference, scipy_components
 
 
 def panel_from(values, columns):
@@ -242,6 +242,51 @@ class TestBuildGroups:
         dep = self.matrix(("d", "a", "c", "b"), [(0, 3)])  # d-b edge
         grouping = build_groups(dep, rho=0.9)
         assert grouping.groups == (("a",), ("b", "d"), ("c",))
+
+
+@st.composite
+def dependence_graphs(draw):
+    """Symmetric r with NaN and negative entries, rho equal to some |r|.
+
+    A chain threads a shuffled node order with the strongest entries, so its
+    component has the longest possible diameter; isolated nodes have no
+    entry at or above rho.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, size=(n, n))
+    chain = draw(st.booleans()) and n > 1
+    if chain:
+        values *= 0.5
+        order = rng.permutation(n)
+        values[order[:-1], order[1:]] = rng.uniform(0.6, 1.0, n - 1) * rng.choice([-1, 1], n - 1)
+    values[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan
+    values = np.triu(values, 1)
+    values += values.T  # NaN above the diagonal stays NaN below it
+    isolated = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    values[isolated, :] = values[:, isolated] = rng.choice([0.0, np.nan])
+    np.fill_diagonal(values, 1.0)
+    off = np.abs(values[~np.eye(n, dtype=bool)])
+    candidates = off[np.isfinite(off) & (off > 0)]
+    if chain and not isolated.any() and draw(st.booleans()):
+        links = np.abs(values[order[:-1], order[1:]])
+        rho = float(np.nanmin(links)) if np.isfinite(links).any() else 0.5
+    elif candidates.size:
+        rho = float(candidates[draw(st.integers(0, candidates.size - 1))])
+    else:
+        rho = 0.5
+    return values, rho
+
+
+class TestBuildGroupsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(dependence_graphs())
+    def test_matches_scipy_connected_components(self, graph):
+        values, rho = graph
+        names = tuple(f"p{7 * i % 41:02d}" for i in range(values.shape[0]))  # out of order
+        got = build_groups(DependenceMatrix(names, values, "pearson"), rho).groups
+        expect = [tuple(sorted(names[i] for i in c)) for c in scipy_components(values, rho)]
+        assert got == tuple(sorted(expect))
 
 
 class TestGroupsJson:
