@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -84,9 +84,13 @@ class TelemetryPanel:
             raise KeyError(f"unknown parameter {name!r} on unit {self.unit_id!r}") from None
 
     def subvalues(self, names: Sequence[str]) -> np.ndarray:
-        """Columns ``names`` as a T x len(names) view copy."""
+        """Columns ``names`` as a row-major T x len(names) copy.
+
+        Every score is computed on this layout: BLAS may round a
+        column-major selection differently in the last ulp.
+        """
         idx = [self.column_index(n) for n in names]
-        return self.values[:, idx]
+        return self.values.take(idx, axis=1)
 
     def with_values(self, values: np.ndarray) -> "TelemetryPanel":
         return replace(self, values=values)
@@ -243,17 +247,11 @@ def apply_column_stats(panel: TelemetryPanel, stats: ColumnStats) -> TelemetryPa
     """Z-score ``panel`` with precomputed stats; missing stays missing."""
     if panel.columns != stats.columns:
         raise ValueError("stats columns do not match panel columns")
-    values = panel.values.copy()
-    for j in range(len(stats.columns)):
-        m = stats.mean[j]
-        s = stats.std[j]
-        if math.isnan(m):
-            continue  # no reference data for this column
-        if s == 0.0:
-            values[:, j] = values[:, j] - m
-        else:
-            values[:, j] = (values[:, j] - m) / s
-    return panel.with_values(values)
+    # A column without reference data passes through; a constant one is only centered.
+    no_ref = np.isnan(stats.mean)
+    m = np.where(no_ref, 0.0, stats.mean)
+    s = np.where(no_ref | (stats.std == 0.0), 1.0, stats.std)
+    return panel.with_values((panel.values - m) / s)
 
 
 def normalize_panel(panel: TelemetryPanel, stats_rows: np.ndarray) -> TelemetryPanel:

@@ -156,19 +156,6 @@ def fit_subspace_from_rows(rows: np.ndarray, group: Sequence[str], rank: int) ->
     )
 
 
-def fit_subspace(
-    panel: TelemetryPanel,
-    mask: np.ndarray,
-    group: Sequence[str],
-    rank: int,
-) -> SubspaceDetector:
-    """Fit the group's subspace on the masked rows of one panel."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (panel.n_flights,):
-        raise ValueError("mask length does not match panel")
-    return fit_subspace_from_rows(panel.subvalues(group)[mask], group, rank)
-
-
 def squared_distance(det: SubspaceDetector, rows: np.ndarray) -> np.ndarray:
     """Each row's squared distance to the subspace; NaN on incomplete rows.
 

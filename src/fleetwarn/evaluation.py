@@ -34,7 +34,7 @@ from fleetwarn.matching import (
     significance_samples,
     significance_test,
 )
-from fleetwarn.pipeline import PipelineConfig, TrainedModel, pooled_on, train_model
+from fleetwarn.pipeline import PipelineConfig, pooled_on, train_model
 from fleetwarn.synth import PrecursorSet
 
 

@@ -9,6 +9,7 @@ then score any fleet (training or held-out) with :func:`pooled_on`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -32,7 +33,6 @@ from fleetwarn.detect import (
     fit_threshold,
     score_reconstruction,
     select_normal_regime,
-    squared_distance,
 )
 from fleetwarn.grouping import MEASURES, ParameterGrouping, build_groups, dependence_from_rows
 from fleetwarn.matching import PeriodLayout, layout_periods
@@ -44,7 +44,8 @@ class PipelineConfig:
     """Everything the pipeline needs beyond the data itself.
 
     ``quantile_overrides`` maps a group's smallest member name to the
-    quantile used for that group instead of the default.
+    quantile used for that group instead of the default; a key that leads
+    no group is ignored with a warning.
     """
 
     match: MatchParams = MatchParams()
@@ -115,23 +116,24 @@ def normal_masks(
     return masks
 
 
-def _alarm_on(det: SubspaceDetector, panels: Sequence[TelemetryPanel]) -> AlarmSeries:
-    return binarize(
-        det, {p.unit_id: (p.flights, score_reconstruction(det, p)) for p in panels}
-    )
+def _scores(
+    det: SubspaceDetector, panels: Sequence[TelemetryPanel]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    return {p.unit_id: (p.flights, score_reconstruction(det, p)) for p in panels}
 
 
-def _fit_group_detector(
-    group: tuple[str, ...],
-    normal_rows: np.ndarray,
-    cfg: PipelineConfig,
-) -> SubspaceDetector:
-    det = fit_subspace_from_rows(normal_rows, group, min(cfg.rank, len(group)))
-    q = cfg.quantile_overrides.get(group[0], cfg.quantile)
-    # Row-major, like the complete rows the subspace was fitted on: BLAS rounds
-    # a column selection differently, which would move thresholds by an ulp.
-    scores = squared_distance(det, np.ascontiguousarray(normal_rows))
-    return replace(det, quantile=q, threshold=fit_threshold(scores, q))
+def fit_alarm(
+    det: SubspaceDetector,
+    panels: Sequence[TelemetryPanel],
+    masks: Sequence[np.ndarray],
+    q: float,
+) -> tuple[SubspaceDetector, AlarmSeries]:
+    """Threshold ``det`` at the q-quantile of its scores on the masked (normal)
+    flights, and binarize those same scores into its alarm on every panel."""
+    scores = _scores(det, panels)
+    normal = np.concatenate([scores[p.unit_id][1][m] for p, m in zip(panels, masks)])
+    det = replace(det, quantile=q, threshold=fit_threshold(normal, q))
+    return det, binarize(det, scores)
 
 
 def train_model(
@@ -156,26 +158,32 @@ def train_model(
 
     dep = dependence_from_rows(normal_rows, panels[0].columns, cfg.measure)
     grouping = build_groups(dep, cfg.rho)
+    unused = sorted(set(cfg.quantile_overrides) - {group[0] for group in grouping.groups})
+    if unused:
+        noun, verb = ("key", "leads") if len(unused) == 1 else ("keys", "lead")
+        keys = ", ".join(map(repr, unused))
+        warnings.warn(f"detect.quantile_overrides {noun} {keys} {verb} no group; ignored")
 
     col_index = {name: i for i, name in enumerate(panels[0].columns)}
-    detectors = tuple(
-        _fit_group_detector(group, normal_rows[:, [col_index[n] for n in group]], cfg)
-        for group in grouping.groups
-    )
-    alarms = tuple(_alarm_on(det, normalized) for det in detectors)
+    detectors, alarms = [], []
+    for group in grouping.groups:
+        rows = normal_rows[:, [col_index[n] for n in group]]
+        det = fit_subspace_from_rows(rows, group, min(cfg.rank, len(group)))
+        q = cfg.quantile_overrides.get(group[0], cfg.quantile)
+        det, alarm = fit_alarm(det, normalized, masks, q)
+        detectors.append(det)
+        alarms.append(alarm)
 
     ranges = {p.unit_id: p.observation_range() for p in panels}
     layout = layout_periods(target_events, cfg.match, ranges)
 
-    precursors = search_combinations(
-        list(alarms), layout, cfg.search, target_code=cfg.code_prefix
-    )
+    precursors = search_combinations(alarms, layout, cfg.search, target_code=cfg.code_prefix)
     return TrainedModel(
         config=cfg,
         column_stats=stats,
         grouping=grouping,
-        detectors=detectors,
-        alarms=alarms,
+        detectors=tuple(detectors),
+        alarms=tuple(alarms),
         layout=layout,
         precursors=precursors,
         target_events=tuple(target_events),
@@ -188,7 +196,7 @@ def elementary_alarms_on(
     """Score new panels with the fitted detectors and thresholds."""
     panels = sorted(panels, key=lambda p: p.unit_id)
     normalized = [apply_column_stats(p, model.column_stats) for p in panels]
-    return {det.alarm_id: _alarm_on(det, normalized) for det in model.detectors}
+    return {det.alarm_id: binarize(det, _scores(det, normalized)) for det in model.detectors}
 
 
 def pooled_on(model: TrainedModel, panels: Sequence[TelemetryPanel]) -> AlarmSeries:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -30,13 +30,8 @@ from fleetwarn.core import (
     apply_column_stats,
     fit_column_stats,
 )
-from fleetwarn.detect import (
-    fit_subspace_from_rows,
-    fit_threshold,
-    score_reconstruction,
-    squared_distance,
-)
-from fleetwarn.pipeline import normal_masks
+from fleetwarn.detect import fit_subspace_from_rows
+from fleetwarn.pipeline import fit_alarm, normal_masks
 
 
 @dataclass(frozen=True)
@@ -232,30 +227,21 @@ def _anomalies_exceed_q95(
     before: int = 50,
     after: int = 30,
 ) -> bool:
-    """Self-check: planted flights score above the q-quantile after a
-    normalize + rank-1 fit on the fleet's normal regime."""
+    """Self-check: every planted flight fires in the rank-1 alarm of each of
+    its groups, fitted with :func:`fit_alarm` on the fleet's normal regime."""
     masks = normal_masks(panels, events, before, after)
     stats = fit_column_stats(list(panels), masks)
-    normalized = {p.unit_id: apply_column_stats(p, stats) for p in panels}
+    normalized = [apply_column_stats(p, stats) for p in panels]
     group_cols = cfg.group_columns()
     planted_groups = sorted({g for spec in cfg.planted for g in spec.groups})
     for g in planted_groups:
         cols = group_cols[g]
-        rows = np.vstack(
-            [normalized[p.unit_id].subvalues(cols)[m] for p, m in zip(panels, masks)]
-        )
-        det = fit_subspace_from_rows(rows, cols, rank=1)
-        threshold = fit_threshold(squared_distance(det, rows), q)
-        scored: dict[str, np.ndarray] = {}
+        rows = np.vstack([p.subvalues(cols)[m] for p, m in zip(normalized, masks)])
+        _, alarm = fit_alarm(fit_subspace_from_rows(rows, cols, rank=1), normalized, masks, q)
         for anom in anomalies:
-            spec = cfg.planted[anom["spec"]]
-            if g not in spec.groups:
-                continue
-            panel = normalized[anom["unit"]]
-            if anom["unit"] not in scored:
-                scored[anom["unit"]] = score_reconstruction(det, panel)
-            idx = int(np.searchsorted(panel.flights, anom["flight"]))
-            if not scored[anom["unit"]][idx] > threshold:
+            if g in cfg.planted[anom["spec"]].groups and (
+                anom["flight"] not in alarm.firings_for(anom["unit"])
+            ):
                 return False
     return True
 

@@ -8,6 +8,7 @@ arithmetic so the two sides can disagree.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -251,3 +252,18 @@ def scipy_components(values, rho):
     np.fill_diagonal(adjacency, 0)
     _, labels = connected_components(csr_matrix(adjacency), directed=False)
     return sorted(tuple(np.flatnonzero(labels == k).tolist()) for k in np.unique(labels))
+
+
+def apply_column_stats_reference(values, mean, std):
+    """Z-score column by column: a column with NaN mean is left alone, a
+    zero-std column is only centered."""
+    values = np.array(values, dtype=np.float64, copy=True)
+    for j in range(values.shape[1]):
+        m, s = mean[j], std[j]
+        if math.isnan(m):
+            continue
+        if s == 0.0:
+            values[:, j] = values[:, j] - m
+        else:
+            values[:, j] = (values[:, j] - m) / s
+    return values

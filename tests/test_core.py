@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetwarn.core import (
     AlarmSeries,
+    ColumnStats,
     EventRecord,
     MatchParams,
     TelemetryPanel,
@@ -20,6 +23,7 @@ from fleetwarn.core import (
     write_scores_csv,
     write_telemetry_csv,
 )
+from oracles import apply_column_stats_reference
 
 
 def make_panel(values, columns=("x",), unit="u1", flights=None):
@@ -137,6 +141,26 @@ class TestNormalize:
         assert stats.mean[0] == pytest.approx(3.0)
         out = apply_column_stats(b, stats)
         assert out.values[1, 0] == pytest.approx((6.0 - 3.0) / stats.std[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_broadcast_bit_equal_to_column_loop(self, data):
+        n_rows = data.draw(st.integers(0, 30))
+        n_cols = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.integers(-3, 4, size=n_cols)
+        values[rng.random(values.shape) < 0.2] = np.nan
+        values[rng.random(values.shape) < 0.1] = -0.0
+        mean = rng.normal(size=n_cols)
+        std = np.abs(rng.normal(size=n_cols))
+        mean[rng.random(n_cols) < 0.3] = np.nan
+        std[rng.random(n_cols) < 0.3] = 0.0
+        mean[rng.random(n_cols) < 0.2] = 0.0
+        columns = tuple(f"p{j}" for j in range(n_cols))
+        panel = TelemetryPanel("u", np.arange(1, n_rows + 1), columns, values)
+        got = apply_column_stats(panel, ColumnStats(columns, mean, std)).values
+        expect = apply_column_stats_reference(values, mean, std)
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestAlarmSeries:

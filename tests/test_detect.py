@@ -9,7 +9,6 @@ from fleetwarn.detect import (
     NoNormalRegimeError,
     SubspaceDetector,
     binarize,
-    fit_subspace,
     fit_subspace_from_rows,
     fit_threshold,
     read_detector_json,
@@ -123,16 +122,6 @@ class TestFitSubspace:
         with pytest.raises(InsufficientNormalDataError, match="insufficient normal data"):
             fit_subspace_from_rows(np.zeros((2, 3)), ("a", "b", "c"), rank=2)
 
-    def test_panel_mask_entry_point(self):
-        rng = np.random.default_rng(8)
-        rows = rng.normal(size=(60, 2))
-        panel = panel_of(rows, ("a", "b"))
-        mask = np.zeros(60, dtype=bool)
-        mask[:40] = True
-        det = fit_subspace(panel, mask, ("a", "b"), 1)
-        expect = fit_subspace_from_rows(rows[:40], ("a", "b"), 1)
-        assert np.allclose(det.basis, expect.basis)
-
     def test_deterministic_fit(self):
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(100, 5))
@@ -181,6 +170,22 @@ class TestScore:
         det = fit_subspace_from_rows(rows, ("a", "b", "c"), 2)
         scores = score_reconstruction(det, panel_of(rng.normal(size=(40, 3)), ("a", "b", "c")))
         assert (scores >= 0).all()
+
+    def test_panel_scores_bit_equal_to_row_major_reference(self):
+        # thresholds and alarms read the same scores, so the panel path may not
+        # round differently from contiguous rows
+        rng = np.random.default_rng(11)
+        columns = tuple(f"p{j}" for j in range(12))
+        for _ in range(40):
+            data = rng.standard_normal((int(rng.integers(200, 3000)), 12))
+            data = data @ rng.standard_normal((12, 12))
+            data[rng.random(data.shape) < 0.02] = np.nan
+            cols = sorted(rng.choice(12, int(rng.integers(2, 7)), replace=False).tolist())
+            rows = np.ascontiguousarray(data[:, cols])
+            rank = int(rng.integers(1, len(cols) + 1))
+            det = fit_subspace_from_rows(rows, [columns[c] for c in cols], rank)
+            got = score_reconstruction(det, panel_of(data, columns))
+            assert got.tobytes() == squared_distance(det, rows).tobytes()
 
 
 class TestThreshold:

@@ -2,18 +2,21 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetwarn.core import (
     EventRecord,
     MatchParams,
     NoTargetEventsError,
     TelemetryPanel,
+    apply_column_stats,
 )
-from fleetwarn.detect import fit_threshold
+from fleetwarn.detect import fit_subspace_from_rows, fit_threshold, score_reconstruction
 from fleetwarn.pipeline import (
     PipelineConfig,
-    _fit_group_detector,
     elementary_alarms_on,
+    fit_alarm,
     normal_masks,
     pooled_on,
     select_target_events,
@@ -172,6 +175,7 @@ class TestTrainOnTinyFleet:
 def test_thresholds_bit_equal_to_complete_row_reference():
     # outputs are compared byte for byte, so a threshold may not move by an ulp
     rng = np.random.default_rng(11)
+    columns = tuple(f"p{j}" for j in range(12))
     for _ in range(40):
         data = rng.standard_normal((int(rng.integers(200, 3000)), 12))
         data = data @ rng.standard_normal((12, 12))
@@ -179,14 +183,67 @@ def test_thresholds_bit_equal_to_complete_row_reference():
         cols = sorted(rng.choice(12, int(rng.integers(2, 7)), replace=False).tolist())
         rows = data[:, cols]  # a column selection, as train_model passes it
         complete = rows[np.isfinite(rows).all(axis=1)]
+        panel = TelemetryPanel("u", np.arange(1, len(data) + 1), columns, data)
+        everything = np.ones(len(data), dtype=bool)
         for rank in range(1, len(cols) + 1):
-            det = _fit_group_detector(
-                tuple(f"p{c}" for c in cols), rows, PipelineConfig(rank=rank, quantile=0.99)
+            det, _ = fit_alarm(
+                fit_subspace_from_rows(rows, tuple(f"p{c}" for c in cols), rank),
+                [panel],
+                [everything],
+                0.99,
             )
             centered = complete - det.mean
             residual = centered - (centered @ det.basis) @ det.basis.T
             scores = np.einsum("ij,ij->i", residual, residual)
             assert det.threshold == fit_threshold(scores, 0.99)
+
+
+@st.composite
+def small_fleets(draw):
+    """1-4 units over a few correlated columns, with NaN cells and one event each."""
+    n_units = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nan_rate = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    columns = tuple(f"c{j}" for j in range(n_cols))
+    mixing = rng.normal(size=(n_cols, n_cols)) * (rng.random((n_cols, n_cols)) < 0.5)
+    panels, events = [], []
+    for u in range(n_units):
+        T = int(rng.integers(40, 120))
+        values = rng.normal(size=(T, n_cols)) @ (np.eye(n_cols) + mixing)
+        values[rng.random(values.shape) < nan_rate] = np.nan
+        panels.append(TelemetryPanel(f"u{u}", np.arange(1, T + 1), columns, values))
+        onset = int(rng.integers(15, T - 5))
+        events.append(EventRecord(f"u{u}", onset, onset + 1, "E1"))
+    cfg = PipelineConfig(
+        match=MatchParams(window=5),
+        rank=draw(st.integers(1, 3)),
+        quantile=draw(st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99])),
+        normal_before=5,
+        normal_after=3,
+        rho=0.5,
+    )
+    return panels, events, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_fleets())
+def test_alarms_fire_exactly_above_threshold_fitted_on_same_scores(fleet):
+    panels, events, cfg = fleet
+    model = train_model(panels, events, cfg)
+    masks = normal_masks(panels, events, cfg.normal_before, cfg.normal_after)
+    normalized = [apply_column_stats(p, model.column_stats) for p in panels]
+    for det, alarm in zip(model.detectors, model.alarms):
+        scores = [score_reconstruction(det, p) for p in normalized]
+        normal = np.concatenate([s[m] for s, m in zip(scores, masks)])
+        assert det.threshold == fit_threshold(normal, det.quantile)
+        for panel, s, m in zip(normalized, scores, masks):
+            fired = alarm.firings_for(panel.unit_id)
+            assert fired == frozenset(panel.flights[s > det.threshold].tolist())
+            assert not fired & frozenset(panel.flights[m & (s == det.threshold)].tolist())
+        finite = normal[np.isfinite(normal)]
+        flagged = np.count_nonzero(finite > det.threshold)
+        assert flagged / finite.size <= 1.0 - det.quantile + 1.0 / finite.size
 
 
 SIM = SimConfig(
@@ -255,3 +312,26 @@ class TestTrainOnSimFleet:
         for panel in new_panels:
             fires = pooled.firings_for(panel.unit_id)
             assert all(1 <= t <= panel.n_flights for t in fires)
+
+
+SIM_SMALL = SimConfig(
+    units=4,
+    flights_per_unit=200,
+    groups=(GroupSpec(3, 0.9), GroupSpec(3, 0.9)),
+    planted=(PlantedSpec((0, 1), 3, 6, 9.0),),
+    event_rate=1.5,
+    seed=3,
+)
+
+
+def test_override_key_leading_no_group_warns():
+    import dataclasses
+
+    panels, events, _ = generate_fleet(SIM_SMALL, verify=False)
+    cfg = dataclasses.replace(SIM_CFG, quantile_overrides={"g0p1": 0.5})
+    with pytest.warns(UserWarning, match=r"detect.quantile_overrides key 'g0p1' leads no group; ignored"):
+        model = train_model(panels, events, cfg)
+    assert model.grouping.groups == (("g0p0", "g0p1", "g0p2"), ("g1p0", "g1p1", "g1p2"))
+    base = train_model(panels, events, SIM_CFG)
+    assert [d.threshold for d in model.detectors] == [d.threshold for d in base.detectors]
+    assert [d.quantile for d in model.detectors] == [SIM_CFG.quantile] * 2
