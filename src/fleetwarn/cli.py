@@ -19,12 +19,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 from fleetwarn.core import (
     MatchParams,
     NoTargetEventsError,
+    json_number,
     read_events_csv,
     read_scores_csv,
     read_telemetry_csv,
@@ -32,8 +34,10 @@ from fleetwarn.core import (
     write_events_csv,
     write_telemetry_csv,
 )
+from fleetwarn.core import write_json as _write_json
 from fleetwarn.detect import write_detector_json
 from fleetwarn.evaluation import (
+    CurvePoint,
     leave_one_unit_out,
     operating_point,
     roc_pr_curves,
@@ -43,7 +47,7 @@ from fleetwarn.evaluation import (
 from fleetwarn.grouping import write_groups_json
 from fleetwarn.matching import match_stats, stats_to_jsonable
 from fleetwarn.pipeline import PipelineConfig, train_model
-from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet, write_manifest_json
+from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet
 from fleetwarn.synth import SearchConfig, precursors_to_jsonable, write_precursors_json
 
 
@@ -83,12 +87,25 @@ def _check_keys(raw: Mapping[str, Any]) -> None:
                 raise ConfigError(f"unknown key {section}.{key}")
 
 
-def _get(raw: Mapping[str, Any], section: str, key: str, default: Any) -> Any:
-    return raw.get(section, {}).get(key, default)
+# Config keys named differently from their dataclass fields.
+_FIELD_NAMES = {"w": "window", "h": "horizon", "m": "delay", "kind": "filter_kind"}
+
+
+def _build(cls: type, body: Mapping[str, Any], **fixed: Any) -> Any:
+    """Dataclass ``cls`` from the config keys in ``body`` plus ``fixed``.
+
+    Keys whose field is an int, float or str are coerced to that type; the
+    rest are left to ``fixed``.  Absent keys are left out, so every default
+    lives only in its dataclass.
+    """
+    types = get_type_hints(cls)
+    named = {_FIELD_NAMES.get(key, key): value for key, value in body.items()}
+    typed = {n: types[n](v) for n, v in named.items() if types.get(n) in (int, float, str)}
+    return cls(**typed, **fixed)
 
 
 class RunConfig:
-    """Typed view of the JSON config with documented defaults filled in.
+    """Typed view of the JSON config; absent keys take their dataclass defaults.
 
     Relative paths resolve against the config file's directory; ``pipeline``
     holds every training setting, validated here.
@@ -97,40 +114,28 @@ class RunConfig:
     def __init__(self, raw: Mapping[str, Any], base_dir: Path):
         _check_keys(raw)
         self.base_dir = base_dir
-        self.telemetry = self._path(_get(raw, "io", "telemetry", None))
-        self.events = self._path(_get(raw, "io", "events", None))
-        self.outdir = self._path(_get(raw, "io", "outdir", None))
-        self.scores = self._path(_get(raw, "io", "scores", None))
-        overrides = _get(raw, "detect", "quantile_overrides", {})
+        io = raw.get("io", {})
+        self.telemetry = self._path(io.get("telemetry"))
+        self.events = self._path(io.get("events"))
+        self.outdir = self._path(io.get("outdir"))
+        self.scores = self._path(io.get("scores"))
+        overrides = raw.get("detect", {}).get("quantile_overrides", {})
         if not isinstance(overrides, dict):
             raise ConfigError("detect.quantile_overrides must be an object")
         try:
-            self.pipeline = PipelineConfig(
-                match=MatchParams(
-                    window=int(_get(raw, "match", "w", 20)),
-                    horizon=int(_get(raw, "match", "h", 0)),
-                    delay=int(_get(raw, "match", "m", 0)),
-                ),
-                rank=int(_get(raw, "detect", "rank", 1)),
-                quantile=float(_get(raw, "detect", "quantile", 0.95)),
+            self.pipeline = _build(
+                PipelineConfig,
+                {**raw.get("detect", {}), **raw.get("grouping", {}), **raw.get("target", {})},
+                match=_build(MatchParams, raw.get("match", {})),
+                search=_build(SearchConfig, raw.get("filter", {})),
                 quantile_overrides={str(k): float(v) for k, v in overrides.items()},
-                normal_before=int(_get(raw, "detect", "normal_before", 50)),
-                normal_after=int(_get(raw, "detect", "normal_after", 30)),
-                measure=str(_get(raw, "grouping", "measure", "pearson")),
-                rho=float(_get(raw, "grouping", "rho", 0.7)),
-                search=SearchConfig(
-                    alpha=float(_get(raw, "filter", "alpha", 0.05)),
-                    filter_kind=str(_get(raw, "filter", "kind", "hard")),
-                    theta=float(_get(raw, "filter", "theta", 2)),
-                    max_size=int(_get(raw, "filter", "max_size", 2)),
-                ),
-                code_prefix=str(_get(raw, "target", "code_prefix", "")),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        self.tolerance = int(_get(raw, "eval", "tolerance", 2))
-        self.baseline_param = _get(raw, "curves", "baseline_param", None)
-        self.baseline_direction = str(_get(raw, "curves", "baseline_direction", "above"))
+        curves = raw.get("curves", {})
+        self.tolerance = int(raw.get("eval", {}).get("tolerance", 2))
+        self.baseline_param = curves.get("baseline_param")
+        self.baseline_direction = str(curves.get("baseline_direction", "above"))
         if self.baseline_direction not in ("above", "below"):
             raise ConfigError(
                 f"curves.baseline_direction must be 'above' or 'below', "
@@ -148,10 +153,7 @@ class RunConfig:
         if raw is None:
             raise ConfigError("simulate needs a 'sim' config section")
         try:
-            groups = tuple(
-                GroupSpec(size=int(size), correlation=float(corr))
-                for size, corr in raw.get("groups", [[5, 0.9]] * 8)
-            )
+            # Unlike SimConfig(), the CLI plants nothing unless asked to.
             planted = tuple(
                 PlantedSpec(
                     groups=tuple(int(g) for g in spec["groups"]),
@@ -161,16 +163,13 @@ class RunConfig:
                 )
                 for spec in raw.get("planted", [])
             )
-            seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
-            return SimConfig(
-                units=int(raw.get("units", 16)),
-                flights_per_unit=int(raw.get("flights_per_unit", 500)),
-                groups=groups,
-                planted=planted,
-                event_rate=float(raw.get("event_rate", 1.5)),
-                seed=seed,
-                event_code=str(raw.get("event_code", "E100")),
-            )
+            fixed: dict[str, Any] = {"planted": planted}
+            if "groups" in raw:
+                fixed["groups"] = tuple(
+                    GroupSpec(int(size), float(corr)) for size, corr in raw["groups"]
+                )
+            body = raw if seed_override is None else {**raw, "seed": seed_override}
+            return _build(SimConfig, body, **fixed)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sim config: {exc}") from exc
 
@@ -189,28 +188,19 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(raw, p.parent.resolve())
 
 
-def _write_json(path: Path, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _require(cfg: RunConfig, **paths: Path | None) -> None:
     for name, value in paths.items():
         if value is None:
             raise ConfigError(f"config is missing io.{name}")
 
 
-def cmd_simulate(cfg: RunConfig, seed: int | None, outdir: Path | None) -> int:
-    out = outdir or cfg.outdir
-    if out is None:
-        raise ConfigError("simulate needs io.outdir or --out")
+def cmd_simulate(cfg: RunConfig, seed: int | None, out: Path) -> int:
     sim = cfg.sim_config(seed)
     panels, events, manifest = generate_fleet(sim)
     out.mkdir(parents=True, exist_ok=True)
     write_telemetry_csv(out / "telemetry.csv", panels)
     write_events_csv(out / "events.csv", events)
-    write_manifest_json(out / "manifest.json", manifest)
+    _write_json(out / "manifest.json", manifest)
     return 0
 
 
@@ -226,10 +216,7 @@ def _load_fleet(cfg: RunConfig):
     return panels, events
 
 
-def cmd_run(cfg: RunConfig, outdir: Path | None) -> int:
-    out = outdir or cfg.outdir
-    if out is None:
-        raise ConfigError("run needs io.outdir or --out")
+def cmd_run(cfg: RunConfig, out: Path) -> int:
     panels, events = _load_fleet(cfg)
     model = train_model(panels, events, cfg.pipeline)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,10 +244,7 @@ def cmd_run(cfg: RunConfig, outdir: Path | None) -> int:
     return 0 if model.precursors.combinations else 3
 
 
-def cmd_crossval(cfg: RunConfig, outdir: Path | None) -> int:
-    out = outdir or cfg.outdir
-    if out is None:
-        raise ConfigError("crossval needs io.outdir or --out")
+def cmd_crossval(cfg: RunConfig, out: Path) -> int:
     panels, events = _load_fleet(cfg)
     if len(panels) < 2:
         raise ConfigError("crossval needs at least 2 units")
@@ -269,16 +253,10 @@ def cmd_crossval(cfg: RunConfig, outdir: Path | None) -> int:
     folds_dir = out / "folds"
     folds_dir.mkdir(exist_ok=True)
     for fold in result.folds:
-        payload = {
-            "held_out_unit": fold.held_out_unit,
-            "skipped": fold.skipped,
-            "stats": None if fold.stats is None else stats_to_jsonable(fold.stats),
-            "precursors": None
-            if fold.precursors is None
-            else precursors_to_jsonable(fold.precursors),
-            "window_counts": list(fold.window_counts),
-            "segment_counts": list(fold.segment_counts),
-        }
+        payload = {f.name: getattr(fold, f.name) for f in fields(fold)}
+        if not fold.skipped:
+            payload["stats"] = stats_to_jsonable(fold.stats)
+            payload["precursors"] = precursors_to_jsonable(fold.precursors)
         _write_json(folds_dir / f"{fold.held_out_unit}.json", payload)
     _write_json(
         out / "aggregate.json",
@@ -291,10 +269,7 @@ def cmd_crossval(cfg: RunConfig, outdir: Path | None) -> int:
     return 0
 
 
-def cmd_curves(cfg: RunConfig, outdir: Path | None) -> int:
-    out = outdir or cfg.outdir
-    if out is None:
-        raise ConfigError("curves needs io.outdir or --out")
+def cmd_curves(cfg: RunConfig, out: Path) -> int:
     _require(cfg, events=cfg.events)
     prefix = cfg.pipeline.code_prefix
     events = [ev for ev in read_events_csv(cfg.events) if ev.code.startswith(prefix)]
@@ -311,15 +286,10 @@ def cmd_curves(cfg: RunConfig, outdir: Path | None) -> int:
             )
         scores = {}
         for panel in panels:
-            values = threshold_baseline(
-                panel.values[:, panel.column_index(cfg.baseline_param)],
-                cfg.baseline_direction,
-            )
-            scores[panel.unit_id] = {
-                int(t): float(s)
-                for t, s in zip(panel.flights, values)
-                if not math.isnan(s)
-            }
+            column = panel.values[:, panel.column_index(cfg.baseline_param)]
+            values = threshold_baseline(column, cfg.baseline_direction).tolist()
+            flights = panel.flights.tolist()
+            scores[panel.unit_id] = {t: s for t, s in zip(flights, values) if not math.isnan(s)}
     else:
         raise ConfigError("curves needs io.scores or curves.baseline_param")
     points = roc_pr_curves(scores, events, cfg.tolerance)
@@ -330,14 +300,7 @@ def cmd_curves(cfg: RunConfig, outdir: Path | None) -> int:
         out / "operating_point.json",
         {
             "target_nu": 0.6,
-            "nu": "inf" if math.isinf(best.nu) else best.nu,
-            "tp": best.tp,
-            "fp": best.fp,
-            "fn": best.fn,
-            "tn": best.tn,
-            "precision": best.precision,
-            "recall": None if math.isnan(best.recall) else best.recall,
-            "fpr": best.fpr,
+            **{f.name: json_number(getattr(best, f.name)) for f in fields(CurvePoint)},
         },
     )
     return 0
@@ -360,13 +323,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        out = args.out or cfg.outdir
+        if out is None:
+            raise ConfigError(f"{args.command} needs io.outdir or --out")
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.seed, args.out)
+            return cmd_simulate(cfg, args.seed, out)
         if args.command == "run":
-            return cmd_run(cfg, args.out)
+            return cmd_run(cfg, out)
         if args.command == "crossval":
-            return cmd_crossval(cfg, args.out)
-        return cmd_curves(cfg, args.out)
+            return cmd_crossval(cfg, out)
+        return cmd_curves(cfg, out)
     except NoTargetEventsError as exc:
         print(f"fleetwarn: {exc}", file=sys.stderr)
         return 4

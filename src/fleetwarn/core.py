@@ -13,12 +13,13 @@ worker threads.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -271,15 +272,76 @@ def normalize_panel(panel: TelemetryPanel, stats_rows: np.ndarray) -> TelemetryP
 
 
 # --------------------------------------------------------------------------
-# CSV interchange
+# File formats: every file is written by write_json or write_csv.  Every CSV
+# float cell comes from csv_float, and every JSON number that can be NaN or
+# infinite from json_number.
 #
 # Telemetry: header `unit_id,flight,phase,<param>...`; missing = empty cell.
 # Events:    header `unit_id,onset,end,code`.
 # Scores:    header `unit_id,flight,score`.
 # All UTF-8, comma-separated, `.` decimal point.
 
-def _format_value(x: float) -> str:
+def csv_float(x: float) -> str:
+    """A float CSV cell: its repr, or an empty cell for NaN."""
     return "" if math.isnan(x) else repr(float(x))
+
+
+def json_number(x: float) -> float | str | None:
+    """A JSON-safe number: an infinity becomes "inf", NaN becomes null."""
+    if math.isinf(x):
+        return "inf"
+    if math.isnan(x):
+        return None
+    return x
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """``payload`` as JSON with 2-space indent, sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """A UTF-8 CSV with LF line ends: the header, then each row of cells."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _parse_cell(name: str, cell: str, parse: Callable[[str], Any] = float) -> Any:
+    """``parse(cell)``, rejecting text it cannot parse and infinite values."""
+    try:
+        value = parse(cell)
+    except ValueError:
+        raise ValueError(f"cannot parse {cell!r} in column {name!r}") from None
+    if math.isinf(value):
+        raise ValueError(f"infinite value in column {name!r}")
+    return value
+
+
+def _read_csv(path: str | Path, header: Sequence[str], parse: Callable[[list[str]], Any]) -> list:
+    """``parse(row)`` of each non-blank row below ``header``.
+
+    A row of the wrong width, or one that ``parse`` rejects, fails as
+    ``<path>: line N: <reason>``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"row arity {len(row)} != {len(header)}")
+                records.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return records
 
 
 def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> None:
@@ -287,43 +349,32 @@ def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> N
     if not panels:
         raise ValueError("no panels to write")
     columns = panels[0].columns
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit_id", "flight", "phase", *columns])
-        for panel in panels:
-            if panel.columns != columns:
-                raise ValueError("panels disagree on columns")
-            phases = panel.phases or (None,) * panel.n_flights
-            for i in range(panel.n_flights):
-                row = [panel.unit_id, str(int(panel.flights[i])), phases[i] or ""]
-                row.extend(_format_value(v) for v in panel.values[i])
-                writer.writerow(row)
+    if any(p.columns != columns for p in panels):
+        raise ValueError("panels disagree on columns")
+    rows = (
+        [p.unit_id, str(flight), phase or "", *map(csv_float, values)]
+        for p in panels
+        for flight, phase, values in zip(
+            p.flights.tolist(), p.phases or (None,) * p.n_flights, p.values.tolist()
+        )
+    )
+    write_csv(path, ["unit_id", "flight", "phase", *columns], rows)
 
 
-def _row_problem(row: list[str], columns: tuple[str, ...]) -> str | None:
-    """What makes a telemetry row invalid, or None if nothing does."""
-    if len(row) != 3 + len(columns):
-        return f"row arity {len(row)} != {3 + len(columns)}"
-    cells = [("flight", row[1], int), *((c, v, float) for c, v in zip(columns, row[3:]) if v)]
-    for name, cell, parse in cells:
-        try:
-            if math.isinf(parse(cell)):
-                return f"infinite value in column {name!r}"
-        except ValueError:
-            return f"cannot parse {cell!r} in column {name!r}"
-    return None
+def _first_problem(path: str | Path, columns: tuple[str, ...]) -> ValueError:
+    """The error naming the first invalid telemetry row; for error paths only."""
 
+    def check(row: list[str]) -> None:
+        _parse_cell("flight", row[1], int)
+        for name, cell in zip(columns, row[3:]):
+            if cell:
+                _parse_cell(name, cell)
 
-def _first_problem(path: str | Path, columns: tuple[str, ...]) -> str:
-    """The line of the first invalid telemetry row and why; for error messages only."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            problem = row and _row_problem(row, columns)
-            if problem:
-                return f"{path}: line {reader.line_num}: {problem}"
-    return f"{path}: invalid telemetry"
+    try:
+        _read_csv(path, ("unit_id", "flight", "phase", *columns), check)
+    except ValueError as exc:
+        return exc
+    return ValueError(f"{path}: invalid telemetry")
 
 
 def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
@@ -348,7 +399,7 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
                     order.append(unit)
                 per_unit[unit].append((flight, phase, vals))
         except ValueError:  # a decoding error recurs in the second read
-            raise ValueError(_first_problem(path, columns)) from None
+            raise _first_problem(path, columns) from None
     panels = []
     for unit in order:
         records = per_unit[unit]
@@ -357,7 +408,7 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
         values = np.array([r[2] for r in records], dtype=np.float64)
         values = values.reshape(len(records), len(columns))
         if np.isinf(values).any():
-            raise ValueError(_first_problem(path, columns))
+            raise _first_problem(path, columns)
         panels.append(
             TelemetryPanel(unit_id=unit, flights=flights, columns=columns,
                            values=values, phases=phases)
@@ -365,67 +416,47 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
     return panels
 
 
+_EVENTS_HEADER = ("unit_id", "onset", "end", "code")
+
+
 def write_events_csv(path: str | Path, events: Sequence[EventRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit_id", "onset", "end", "code"])
-        for ev in events:
-            writer.writerow([ev.unit_id, str(ev.onset), str(ev.end), ev.code])
+    rows = ([ev.unit_id, str(ev.onset), str(ev.end), ev.code] for ev in events)
+    write_csv(path, _EVENTS_HEADER, rows)
+
+
+def _parse_event(row: list[str]) -> EventRecord:
+    onset = _parse_cell("onset", row[1], int)
+    return EventRecord(row[0], onset, _parse_cell("end", row[2], int), row[3])
 
 
 def read_events_csv(path: str | Path) -> list[EventRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["unit_id", "onset", "end", "code"]:
-            raise ValueError(f"{path}: expected header unit_id,onset,end,code")
-        events = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}: bad event row {row!r}")
-            events.append(EventRecord(unit_id=row[0], onset=int(row[1]),
-                                      end=int(row[2]), code=row[3]))
-    return events
-
-
-def write_scores_csv(path: str | Path, scores: Mapping[str, Mapping[int, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit_id", "flight", "score"])
-        for unit in sorted(scores):
-            for flight in sorted(scores[unit]):
-                writer.writerow([unit, str(flight), repr(float(scores[unit][flight]))])
+    return _read_csv(path, _EVENTS_HEADER, _parse_event)
 
 
 def read_scores_csv(path: str | Path) -> dict[str, dict[int, float]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["unit_id", "flight", "score"]:
-            raise ValueError(f"{path}: expected header unit_id,flight,score")
-        out: dict[str, dict[int, float]] = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: bad score row {row!r}")
-            score = float(row[2])
-            if not math.isnan(score):
-                out.setdefault(row[0], {})[int(row[1])] = score
+    """Per-unit flight -> score; NaN scores are missing and left out.
+
+    Infinite scores and a flight listed twice for one unit are rejected.
+    """
+    out: dict[str, dict[int, float]] = {}
+    seen: set[tuple[str, int]] = set()
+
+    def parse(row: list[str]) -> None:
+        unit, flight = row[0], _parse_cell("flight", row[1], int)
+        score = _parse_cell("score", row[2])
+        if (unit, flight) in seen:
+            raise ValueError(f"repeated flight {flight} of unit {unit!r}")
+        seen.add((unit, flight))
+        if not math.isnan(score):
+            out.setdefault(unit, {})[flight] = score
+
+    _read_csv(path, ("unit_id", "flight", "score"), parse)
     return out
 
 
 def write_alarms_csv(path: str | Path, alarms: Iterable[AlarmSeries]) -> None:
-    rows = []
-    for alarm in alarms:
-        for unit in alarm.units():
-            for flight in sorted(alarm.firings_for(unit)):
-                rows.append((unit, flight, alarm.alarm_id))
-    rows.sort()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit_id", "flight", "alarm_id"])
-        for unit, flight, alarm_id in rows:
-            writer.writerow([unit, str(flight), alarm_id])
+    # Each unit's flights are sorted first, so the final sort merges sorted runs.
+    rows = sorted(
+        (u, t, a.alarm_id) for a in alarms for u in a.units() for t in sorted(a.firings_for(u))
+    )
+    write_csv(path, ["unit_id", "flight", "alarm_id"], ([u, str(t), a] for u, t, a in rows))

@@ -9,15 +9,14 @@ scores.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from fleetwarn.core import AlarmSeries, EventRecord, TelemetryPanel
+from fleetwarn.core import AlarmSeries, EventRecord, TelemetryPanel, write_json
 
 
 class NoNormalRegimeError(ValueError):
@@ -70,9 +69,6 @@ class SubspaceDetector:
     @property
     def alarm_id(self) -> str:
         return f"pca[{'+'.join(self.group)}]r{self.rank}q{self.quantile!r}"
-
-    def with_threshold(self, threshold: float) -> "SubspaceDetector":
-        return replace(self, threshold=float(threshold))
 
 
 def select_normal_regime(
@@ -211,29 +207,11 @@ def binarize(
 
 
 def write_detector_json(path: str | Path, det: SubspaceDetector) -> None:
-    payload = {
+    write_json(path, {
         "group": list(det.group),
-        "mean": [float(x) for x in det.mean],
-        "basis": [[float(x) for x in row] for row in det.basis],
+        "mean": det.mean.tolist(),
+        "basis": det.basis.tolist(),
         "rank": det.rank,
         "q": det.quantile,
         "threshold": det.threshold,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_detector_json(path: str | Path) -> SubspaceDetector:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    det = SubspaceDetector(
-        group=tuple(payload["group"]),
-        mean=np.array(payload["mean"], dtype=np.float64),
-        basis=np.array(payload["basis"], dtype=np.float64),
-        rank=int(payload["rank"]),
-        quantile=float(payload["q"]),
-    )
-    if payload["threshold"] is not None:
-        det = det.with_threshold(float(payload["threshold"]))
-    return det
+    })

@@ -9,7 +9,6 @@ dependence at or above a threshold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fleetwarn.core import TelemetryPanel
+from fleetwarn.core import write_json
 
 MEASURES = ("pearson", "mutual_info")
 
@@ -62,9 +61,6 @@ class ParameterGrouping:
         if len(set(flat)) != len(flat):
             raise ValueError("groups must be disjoint")
         object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
-
-    def member_names(self) -> tuple[str, ...]:
-        return tuple(sorted(n for g in self.groups for n in g))
 
 
 # Rows per block of the Gram products: temporaries stay at block x P floats.
@@ -205,15 +201,6 @@ def dependence_from_rows(
     return DependenceMatrix(columns=tuple(columns), values=values, measure=measure)
 
 
-def compute_dependence(panel: TelemetryPanel, measure: str = "pearson") -> DependenceMatrix:
-    """Pairwise dependence between the panel's parameters.
-
-    Pairwise-complete: rows missing either value are dropped per pair.  A
-    pair left with fewer than 2 complete rows gets a missing (NaN) entry.
-    """
-    return dependence_from_rows(panel.values, panel.columns, measure)
-
-
 def build_groups(dep: DependenceMatrix, rho: float = 0.7) -> ParameterGrouping:
     """Connected components of the thresholded dependence graph.
 
@@ -241,21 +228,8 @@ def build_groups(dep: DependenceMatrix, rho: float = 0.7) -> ParameterGrouping:
 
 
 def write_groups_json(path: str | Path, grouping: ParameterGrouping, measure: str) -> None:
-    payload = {
+    write_json(path, {
         "measure": measure,
         "rho": grouping.rho,
         "groups": [list(g) for g in grouping.groups],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_groups_json(path: str | Path) -> tuple[ParameterGrouping, str]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    grouping = ParameterGrouping(
-        groups=tuple(tuple(g) for g in payload["groups"]),
-        rho=float(payload["rho"]),
-    )
-    return grouping, payload["measure"]
+    })

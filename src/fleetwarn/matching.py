@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from fleetwarn.core import (
     FiringLabel,
     MatchParams,
     NoTargetEventsError,
+    json_number,
 )
 
 
@@ -417,25 +418,5 @@ def soft_filter(stats: MatchStats, theta: float) -> bool:
 
 
 def stats_to_jsonable(stats: MatchStats) -> dict:
-    """JSON-safe dict: +inf ratio becomes the string "inf", NaN becomes null."""
-
-    def _num(x: float):
-        if math.isinf(x):
-            return "inf"
-        if math.isnan(x):
-            return None
-        return x
-
-    return {
-        "window_events": stats.window_events,
-        "false_segments": stats.false_segments,
-        "true_firings": stats.true_firings,
-        "false_firings": stats.false_firings,
-        "irrelevant_firings": stats.irrelevant_firings,
-        "covered_events": stats.covered_events,
-        "fired_false_segments": stats.fired_false_segments,
-        "false_alarm_rate": _num(stats.false_alarm_rate),
-        "coverage": _num(stats.coverage),
-        "false_to_covered": _num(stats.false_to_covered),
-        "p_value": stats.p_value,
-    }
+    """JSON-safe dict of every field, numbers encoded by :func:`json_number`."""
+    return {f.name: json_number(getattr(stats, f.name)) for f in fields(stats)}

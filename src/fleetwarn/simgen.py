@@ -16,10 +16,8 @@ per-event leads), so output is byte-identical across runs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -245,8 +243,3 @@ def _anomalies_exceed_q95(
                 return False
     return True
 
-
-def write_manifest_json(path: str | Path, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -8,13 +8,12 @@ survivors are pooled by OR into one warning signal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from fleetwarn.core import AlarmSeries
+from fleetwarn.core import AlarmSeries, write_json
 from fleetwarn.matching import (
     MatchStats,
     PeriodLayout,
@@ -186,6 +185,4 @@ def precursors_to_jsonable(pset: PrecursorSet) -> dict:
 
 
 def write_precursors_json(path: str | Path, pset: PrecursorSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(precursors_to_jsonable(pset), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, precursors_to_jsonable(pset))

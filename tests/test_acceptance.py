@@ -20,7 +20,6 @@ from fleetwarn.core import AlarmSeries, EventRecord, MatchParams, TelemetryPanel
 from fleetwarn.detect import fit_subspace_from_rows, fit_threshold, score_reconstruction
 from fleetwarn.evaluation import (
     leave_one_unit_out,
-    precision_at_recall,
     roc_pr_curves,
     threshold_baseline,
 )
@@ -34,6 +33,7 @@ from fleetwarn.synth import (
 )
 
 from oracles import brute_force_match, exact_max_matching
+from support import precision_at_recall
 
 COUNTERS = (
     "window_events",

@@ -10,7 +10,8 @@ import pytest
 
 import fleetwarn
 from fleetwarn.cli import main
-from fleetwarn.core import read_events_csv, write_scores_csv
+from fleetwarn.core import read_events_csv
+from support import write_scores_csv
 
 SIM_SECTION = {
     "units": 5,
@@ -449,3 +450,47 @@ class TestCurves:
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "baseline_param" in capsys.readouterr().err
+
+
+class TestInputFileErrors:
+    """Bad events and scores files exit 2, naming the file and the line."""
+
+    def curves(self, tmp_path, events, scores):
+        (tmp_path / "events.csv").write_text("unit_id,onset,end,code\n" + events)
+        (tmp_path / "scores.csv").write_text("unit_id,flight,score\n" + scores)
+        payload = {"io": {"events": "events.csv", "scores": "scores.csv"}}
+        cfg = write_config(tmp_path / "c.json", payload)
+        return main(["curves", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            ("u1,5,6,E1\nu1,x,5,E1\n", "line 3: cannot parse 'x' in column 'onset'"),
+            ("u1,5,3,E1\n", "line 2: event end 3 must exceed onset 5"),
+            ("u1,5,6\n", "line 2: row arity 3 != 4"),
+        ],
+    )
+    def test_bad_events(self, tmp_path, capsys, events, message):
+        assert self.curves(tmp_path, events, "u1,1,0.5\n") == 2
+        path = (tmp_path / "events.csv").resolve()
+        assert capsys.readouterr().err == f"fleetwarn: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            ("u1,1,0.5\nu1,2,inf\n", "line 3: infinite value in column 'score'"),
+            ("u1,1,-inf\n", "line 2: infinite value in column 'score'"),
+            ("u1,1,0.9\nu1,2,0.5\nu1,1,0.1\n", "line 4: repeated flight 1 of unit 'u1'"),
+            ("u1,x,0.5\n", "line 2: cannot parse 'x' in column 'flight'"),
+            ("u1,1,high\n", "line 2: cannot parse 'high' in column 'score'"),
+        ],
+    )
+    def test_bad_scores(self, tmp_path, capsys, scores, message):
+        assert self.curves(tmp_path, "u1,5,6,E1\n", scores) == 2
+        path = (tmp_path / "scores.csv").resolve()
+        assert capsys.readouterr().err == f"fleetwarn: {path}: {message}\n"
+
+    def test_nan_scores_are_missing(self, tmp_path):
+        assert self.curves(tmp_path, "u1,5,6,E1\n", "u1,1,nan\nu1,5,0.5\nu1,6,nan\n") == 0
+        rows = read_rows(tmp_path / "o" / "curves.csv")
+        assert [r[0] for r in rows[1:]] == ["inf", "0.5"]

@@ -13,17 +13,21 @@ from fleetwarn.core import (
     MatchParams,
     TelemetryPanel,
     apply_column_stats,
+    csv_float,
     fit_column_stats,
+    json_number,
     normalize_panel,
     read_events_csv,
     read_scores_csv,
     read_telemetry_csv,
     write_alarms_csv,
+    write_csv,
     write_events_csv,
-    write_scores_csv,
+    write_json,
     write_telemetry_csv,
 )
 from oracles import apply_column_stats_reference
+from support import write_scores_csv
 
 
 def make_panel(values, columns=("x",), unit="u1", flights=None):
@@ -171,6 +175,61 @@ class TestAlarmSeries:
     def test_total_firings(self):
         alarm = AlarmSeries("a", {"u": frozenset({1, 2}), "v": frozenset({9})})
         assert alarm.total_firings() == 3
+
+
+class TestOutputEncodings:
+    def test_write_json_golden_bytes(self, tmp_path):
+        path = tmp_path / "o.json"
+        write_json(path, {"b": [1, 2.5, None], "a": {"z": "inf", "y": -0.0}, "c": ("\u00e9",)})
+        assert path.read_bytes() == (
+            b'{\n'
+            b'  "a": {\n'
+            b'    "y": -0.0,\n'
+            b'    "z": "inf"\n'
+            b'  },\n'
+            b'  "b": [\n'
+            b'    1,\n'
+            b'    2.5,\n'
+            b'    null\n'
+            b'  ],\n'
+            b'  "c": [\n'
+            b'    "\\u00e9"\n'
+            b'  ]\n'
+            b'}\n'
+        )
+
+    def test_write_csv_golden_bytes(self, tmp_path):
+        path = tmp_path / "o.csv"
+        write_csv(path, ["a", "b"], [["x,y", ""], ["\u00e9", 'q"']])
+        assert path.read_bytes() == 'a,b\n"x,y",\n\u00e9,"q"""\n'.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "x, cell",
+        [
+            (float("nan"), ""),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (-0.0, "-0.0"),
+            (3, "3.0"),
+            (np.float64(0.1), "0.1"),
+        ],
+    )
+    def test_csv_float(self, x, cell):
+        assert csv_float(x) == cell
+
+    @pytest.mark.parametrize(
+        "x, value",
+        [
+            (float("nan"), None),
+            (math.inf, "inf"),
+            (-math.inf, "inf"),
+            (-0.0, -0.0),
+            (7, 7),
+            (0.5, 0.5),
+        ],
+    )
+    def test_json_number(self, x, value):
+        assert repr(json_number(x)) == repr(value)
 
 
 class TestCsvRoundTrips:

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +13,25 @@ from fleetwarn.detect import (
     binarize,
     fit_subspace_from_rows,
     fit_threshold,
-    read_detector_json,
     score_reconstruction,
     select_normal_regime,
     squared_distance,
     write_detector_json,
 )
+
+
+def read_detector_json(path):
+    """Parse a detector JSON back into a SubspaceDetector (the CLI only writes it)."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    return SubspaceDetector(
+        group=tuple(payload["group"]),
+        mean=np.array(payload["mean"], dtype=np.float64),
+        basis=np.array(payload["basis"], dtype=np.float64),
+        rank=int(payload["rank"]),
+        quantile=float(payload["q"]),
+        threshold=payload["threshold"],
+    )
 
 
 def panel_of(values, columns, unit="u", start=1):
@@ -229,7 +244,7 @@ class TestBinarize:
             rank=1,
             quantile=0.95,
         )
-        return det.with_threshold(threshold)
+        return replace(det, threshold=float(threshold))
 
     def test_strictly_above_fires(self):
         det = self.detector(1.0)
@@ -262,7 +277,7 @@ class TestDetectorJson:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
         rows = rng.normal(size=(60, 3))
-        det = fit_subspace_from_rows(rows, ("a", "b", "c"), 2).with_threshold(1.5)
+        det = replace(fit_subspace_from_rows(rows, ("a", "b", "c"), 2), threshold=1.5)
         path = tmp_path / "det.json"
         write_detector_json(path, det)
         back = read_detector_json(path)

@@ -18,7 +18,6 @@ from fleetwarn.evaluation import (
     greedy_max_matching,
     leave_one_unit_out,
     operating_point,
-    precision_at_recall,
     roc_pr_curves,
     threshold_baseline,
     write_curves_csv,
@@ -27,6 +26,7 @@ from fleetwarn.matching import significance_test
 from fleetwarn.pipeline import PipelineConfig
 from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet
 from fleetwarn.synth import SearchConfig, precursors_to_jsonable
+from support import precision_at_recall
 
 
 class TestThresholdBaseline:
@@ -271,6 +271,19 @@ class TestCurveSummaries:
         path = tmp_path / "curves.csv"
         write_curves_csv(path, pts)
         assert path.read_text().splitlines()[1] == "1.0,0,1,0,9,0.0,,0.1"
+
+    def test_csv_golden_bytes(self, tmp_path):
+        pts = [
+            CurvePoint(math.inf, 0, 0, 3, 9, 1.0, 0.0, 0.0),
+            CurvePoint(-0.0, 3, 9, 0, 0, 0.25, float("nan"), 1.0),
+        ]
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, pts)
+        assert path.read_bytes() == (
+            b"nu,tp,fp,fn,tn,precision,recall,fpr\n"
+            b"inf,0,0,3,9,1.0,0.0,0.0\n"
+            b"-0.0,3,9,0,0,0.25,,1.0\n"
+        )
 
 
 SMALL_SIM = SimConfig(

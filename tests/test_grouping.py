@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,13 +10,23 @@ from fleetwarn.core import TelemetryPanel
 from fleetwarn.grouping import (
     _BLOCK_ROWS,
     DependenceMatrix,
+    ParameterGrouping,
     build_groups,
-    compute_dependence,
     dependence_from_rows,
-    read_groups_json,
     write_groups_json,
 )
 from oracles import bfs_components, pearson_reference, scipy_components
+
+
+def read_groups_json(path):
+    """Parse a groups.json back into its grouping and measure (the CLI only writes it)."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    grouping = ParameterGrouping(
+        groups=tuple(tuple(g) for g in payload["groups"]),
+        rho=float(payload["rho"]),
+    )
+    return grouping, payload["measure"]
 
 
 def panel_from(values, columns):
@@ -78,7 +89,7 @@ class TestPearson:
 
     def test_panel_entry_point(self):
         panel = panel_from([[1, 2], [2, 4], [3, 6]], ("x", "y"))
-        dep = compute_dependence(panel, "pearson")
+        dep = dependence_from_rows(panel.values, panel.columns, "pearson")
         assert dep.measure == "pearson"
         assert dep.values[0, 1] == pytest.approx(1.0)
 
@@ -224,7 +235,7 @@ class TestBuildGroups:
         dep = DependenceMatrix(names, vals, "pearson")
         for rho in (0.1, 0.4, 0.8):
             grouping = build_groups(dep, rho)
-            assert grouping.member_names() == tuple(sorted(names))
+            assert tuple(sorted(n for g in grouping.groups for n in g)) == tuple(sorted(names))
 
     def test_raising_rho_refines(self):
         rng = np.random.default_rng(23)

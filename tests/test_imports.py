@@ -1,4 +1,7 @@
-"""Unused-import guard for the package sources (no linter is installed)."""
+"""Source guards for the package: unused imports, and file writes outside ``core``.
+
+No linter is installed, so both checks walk the ``ast`` of each module.
+"""
 
 import ast
 from pathlib import Path
@@ -46,3 +49,102 @@ def test_guard_flags_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Writing a file is the job of core.write_json and core.write_csv alone.
+WRITERS = {"json.dump", "csv.writer"}
+
+
+def _qualified(node: ast.expr, aliases: dict[str, str]) -> str | None:
+    """``module.name`` of a called name or attribute, through import aliases."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id, node.id)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{aliases.get(node.value.id, node.value.id)}.{node.attr}"
+    return None
+
+
+def _write_mode(call: ast.Call, position: int) -> bool:
+    """Whether the call opens for writing; a mode that is not a literal counts."""
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None and len(call.args) > position:
+        mode = call.args[position]
+    if mode is None:
+        return False
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return any(c in mode.value for c in "wax+")
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls that write a file: ``json.dump``, ``csv.writer``, or ``open`` for writing.
+
+    ``open`` covers the builtin and ``io.open`` (mode second) and any
+    ``<obj>.open`` such as ``Path.open`` (mode first); ``write_text`` and
+    ``write_bytes`` always write.
+    """
+    tree = ast.parse(source)
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            aliases.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = _qualified(call.func, aliases)
+        attr = call.func.attr if isinstance(call.func, ast.Attribute) else None
+        if (
+            name in WRITERS
+            or (name in ("open", "io.open") and _write_mode(call, 1))
+            or (attr == "open" and name != "io.open" and _write_mode(call, 0))
+            or attr in ("write_text", "write_bytes")
+        ):
+            found.append(f"line {call.lineno}: {ast.unparse(call.func)}")
+    return found
+
+
+def test_guard_flags_file_writes():
+    source = (
+        "import csv\n"
+        "import json as j\n"
+        "from csv import writer\n"
+        "from pathlib import Path\n"
+        "open('a')\n"
+        "open('a', 'rb')\n"
+        "open('a', encoding='utf-8')\n"
+        "j.load(fh)\n"
+        "csv.reader(fh)\n"
+        "open('a', 'w')\n"
+        "open('a', mode='a')\n"
+        "Path('a').open('r+')\n"
+        "Path('a').open(mode)\n"
+        "j.dump({}, fh)\n"
+        "writer(fh)\n"
+        "Path('a').write_text('')\n"
+    )
+    assert file_writes(source) == [
+        "line 10: open",
+        "line 11: open",
+        "line 12: Path('a').open",
+        "line 13: Path('a').open",
+        "line 14: j.dump",
+        "line 15: writer",
+        "line 16: Path('a').write_text",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "core.py"), ids=lambda p: p.name
+)
+def test_only_core_writes_files(path):
+    assert file_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_core_writes_through_one_json_and_one_csv_writer():
+    """``write_json`` and ``write_csv`` hold core's only writes: two opens, one dump, one writer."""
+    writes = file_writes((SRC / "core.py").read_text(encoding="utf-8"))
+    calls = sorted(w.split(": ", 1)[1] for w in writes)
+    assert calls == ["csv.writer", "json.dump", "open", "open"]

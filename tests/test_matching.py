@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_match, welch_reference_p
-from fleetwarn.core import AlarmSeries, EventRecord, FiringKind, MatchParams, NoTargetEventsError
+from fleetwarn.core import (
+    AlarmSeries,
+    EventRecord,
+    FiringKind,
+    MatchParams,
+    NoTargetEventsError,
+    write_json,
+)
 from fleetwarn.matching import (
     MatchStats,
     classify_firings,
@@ -525,3 +532,33 @@ class TestJsonable:
         assert d["false_to_covered"] == "inf"
         assert d["coverage"] is None
         assert d["false_alarm_rate"] is None
+
+    def test_golden_values_and_bytes(self, tmp_path):
+        st = make_stats(
+            covered_events=0,
+            false_alarm_rate=-0.0,
+            coverage=float("nan"),
+            false_to_covered=float("inf"),
+            p_value=1.0,
+        )
+        d = stats_to_jsonable(st)
+        assert [repr(d[k]) for k in ("window_events", "false_alarm_rate", "p_value")] == [
+            "4", "-0.0", "1.0",
+        ]
+        path = tmp_path / "stats.json"
+        write_json(path, d)
+        assert path.read_bytes() == (
+            b'{\n'
+            b'  "coverage": null,\n'
+            b'  "covered_events": 0,\n'
+            b'  "false_alarm_rate": -0.0,\n'
+            b'  "false_firings": 0,\n'
+            b'  "false_segments": 5,\n'
+            b'  "false_to_covered": "inf",\n'
+            b'  "fired_false_segments": 0,\n'
+            b'  "irrelevant_firings": 0,\n'
+            b'  "p_value": 1.0,\n'
+            b'  "true_firings": 3,\n'
+            b'  "window_events": 4\n'
+            b'}\n'
+        )

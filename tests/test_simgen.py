@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from fleetwarn.core import write_json
 from fleetwarn.simgen import (
     GroupSpec,
     PlantedSpec,
     SimConfig,
     generate_fleet,
-    write_manifest_json,
 )
 
 QUIET = SimConfig(
@@ -241,7 +241,7 @@ class TestManifest:
     def test_written_manifest_parses(self, tmp_path):
         _, _, manifest = generate_fleet(BUSY, verify=False)
         path = tmp_path / "manifest.json"
-        write_manifest_json(path, manifest)
+        write_json(path, manifest)
         text = path.read_text()
         assert text.endswith("\n")
         assert json.loads(text) == manifest
