@@ -46,7 +46,7 @@ from fleetwarn.evaluation import (
 )
 from fleetwarn.grouping import write_groups_json
 from fleetwarn.matching import match_stats, stats_to_jsonable
-from fleetwarn.pipeline import PipelineConfig, train_model
+from fleetwarn.pipeline import PipelineConfig, select_target_events, train_model
 from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet
 from fleetwarn.synth import SearchConfig, precursors_to_jsonable, write_precursors_json
 
@@ -271,10 +271,7 @@ def cmd_crossval(cfg: RunConfig, out: Path) -> int:
 
 def cmd_curves(cfg: RunConfig, out: Path) -> int:
     _require(cfg, events=cfg.events)
-    prefix = cfg.pipeline.code_prefix
-    events = [ev for ev in read_events_csv(cfg.events) if ev.code.startswith(prefix)]
-    if not events:
-        raise NoTargetEventsError(f"no events match code prefix {prefix!r}")
+    events = select_target_events(read_events_csv(cfg.events), cfg.pipeline.code_prefix)
     if cfg.scores is not None:
         scores = read_scores_csv(cfg.scores)
     elif cfg.baseline_param is not None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -235,11 +234,14 @@ def fit_column_stats(
     stacked = np.vstack(rows) if rows else np.empty((0, len(columns)))
     if stacked.shape[0] == 0:
         raise ValueError("no reference rows")
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        # all-missing columns legitimately yield NaN stats
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # An all-missing column is reduced as zeros, so that no reduction warns,
+    # and then given NaN mean; the other columns' sums do not change.
+    unobserved = np.isnan(stacked).all(axis=0)
+    stacked[:, unobserved] = 0.0  # stacked is a fresh copy
+    with np.errstate(invalid="ignore"):
         mean = np.nanmean(stacked, axis=0)
         std = np.nanstd(stacked, axis=0)  # population (1/N)
+    mean[unobserved] = np.nan
     std = np.where(np.isnan(std), 0.0, std)
     return ColumnStats(columns=columns, mean=mean, std=std)
 
@@ -361,11 +363,26 @@ def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> N
     write_csv(path, ["unit_id", "flight", "phase", *columns], rows)
 
 
+def _check_name(what: str, name: str) -> None:
+    """Reject a name that could not stand alone as the name of an output file."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"{what} {name!r} is not a file name: it must not be empty, "
+                         f"'.' or '..', nor contain '/' or '\\'")
+
+
 def _first_problem(path: str | Path, columns: tuple[str, ...]) -> ValueError:
     """The error naming the first invalid telemetry row; for error paths only."""
+    previous: dict[str, int] = {}
 
     def check(row: list[str]) -> None:
-        _parse_cell("flight", row[1], int)
+        unit, flight = row[0], _parse_cell("flight", row[1], int)
+        if unit not in previous:
+            _check_name("unit id", unit)
+        elif flight == previous[unit]:
+            raise ValueError(f"repeated flight {flight} of unit {unit!r}")
+        elif flight < previous[unit]:
+            raise ValueError(f"flight {flight} of unit {unit!r} follows flight {previous[unit]}")
+        previous[unit] = flight
         for name, cell in zip(columns, row[3:]):
             if cell:
                 _parse_cell(name, cell)
@@ -384,6 +401,13 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
         if header is None or header[:3] != ["unit_id", "flight", "phase"]:
             raise ValueError(f"{path}: expected header unit_id,flight,phase,<param>...")
         columns = tuple(header[3:])
+        try:
+            for i, name in enumerate(columns):
+                _check_name("column name", name)
+                if columns.index(name) != i:
+                    raise ValueError(f"repeated column name {name!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         per_unit: dict[str, list[tuple[int, str, list[float]]]] = {}
         order: list[str] = []
         try:
@@ -395,6 +419,7 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
                 unit, flight, phase = row[0], int(row[1]), row[2]
                 vals = [float(c) if c != "" else float("nan") for c in row[3:]]
                 if unit not in per_unit:
+                    _check_name("unit id", unit)
                     per_unit[unit] = []
                     order.append(unit)
                 per_unit[unit].append((flight, phase, vals))
@@ -407,7 +432,7 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
         phases = tuple(r[1] or None for r in records)
         values = np.array([r[2] for r in records], dtype=np.float64)
         values = values.reshape(len(records), len(columns))
-        if np.isinf(values).any():
+        if np.isinf(values).any() or np.any(np.diff(flights) <= 0):
             raise _first_problem(path, columns)
         panels.append(
             TelemetryPanel(unit_id=unit, flights=flights, columns=columns,

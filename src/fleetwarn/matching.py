@@ -20,7 +20,6 @@ comparing per-window and per-segment firing counts.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Mapping, Sequence
 
@@ -58,17 +57,18 @@ class UnitLayout:
     window_events: tuple[int, ...]
 
 
-# Region kind of one flight on the compiled fleet axis.
+# Region kind of one flight on the fleet axis, and the kind of a firing there.
 _FALSE, _IRRELEVANT, _TRUE = 0, 1, 2
+_FIRING_KINDS = (FiringKind.FALSE, FiringKind.IRRELEVANT, FiringKind.TRUE)
 
 
 @dataclass(frozen=True)
 class PeriodLayout:
     """Fleet-wide region decomposition plus the events it had to drop.
 
-    On construction the decomposition is compiled into per-flight arrays
-    over one fleet axis that concatenates the units in sorted order, unit
-    ``u`` taking positions ``offsets[u] + (flight - first)``:
+    The decomposition is also held as per-flight arrays over one fleet axis
+    that concatenates the units in sorted order, unit ``u`` taking positions
+    ``offsets[u] + (flight - first)``:
 
     * ``kind``: the flight's region (``_TRUE``, ``_IRRELEVANT``, ``_FALSE``);
     * ``owner``: for true flights, the fleet-wide id of the earliest-onset
@@ -78,63 +78,21 @@ class PeriodLayout:
     * ``window_lo``/``window_hi``: the axis bounds ``[lo, hi)`` of every
       window, in window id order.
 
-    The arrays are derived from ``units`` and take no part in ``repr`` or
-    equality.
+    The arrays restate ``units`` and take no part in ``repr`` or equality.
     """
 
     units: Mapping[str, UnitLayout]
     params: MatchParams
     dropped: tuple[EventRecord, ...]
-    offsets: Mapping[str, int] = field(init=False, repr=False, compare=False)
-    kind: np.ndarray = field(init=False, repr=False, compare=False)
-    owner: np.ndarray = field(init=False, repr=False, compare=False)
-    segment: np.ndarray = field(init=False, repr=False, compare=False)
-    window_lo: np.ndarray = field(init=False, repr=False, compare=False)
-    window_hi: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        offsets: dict[str, int] = {}
-        size = 0
-        for unit in self.unit_ids():
-            offsets[unit] = size
-            ul = self.units[unit]
-            size += ul.last - ul.first + 1
-        kind = np.full(size, _FALSE, dtype=np.int8)
-        owner = np.full(size, -1, dtype=np.int32)
-        segment = np.full(size, -1, dtype=np.int32)
-        bounds: list[tuple[int, int]] = []
-        n_segments = 0
-        for unit, base in offsets.items():
-            ul = self.units[unit]
-            shift = base - ul.first
-            for lo, hi, _ in ul.irrelevant_zones:
-                kind[lo + shift : hi + shift] = _IRRELEVANT
-            for s, (lo, hi) in enumerate(ul.false_segments):
-                segment[lo + shift : hi + shift] = n_segments + s
-            n_segments += len(ul.false_segments)
-            bounds.extend((lo + shift, hi + shift) for lo, hi, _ in ul.true_windows)
-        # later windows first, so an overlap keeps its earliest owner
-        for w, (lo, hi) in reversed(list(enumerate(bounds))):
-            kind[lo:hi] = _TRUE
-            owner[lo:hi] = w
-        windows = np.array(bounds, dtype=np.int64).reshape(-1, 2)
-        for array in (kind, owner, segment, windows):
-            array.setflags(write=False)
-        for name, value in (
-            ("offsets", offsets),
-            ("kind", kind),
-            ("owner", owner),
-            ("segment", segment),
-            ("window_lo", windows[:, 0]),
-            ("window_hi", windows[:, 1]),
-        ):
-            object.__setattr__(self, name, value)
-
-    def unit_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.units))
+    offsets: Mapping[str, int] = field(repr=False, compare=False)
+    kind: np.ndarray = field(repr=False, compare=False)
+    owner: np.ndarray = field(repr=False, compare=False)
+    segment: np.ndarray = field(repr=False, compare=False)
+    window_lo: np.ndarray = field(repr=False, compare=False)
+    window_hi: np.ndarray = field(repr=False, compare=False)
 
     def total_window_events(self) -> int:
-        return sum(len(ul.window_events) for ul in self.units.values())
+        return self.window_lo.size
 
     def total_false_segments(self) -> int:
         return sum(len(ul.false_segments) for ul in self.units.values())
@@ -194,7 +152,9 @@ def layout_periods(
     ``ranges`` maps unit id to its inclusive [first, last] observation
     range.  An event whose whole influence span [onset-horizon-window,
     end+delay) misses the range, or whose unit has no range, is dropped and
-    reported in ``dropped`` rather than raising.
+    reported in ``dropped`` rather than raising.  Each unit's slice of the
+    fleet axis is painted with its zones, then its windows; the false
+    segments are the runs left unpainted.
     """
     per_unit: dict[str, list[EventRecord]] = {}
     dropped: list[EventRecord] = []
@@ -209,11 +169,23 @@ def layout_periods(
             continue
         per_unit.setdefault(ev.unit_id, []).append(ev)
 
-    units: dict[str, UnitLayout] = {}
+    offsets: dict[str, int] = {}
+    size = 0
     for unit in sorted(ranges):
         first, last = ranges[unit]
         if last < first:
             raise ValueError(f"bad observation range for unit {unit!r}")
+        offsets[unit] = size
+        size += last - first + 1
+    kind = np.full(size, _FALSE, dtype=np.int8)
+    owner = np.full(size, -1, dtype=np.int32)
+    segment = np.full(size, -1, dtype=np.int32)
+    bounds: list[tuple[int, int]] = []
+    n_segments = 0
+    units: dict[str, UnitLayout] = {}
+    for unit, base in offsets.items():
+        first, last = ranges[unit]
+        shift = base - first
         evs = tuple(sorted(per_unit.get(unit, []), key=lambda e: (e.onset, e.end, e.code)))
         true_windows: list[tuple[int, int, int]] = []
         irrelevant: list[tuple[int, int, int]] = []
@@ -226,18 +198,19 @@ def layout_periods(
             z_hi = min(ev.end + params.delay, last + 1)
             if z_lo < z_hi:
                 irrelevant.append((z_lo, z_hi, i))
-        covered = sorted(
-            [(lo, hi) for lo, hi, _ in true_windows]
-            + [(lo, hi) for lo, hi, _ in irrelevant]
-        )
-        segments: list[tuple[int, int]] = []
-        cursor = first
-        for lo, hi in covered:
-            if lo > cursor:
-                segments.append((cursor, lo))
-            cursor = max(cursor, hi)
-        if cursor < last + 1:
-            segments.append((cursor, last + 1))
+        for lo, hi, _ in irrelevant:
+            kind[lo + shift : hi + shift] = _IRRELEVANT
+        # later windows first, so an overlap keeps its earliest owner
+        for w, (lo, hi, _) in reversed(list(enumerate(true_windows, start=len(bounds)))):
+            kind[lo + shift : hi + shift] = _TRUE
+            owner[lo + shift : hi + shift] = w
+        bounds.extend((lo + shift, hi + shift) for lo, hi, _ in true_windows)
+        free = kind[base : base + last - first + 1] == _FALSE
+        edges = np.flatnonzero(np.diff(free, prepend=False, append=False)).tolist()
+        runs = tuple(zip(edges[::2], edges[1::2]))
+        for s, (lo, hi) in enumerate(runs, start=n_segments):
+            segment[base + lo : base + hi] = s
+        n_segments += len(runs)
         units[unit] = UnitLayout(
             unit_id=unit,
             first=first,
@@ -245,76 +218,74 @@ def layout_periods(
             events=evs,
             true_windows=tuple(true_windows),
             irrelevant_zones=tuple(irrelevant),
-            false_segments=tuple(segments),
+            false_segments=tuple((lo + first, hi + first) for lo, hi in runs),
             window_events=tuple(i for _, _, i in true_windows),
         )
-    return PeriodLayout(units=units, params=params, dropped=tuple(dropped))
+    windows = np.array(bounds, dtype=np.int64).reshape(-1, 2)
+    for array in (kind, owner, segment, windows):
+        array.setflags(write=False)
+    return PeriodLayout(
+        units=units, params=params, dropped=tuple(dropped), offsets=offsets, kind=kind,
+        owner=owner, segment=segment, window_lo=windows[:, 0], window_hi=windows[:, 1],
+    )
+
+
+def _positions(alarm: AlarmSeries, layout: PeriodLayout) -> dict[str, list[int]]:
+    """Each firing unit's sorted fleet-axis positions, in unit order; a firing
+    on a unit or flight outside the layout breaks every grader's precondition."""
+    positions: dict[str, list[int]] = {}
+    for unit in alarm.units():
+        flights = sorted(alarm.firings_for(unit))
+        if not flights:
+            continue
+        ul = layout.units.get(unit)
+        if ul is None:
+            raise ValueError(f"firings on unit {unit!r} absent from layout")
+        if flights[0] < ul.first or flights[-1] > ul.last:
+            t = next(t for t in flights if not ul.first <= t <= ul.last)
+            raise ValueError(
+                f"firing at flight {t} outside range [{ul.first}, {ul.last}] of unit {unit!r}"
+            )
+        shift = layout.offsets[unit] - ul.first
+        positions[unit] = [t + shift for t in flights]
+    return positions
 
 
 def classify_firings(alarm: AlarmSeries, layout: PeriodLayout) -> list[FiringLabel]:
     """Label every firing True, Irrelevant, or False (in that precedence).
 
-    A True firing inside several overlapping windows is credited to every
-    owning event.  Firings on units or flights outside the layout violate
-    the precondition and raise.
+    A True or Irrelevant firing is credited to every owning event (the
+    events whose window, or zone, contains it); a False firing carries the
+    index of its false segment among its unit's.
     """
     labels: list[FiringLabel] = []
-    for unit in alarm.units():
-        ul = layout.units.get(unit)
-        firings = alarm.firings_for(unit)
-        if ul is None:
-            if firings:
-                raise ValueError(f"firings on unit {unit!r} absent from layout")
-            continue
-        seg_starts = [lo for lo, _ in ul.false_segments]
-        for t in sorted(firings):
-            if not ul.first <= t <= ul.last:
-                raise ValueError(
-                    f"firing at flight {t} outside range [{ul.first}, {ul.last}] "
-                    f"of unit {unit!r}"
-                )
-            owners = tuple(i for lo, hi, i in ul.true_windows if lo <= t < hi)
-            if owners:
-                labels.append(FiringLabel(unit, t, FiringKind.TRUE, events=owners))
+    for unit, pos in _positions(alarm, layout).items():
+        ul = layout.units[unit]
+        shift = layout.offsets[unit] - ul.first
+        # the fleet-wide id of the unit's first false segment
+        seg0 = int(layout.segment[ul.false_segments[0][0] + shift]) if ul.false_segments else 0
+        for p, k, s in zip(pos, layout.kind[pos].tolist(), layout.segment[pos].tolist()):
+            t = p - shift
+            if k == _FALSE:
+                labels.append(FiringLabel(unit, t, _FIRING_KINDS[k], segment=s - seg0))
                 continue
-            zone_owners = tuple(i for lo, hi, i in ul.irrelevant_zones if lo <= t < hi)
-            if zone_owners:
-                labels.append(FiringLabel(unit, t, FiringKind.IRRELEVANT, events=zone_owners))
-                continue
-            seg = bisect_right(seg_starts, t) - 1
-            assert 0 <= seg < len(ul.false_segments) and t < ul.false_segments[seg][1]
-            labels.append(FiringLabel(unit, t, FiringKind.FALSE, segment=seg))
+            regions = ul.true_windows if k == _TRUE else ul.irrelevant_zones
+            owners = tuple(i for lo, hi, i in regions if lo <= t < hi)
+            labels.append(FiringLabel(unit, t, _FIRING_KINDS[k], events=owners))
     return labels
 
 
 def _grade(
     alarm: AlarmSeries, layout: PeriodLayout
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Grade every firing of the alarm in one pass over the compiled layout.
+    """Grade every firing of the alarm in one pass over the fleet axis.
 
     Returns the per-window and per-segment firing counts (the significance
     samples), the number of irrelevant firings and the number of covered
-    window events.  Raises like :func:`classify_firings` on firings outside
-    the layout.
+    window events.
     """
-    positions: list[int] = []
-    for unit in alarm.units():
-        firings = alarm.firings_for(unit)
-        if not firings:
-            continue
-        ul = layout.units.get(unit)
-        if ul is None:
-            raise ValueError(f"firings on unit {unit!r} absent from layout")
-        if min(firings) < ul.first or max(firings) > ul.last:
-            t = min(t for t in firings if not ul.first <= t <= ul.last)
-            raise ValueError(
-                f"firing at flight {t} outside range [{ul.first}, {ul.last}] "
-                f"of unit {unit!r}"
-            )
-        shift = layout.offsets[unit] - ul.first
-        positions.extend(t + shift for t in firings)
-    # sorted, so that the true positions can be searched by window bound
-    pos = np.sort(np.array(positions, dtype=np.int64))
+    # sorted, as the units are, so that true positions can be searched by window bound
+    pos = np.array([p for ps in _positions(alarm, layout).values() for p in ps], dtype=np.int64)
     kind = layout.kind[pos]
     true_pos = pos[kind == _TRUE]
     window_counts = np.bincount(layout.owner[true_pos], minlength=layout.window_lo.size)

@@ -158,11 +158,6 @@ def train_model(
 
     dep = dependence_from_rows(normal_rows, panels[0].columns, cfg.measure)
     grouping = build_groups(dep, cfg.rho)
-    unused = sorted(set(cfg.quantile_overrides) - {group[0] for group in grouping.groups})
-    if unused:
-        noun, verb = ("key", "leads") if len(unused) == 1 else ("keys", "lead")
-        keys = ", ".join(map(repr, unused))
-        warnings.warn(f"detect.quantile_overrides {noun} {keys} {verb} no group; ignored")
 
     col_index = {name: i for i, name in enumerate(panels[0].columns)}
     detectors, alarms = [], []
@@ -178,6 +173,13 @@ def train_model(
     layout = layout_periods(target_events, cfg.match, ranges)
 
     precursors = search_combinations(alarms, layout, cfg.search, target_code=cfg.code_prefix)
+    # Warned after the search, whose first p-value imports scipy.special: that resets the
+    # once-per-location warning registry, so an earlier warning repeats in the next fold.
+    unused = sorted(set(cfg.quantile_overrides) - {group[0] for group in grouping.groups})
+    if unused:
+        noun, verb = ("key", "leads") if len(unused) == 1 else ("keys", "lead")
+        keys = ", ".join(map(repr, unused))
+        warnings.warn(f"detect.quantile_overrides {noun} {keys} {verb} no group; ignored")
     return TrainedModel(
         config=cfg,
         column_stats=stats,

@@ -17,6 +17,47 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
+def _label_flights(evs, params, first, last):
+    """Label every flight of one unit "T", "I" or "F" by direct membership.
+
+    ``evs``: the unit's (unit, onset, end) tuples.  Returns the labels, the
+    indices into ``evs`` of the events whose window (for "T") or zone (for
+    "I") holds each labelled flight, and the maximal runs of "F" flights.
+    """
+    w, h, m = params.window, params.horizon, params.delay
+    labels = {}
+    owners = {}
+    for t in range(first, last + 1):
+        in_true = [
+            k for k, (_, onset, _) in enumerate(evs)
+            if onset - h - w <= t < onset - h
+        ]
+        if in_true:
+            labels[t] = "T"
+            owners[t] = in_true
+            continue
+        in_irr = [
+            k for k, (_, onset, end) in enumerate(evs) if onset - h <= t < end + m
+        ]
+        labels[t] = "I" if in_irr else "F"
+        owners[t] = in_irr
+    segments = []
+    run = []
+    for t in range(first, last + 1):
+        if labels[t] == "F":
+            run.append(t)
+        elif run:
+            segments.append(run)
+            run = []
+    if run:
+        segments.append(run)
+    return labels, owners, segments
+
+
+def _unit_events(events, unit):
+    return sorted([e for e in events if e[0] == unit], key=lambda e: (e[1], e[2]))
+
+
 def brute_force_match(events, params, ranges, firings):
     """Recount all match statistics by labelling every flight directly.
 
@@ -24,48 +65,20 @@ def brute_force_match(events, params, ranges, firings):
     (first, last); ``firings``: unit -> iterable of flights.  Returns a dict
     of counters, metrics, and the two significance samples.
     """
-    w, h, m = params.window, params.horizon, params.delay
     k_plus = k_minus = s_plus = s_minus = irrelevant = u_plus = u_minus = 0
     window_counts = []
     segment_counts = []
     for unit in sorted(ranges):
         first, last = ranges[unit]
-        evs = sorted(
-            [e for e in events if e[0] == unit], key=lambda e: (e[1], e[2])
-        )
-        labels = {}
-        owners = {}
-        for t in range(first, last + 1):
-            in_true = [
-                k for k, (_, onset, _) in enumerate(evs)
-                if onset - h - w <= t < onset - h
-            ]
-            if in_true:
-                labels[t] = "T"
-                owners[t] = in_true
-                continue
-            in_irr = any(
-                onset - h <= t < end + m for (_, onset, end) in evs
-            )
-            labels[t] = "I" if in_irr else "F"
+        evs = _unit_events(events, unit)
+        labels, owners, segments = _label_flights(evs, params, first, last)
 
         window_flights = {
-            k: [t for t in range(first, last + 1) if k in owners.get(t, [])]
+            k: [t for t in range(first, last + 1) if labels[t] == "T" and k in owners[t]]
             for k in range(len(evs))
         }
         counted_events = [k for k in range(len(evs)) if window_flights[k]]
         k_plus += len(counted_events)
-
-        segments = []
-        run = []
-        for t in range(first, last + 1):
-            if labels[t] == "F":
-                run.append(t)
-            elif run:
-                segments.append(run)
-                run = []
-        if run:
-            segments.append(run)
         k_minus += len(segments)
 
         fires = sorted(set(firings.get(unit, ())))
@@ -107,6 +120,39 @@ def brute_force_match(events, params, ranges, firings):
         "window_counts": window_counts,
         "segment_counts": segment_counts,
     }
+
+
+def brute_force_labels(events, params, ranges, firings):
+    """Label every firing by per-flight membership, in unit then flight order.
+
+    Inputs as for :func:`brute_force_match`.  Each label is ``(unit, flight,
+    kind, owners, segment)``: kind "T", "I" or "F"; owners the (onset, end)
+    of every event whose window ("T") or zone ("I") holds the flight, by
+    onset; segment the index of a false firing's run among its unit's runs,
+    else None.
+    """
+    out = []
+    for unit in sorted(ranges):
+        evs = _unit_events(events, unit)
+        labels, owners, segments = _label_flights(evs, params, *ranges[unit])
+        for t in sorted(set(firings.get(unit, ()))):
+            if labels[t] == "F":
+                seg = next(i for i, run in enumerate(segments) if t in run)
+                out.append((unit, t, "F", (), seg))
+            else:
+                owned = tuple((evs[k][1], evs[k][2]) for k in owners[t])
+                out.append((unit, t, labels[t], owned, None))
+    return out
+
+
+def fit_column_stats_reference(rows):
+    """Per-column nanmean and population nanstd of ``rows``, with the
+    warnings of all-missing columns silenced; NaN std becomes 0."""
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean = np.nanmean(rows, axis=0)
+        std = np.nanstd(rows, axis=0)
+    return mean, np.where(np.isnan(std), 0.0, std)
 
 
 def brute_force_search(pool, events, params, ranges, alpha, filter_kind, theta, max_size):

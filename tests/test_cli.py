@@ -452,6 +452,84 @@ class TestCurves:
         assert "baseline_param" in capsys.readouterr().err
 
 
+class TestInputNamesStayInOutDir:
+    """Column names and unit ids become output file names, so a name that
+    could leave its directory is rejected before anything is written."""
+
+    def rewrite(self, ws, tmp_path, edit):
+        text = (ws["fleet"] / "telemetry.csv").read_text()
+        (tmp_path / "telemetry.csv").write_text(edit(text))
+        (tmp_path / "events.csv").write_text(
+            (ws["fleet"] / "events.csv").read_text().replace("\nunit000,", "\n../escaped,")
+        )
+        payload = {"io": {"telemetry": "telemetry.csv", "events": "events.csv"}}
+        return write_config(tmp_path / "c.json", {**payload, **PIPELINE_SECTIONS})
+
+    def check(self, tmp_path, capsys, command, edit, ws, message):
+        cfg = self.rewrite(ws, tmp_path, edit)
+        out = tmp_path / "x" / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        path = (tmp_path / "telemetry.csv").resolve()
+        assert capsys.readouterr().err == f"fleetwarn: {path}: {message}\n"
+        written = sorted(p.name for p in tmp_path.rglob("*"))
+        assert written == ["c.json", "events.csv", "telemetry.csv"]
+
+    def test_column_name_climbing_out_of_detectors(self, ws, tmp_path, capsys):
+        def edit(text):
+            header, rest = text.split("\n", 1)
+            return header.replace(",g0p0,", ",../../pwned,") + "\n" + rest
+
+        message = (
+            "line 1: column name '../../pwned' is not a file name: "
+            "it must not be empty, '.' or '..', nor contain '/' or '\\'"
+        )
+        self.check(tmp_path, capsys, "run", edit, ws, message)
+
+    def test_unit_id_climbing_out_of_folds(self, ws, tmp_path, capsys):
+        def edit(text):
+            return text.replace("\nunit000,", "\n../escaped,")
+
+        message = (
+            "line 2: unit id '../escaped' is not a file name: "
+            "it must not be empty, '.' or '..', nor contain '/' or '\\'"
+        )
+        self.check(tmp_path, capsys, "crossval", edit, ws, message)
+
+    def test_repeated_column_name(self, ws, tmp_path, capsys):
+        def edit(text):
+            header, rest = text.split("\n", 1)
+            return header.replace(",g0p1,", ",g0p0,") + "\n" + rest
+
+        self.check(tmp_path, capsys, "run", edit, ws, "line 1: repeated column name 'g0p0'")
+
+
+def test_crossval_warns_once_of_an_unused_quantile_override(tmp_path):
+    # every fold retrains, but the warning is about the config, so it prints once
+    sim = write_config(tmp_path / "sim.json", {"sim": {**SIM_SECTION, "units": 4}})
+    assert main(["simulate", "--config", sim, "--out", str(tmp_path / "fleet")]) == 0
+    detect = {**PIPELINE_SECTIONS["detect"], "quantile_overrides": {"g0p1": 0.5}}
+    run = write_config(
+        tmp_path / "run.json",
+        {
+            "io": {"telemetry": "fleet/telemetry.csv", "events": "fleet/events.csv"},
+            **PIPELINE_SECTIONS,
+            "detect": detect,
+        },
+    )
+    src = str(Path(fleetwarn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fleetwarn", "crossval", "--config", run, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    warned = [
+        line for line in proc.stderr.splitlines()
+        if "UserWarning: detect.quantile_overrides key 'g0p1' leads no group; ignored" in line
+    ]
+    assert len(warned) == 1, proc.stderr
+
+
 class TestInputFileErrors:
     """Bad events and scores files exit 2, naming the file and the line."""
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fleetwarn.core import (
     write_json,
     write_telemetry_csv,
 )
-from oracles import apply_column_stats_reference
+from oracles import apply_column_stats_reference, fit_column_stats_reference
 from support import write_scores_csv
 
 
@@ -166,6 +167,39 @@ class TestNormalize:
         expect = apply_column_stats_reference(values, mean, std)
         assert got.tobytes() == expect.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fit_bit_equal_to_silenced_reference(self, data):
+        n_cols = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        panels, masks = [], []
+        for u in range(data.draw(st.integers(1, 3))):
+            n_rows = data.draw(st.integers(1, 25))
+            values = rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.integers(-3, 4, size=n_cols)
+            values[rng.random(values.shape) < 0.3] = np.nan
+            values[:, rng.random(n_cols) < 0.3] = np.nan  # all-missing columns
+            columns = tuple(f"p{j}" for j in range(n_cols))
+            panels.append(TelemetryPanel(f"u{u}", np.arange(n_rows), columns, values))
+            masks.append(rng.random(n_rows) < 0.8)
+        if not any(m.any() for m in masks):
+            masks[0][0] = True
+        mean, std = fit_column_stats_reference(
+            np.vstack([p.values[m] for p, m in zip(panels, masks)])
+        )
+        got = fit_column_stats(panels, masks)
+        assert np.array_equal(np.isnan(got.mean), np.isnan(mean))
+        observed = ~np.isnan(mean)
+        assert got.mean[observed].tobytes() == mean[observed].tobytes()
+        assert got.std.tobytes() == std.tobytes()
+
+    def test_fit_warns_of_nothing(self):
+        panel = make_panel([[1.0, np.nan], [3.0, np.nan]], columns=("x", "y"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = fit_column_stats([panel], [np.ones(2, dtype=bool)])
+        assert math.isnan(stats.mean[1]) and stats.std[1] == 0.0
+        assert (stats.mean[0], stats.std[0]) == (2.0, 1.0)
+
 
 class TestAlarmSeries:
     def test_signature_skips_empty_units(self):
@@ -293,6 +327,65 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError) as info:
             read_telemetry_csv(path)
         assert str(info.value) == f"{path}: line 4: {message}"
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../../pwned", "a/b", "a\\b"])
+    def test_telemetry_rejects_column_names_that_are_not_file_names(self, tmp_path, name):
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [["unit_id", "flight", "phase", "p1", name], ["u1", "1", "", "0.5", "1.0"]]
+            )
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 1: column name {name!r} is not a file name: "
+            "it must not be empty, '.' or '..', nor contain '/' or '\\'"
+        )
+
+    @pytest.mark.parametrize("unit", ["", ".", "..", "../escaped", "a/b", "a\\b"])
+    def test_telemetry_rejects_unit_ids_that_are_not_file_names(self, tmp_path, unit):
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [
+                    ["unit_id", "flight", "phase", "p1"],
+                    ["u1", "1", "", "0.5"],
+                    [unit, "1", "", "0.5"],
+                    [unit, "2", "", "0.5"],
+                ]
+            )
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 3: unit id {unit!r} is not a file name: "
+            "it must not be empty, '.' or '..', nor contain '/' or '\\'"
+        )
+
+    def test_telemetry_rejects_repeated_column_name(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("unit_id,flight,phase,p1,p2,p1\nu1,1,,0.5,1.0,2.0\n")
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == f"{path}: line 1: repeated column name 'p1'"
+
+    @pytest.mark.parametrize(
+        "flights, message",
+        [
+            ((2, 1), "line 5: flight 1 of unit 'unit000' follows flight 2"),
+            ((1, 1, 2), "line 5: repeated flight 1 of unit 'unit000'"),
+            ((1, 3, 2), "line 6: flight 2 of unit 'unit000' follows flight 3"),
+        ],
+    )
+    def test_telemetry_flight_order_errors_name_line(self, tmp_path, flights, message):
+        # unit001's rows interleave, so that the line is counted across units
+        rows = ["unit001,1,,0.0"]
+        rows += [f"unit000,{t},,0.5" for t in flights]
+        rows.insert(2, "unit001,2,,0.0")
+        path = tmp_path / "t.csv"
+        path.write_text("unit_id,flight,phase,p1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_events(self, tmp_path):
         events = [EventRecord("u2", 30, 31, "7100W310"), EventRecord("u1", 5, 8, "E2")]

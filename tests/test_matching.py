@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_match, welch_reference_p
+from oracles import brute_force_labels, brute_force_match, welch_reference_p
 from fleetwarn.core import (
     AlarmSeries,
     EventRecord,
@@ -441,6 +441,37 @@ class TestOracleProperties:
             ref["window_counts"],
             ref["segment_counts"],
         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(random_fleets())
+    @example(
+        (
+            # u0: a window clipped at each end of the range, and two
+            # overlapping windows whose shared flights both events own
+            [("u0", 3, 5), ("u0", 12, 13), ("u0", 15, 17), ("u0", 34, 36), ("ghost", 4, 6)],
+            [
+                EventRecord("u0", 3, 5, "E0"),
+                EventRecord("u0", 12, 13, "E1"),
+                EventRecord("u0", 15, 17, "E2"),
+                EventRecord("u0", 34, 36, "E3"),
+                EventRecord("ghost", 4, 6, "E4"),
+            ],
+            MatchParams(window=6, horizon=1, delay=2),
+            {"u0": (0, 30), "u1": (2, 4)},
+            {"u0": set(range(31)), "u1": {2, 4}},
+        )
+    )
+    def test_classify_firings_equals_brute_force(self, fleet):
+        events, records, params, ranges, firings = fleet
+        layout = layout_periods(records, params, ranges)
+        alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
+        kinds = {FiringKind.TRUE: "T", FiringKind.IRRELEVANT: "I", FiringKind.FALSE: "F"}
+        got = []
+        for lab in classify_firings(alarm, layout):
+            evs = layout.units[lab.unit_id].events
+            owners = tuple((evs[i].onset, evs[i].end) for i in lab.events)
+            got.append((lab.unit_id, lab.flight, kinds[lab.kind], owners, lab.segment))
+        assert got == brute_force_labels(events, params, ranges, firings)
 
 
 class TestFiringPreconditions:
