@@ -13,12 +13,13 @@ worker threads.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -363,18 +364,117 @@ def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> N
     write_csv(path, ["unit_id", "flight", "phase", *columns], rows)
 
 
+# "<name>.json" must fit the common 255-byte limit on a file name.
+_MAX_NAME_BYTES = 250
+
+
 def _check_name(what: str, name: str) -> None:
     """Reject a name that could not stand alone as the name of an output file."""
     if name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ValueError(f"{what} {name!r} is not a file name: it must not be empty, "
                          f"'.' or '..', nor contain '/' or '\\'")
+    size = len(name.encode("utf-8"))
+    if size > _MAX_NAME_BYTES:
+        raise ValueError(f"{what} {name[:24]!r}... is not a file name: it is {size} "
+                         f"UTF-8 bytes long, more than {_MAX_NAME_BYTES}")
 
 
-def _first_problem(path: str | Path, columns: tuple[str, ...]) -> ValueError:
-    """The error naming the first invalid telemetry row; for error paths only."""
+def _telemetry_columns(path: str | Path, header: list[str] | None, line: int) -> tuple[str, ...]:
+    """The parameter columns named by a telemetry header, checked as file names."""
+    if header is None or header[:3] != ["unit_id", "flight", "phase"]:
+        raise ValueError(f"{path}: expected header unit_id,flight,phase,<param>...")
+    columns = tuple(header[3:])
+    seen: set[str] = set()
+    try:
+        for name in columns:
+            _check_name("column name", name)
+            if name in seen:
+                raise ValueError(f"repeated column name {name!r}")
+            seen.add(name)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+    return columns
+
+
+def _plain(line: str) -> bool:
+    """Whether the bulk telemetry parse may split ``line`` by hand.
+
+    csv quoting and CR line ends need the csv module; np.loadtxt strips
+    U+001C..U+001F around a number, which float() rejects; and a line longer
+    than csv's field limit may hold a field that csv refuses.
+    """
+    return not (len(line) > csv.field_size_limit() or '"' in line or "\r" in line
+                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line)
+
+
+def _nan_filled(tail: str) -> str:
+    """Comma-separated cells with each empty cell spelled ``nan``."""
+    padded = f",{tail},"
+    if ",," not in padded:
+        return tail
+    return padded.replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
+
+
+def _bulk_rows(path: str | Path) -> tuple:
+    """Columns, then per-row units, flights, phases and values of a plain telemetry file.
+
+    One streaming ``np.loadtxt`` parses the numeric cells of every row.  Text
+    that is not plain, or an invalid row, raises a ValueError that names no
+    line; the caller then reads the file again with ``_checked_rows``.
+    """
+    units: list[str] = []
+    flights: list[int] = []
+    phases: list[str] = []
+    # One object per distinct unit id or phase: a copy per row would outlive
+    # the read in the panels' phases and scatter the heap.
+    texts: dict[str, str] = {}
+
+    def tails(fh: Iterable[str]) -> Iterator[str]:
+        for line in fh:
+            if line == "\n":
+                continue
+            if not _plain(line):
+                raise ValueError("not plain text")
+            unit, flight, phase, tail = line.removesuffix("\n").split(",", 3)
+            units.append(texts.setdefault(unit, unit))
+            flights.append(int(flight))
+            phases.append(texts.setdefault(phase, phase))
+            yield _nan_filled(tail)
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not _plain(header):
+            raise ValueError("not plain text")
+        columns = _telemetry_columns(path, header.removesuffix("\n").split(","), 1)
+        if not columns:
+            raise ValueError("no parameter columns")
+        rows = tails(fh)
+        first = next(rows, None)  # loadtxt warns of an input without rows
+        if first is None:
+            values = np.empty((0, len(columns)))
+        else:
+            values = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None,
+                                dtype=np.float64, ndmin=2)
+    for unit in dict.fromkeys(units):
+        _check_name("unit id", unit)
+    if np.isinf(values).any():
+        raise ValueError("infinite value")
+    return columns, units, flights, phases, values
+
+
+def _checked_rows(path: str | Path) -> tuple:
+    """What ``_bulk_rows`` returns, parsed one row at a time by ``_read_csv``.
+
+    It reads any text ``csv`` reads, and raises the first invalid row as
+    ``<path>: line N: <reason>``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        columns = _telemetry_columns(path, header, reader.line_num)
     previous: dict[str, int] = {}
 
-    def check(row: list[str]) -> None:
+    def parse(row: list[str]) -> tuple[str, int, str, list[float]]:
         unit, flight = row[0], _parse_cell("flight", row[1], int)
         if unit not in previous:
             _check_name("unit id", unit)
@@ -383,62 +483,46 @@ def _first_problem(path: str | Path, columns: tuple[str, ...]) -> ValueError:
         elif flight < previous[unit]:
             raise ValueError(f"flight {flight} of unit {unit!r} follows flight {previous[unit]}")
         previous[unit] = flight
-        for name, cell in zip(columns, row[3:]):
-            if cell:
-                _parse_cell(name, cell)
+        cells = [_parse_cell(name, c) if c else math.nan for name, c in zip(columns, row[3:])]
+        return unit, flight, row[2], cells
 
-    try:
-        _read_csv(path, ("unit_id", "flight", "phase", *columns), check)
-    except ValueError as exc:
-        return exc
-    return ValueError(f"{path}: invalid telemetry")
+    rows = _read_csv(path, header, parse)
+    units, flights, phases, cells = (list(r) for r in zip(*rows)) if rows else ([],) * 4
+    values = np.array(cells, dtype=np.float64).reshape(len(rows), len(columns))
+    return columns, units, flights, phases, values
+
+
+def _panels(columns: tuple[str, ...], units: list[str], flights: list[int],
+            phases: list[str], values: np.ndarray) -> list[TelemetryPanel]:
+    """The rows grouped into one panel per unit, in the order units first appear.
+
+    ``TelemetryPanel`` raises a ValueError that names no line if a unit's
+    flights do not strictly increase or its rows have the wrong width.
+    """
+    first: dict[str, int] = {}
+    codes = np.array([first.setdefault(u, len(first)) for u in units], dtype=np.intp)
+    order = np.argsort(codes, kind="stable")
+    values, flights = values[order], np.array(flights, dtype=np.int64)[order]
+    phases = [phases[i] or None for i in order.tolist()]
+    panels, start = [], 0
+    for unit, end in zip(first, np.cumsum(np.bincount(codes, minlength=len(first))).tolist()):
+        panels.append(TelemetryPanel(unit_id=unit, flights=flights[start:end], columns=columns,
+                                     values=values[start:end], phases=phases[start:end]))
+        start = end
+    return panels
 
 
 def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["unit_id", "flight", "phase"]:
-            raise ValueError(f"{path}: expected header unit_id,flight,phase,<param>...")
-        columns = tuple(header[3:])
-        try:
-            for i, name in enumerate(columns):
-                _check_name("column name", name)
-                if columns.index(name) != i:
-                    raise ValueError(f"repeated column name {name!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        per_unit: dict[str, list[tuple[int, str, list[float]]]] = {}
-        order: list[str] = []
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 3 + len(columns):
-                    raise ValueError  # described by _first_problem below
-                unit, flight, phase = row[0], int(row[1]), row[2]
-                vals = [float(c) if c != "" else float("nan") for c in row[3:]]
-                if unit not in per_unit:
-                    _check_name("unit id", unit)
-                    per_unit[unit] = []
-                    order.append(unit)
-                per_unit[unit].append((flight, phase, vals))
-        except ValueError:  # a decoding error recurs in the second read
-            raise _first_problem(path, columns) from None
-    panels = []
-    for unit in order:
-        records = per_unit[unit]
-        flights = np.array([r[0] for r in records], dtype=np.int64)
-        phases = tuple(r[1] or None for r in records)
-        values = np.array([r[2] for r in records], dtype=np.float64)
-        values = values.reshape(len(records), len(columns))
-        if np.isinf(values).any() or np.any(np.diff(flights) <= 0):
-            raise _first_problem(path, columns)
-        panels.append(
-            TelemetryPanel(unit_id=unit, flights=flights, columns=columns,
-                           values=values, phases=phases)
-        )
-    return panels
+    """One panel per unit, in the order the units first appear.
+
+    A plain file is parsed in bulk.  Quoted cells, CR line ends and every
+    invalid file take the row loop, which accepts the same cell text and
+    raises the first invalid row as ``<path>: line N: <reason>``.
+    """
+    try:
+        return _panels(*_bulk_rows(path))
+    except ValueError:
+        return _panels(*_checked_rows(path))
 
 
 _EVENTS_HEADER = ("unit_id", "onset", "end", "code")

@@ -7,6 +7,7 @@ arithmetic so the two sides can disagree.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import warnings
@@ -15,6 +16,8 @@ import numpy as np
 from scipy import stats as sstats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+
+from fleetwarn.core import TelemetryPanel, _check_name, _parse_cell, _read_csv
 
 
 def _label_flights(evs, params, first, last):
@@ -313,3 +316,79 @@ def apply_column_stats_reference(values, mean, std):
         else:
             values[:, j] = (values[:, j] - m) / s
     return values
+
+
+def _first_telemetry_problem(path, columns):
+    """The error naming the first invalid telemetry row; for error paths only."""
+    previous = {}
+
+    def check(row):
+        unit, flight = row[0], _parse_cell("flight", row[1], int)
+        if unit not in previous:
+            _check_name("unit id", unit)
+        elif flight == previous[unit]:
+            raise ValueError(f"repeated flight {flight} of unit {unit!r}")
+        elif flight < previous[unit]:
+            raise ValueError(f"flight {flight} of unit {unit!r} follows flight {previous[unit]}")
+        previous[unit] = flight
+        for name, cell in zip(columns, row[3:]):
+            if cell:
+                _parse_cell(name, cell)
+
+    try:
+        _read_csv(path, ("unit_id", "flight", "phase", *columns), check)
+    except ValueError as exc:
+        return exc
+    return ValueError(f"{path}: invalid telemetry")
+
+
+def read_telemetry_reference(path):
+    """The telemetry reader as a per-row ``csv`` loop with ``float()`` per cell.
+
+    ``fleetwarn.core.read_telemetry_csv`` parses a plain file in bulk; it
+    must return the same panels and raise the same messages as this loop.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:3] != ["unit_id", "flight", "phase"]:
+            raise ValueError(f"{path}: expected header unit_id,flight,phase,<param>...")
+        columns = tuple(header[3:])
+        try:
+            for i, name in enumerate(columns):
+                _check_name("column name", name)
+                if columns.index(name) != i:
+                    raise ValueError(f"repeated column name {name!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        per_unit = {}
+        order = []
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3 + len(columns):
+                    raise ValueError  # described by _first_telemetry_problem below
+                unit, flight, phase = row[0], int(row[1]), row[2]
+                vals = [float(c) if c != "" else float("nan") for c in row[3:]]
+                if unit not in per_unit:
+                    _check_name("unit id", unit)
+                    per_unit[unit] = []
+                    order.append(unit)
+                per_unit[unit].append((flight, phase, vals))
+        except ValueError:  # a decoding error recurs in the second read
+            raise _first_telemetry_problem(path, columns) from None
+    panels = []
+    for unit in order:
+        records = per_unit[unit]
+        flights = np.array([r[0] for r in records], dtype=np.int64)
+        phases = tuple(r[1] or None for r in records)
+        values = np.array([r[2] for r in records], dtype=np.float64)
+        values = values.reshape(len(records), len(columns))
+        if np.isinf(values).any() or np.any(np.diff(flights) <= 0):
+            raise _first_telemetry_problem(path, columns)
+        panels.append(
+            TelemetryPanel(unit_id=unit, flights=flights, columns=columns,
+                           values=values, phases=phases)
+        )
+    return panels

@@ -495,6 +495,19 @@ class TestInputNamesStayInOutDir:
         )
         self.check(tmp_path, capsys, "crossval", edit, ws, message)
 
+    def test_column_name_too_long_for_a_file(self, ws, tmp_path, capsys):
+        name = "g" * 300
+
+        def edit(text):
+            header, rest = text.split("\n", 1)
+            return header.replace(",g0p0,", f",{name},") + "\n" + rest
+
+        message = (
+            f"line 1: column name {name[:24]!r}... is not a file name: "
+            "it is 300 UTF-8 bytes long, more than 250"
+        )
+        self.check(tmp_path, capsys, "run", edit, ws, message)
+
     def test_repeated_column_name(self, ws, tmp_path, capsys):
         def edit(text):
             header, rest = text.split("\n", 1)

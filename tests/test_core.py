@@ -1,12 +1,14 @@
 import csv
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fleetwarn import core
 from fleetwarn.core import (
     AlarmSeries,
     ColumnStats,
@@ -27,7 +29,11 @@ from fleetwarn.core import (
     write_json,
     write_telemetry_csv,
 )
-from oracles import apply_column_stats_reference, fit_column_stats_reference
+from oracles import (
+    apply_column_stats_reference,
+    fit_column_stats_reference,
+    read_telemetry_reference,
+)
 from support import write_scores_csv
 
 
@@ -328,6 +334,13 @@ class TestCsvRoundTrips:
             read_telemetry_csv(path)
         assert str(info.value) == f"{path}: line 4: {message}"
 
+    def test_telemetry_rows_all_one_cell_short(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("unit_id,flight,phase,p1,p2\nu1,1,,0.5\nu1,2,,0.25\n")
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == f"{path}: line 2: row arity 4 != 5"
+
     @pytest.mark.parametrize("name", ["", ".", "..", "../../pwned", "a/b", "a\\b"])
     def test_telemetry_rejects_column_names_that_are_not_file_names(self, tmp_path, name):
         path = tmp_path / "t.csv"
@@ -387,6 +400,38 @@ class TestCsvRoundTrips:
             read_telemetry_csv(path)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "name, size",
+        [("p" * 251, 251), ("\u00e9" * 126, 252), ("\u2603" * 100, 300)],
+    )
+    def test_telemetry_rejects_column_names_too_long_for_a_file(self, tmp_path, name, size):
+        path = tmp_path / "t.csv"
+        path.write_text(f"unit_id,flight,phase,p1,{name}\nu1,1,,0.5,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 1: column name {name[:24]!r}... is not a file name: "
+            f"it is {size} UTF-8 bytes long, more than 250"
+        )
+
+    def test_telemetry_rejects_unit_ids_too_long_for_a_file(self, tmp_path):
+        unit = "u" * 251
+        path = tmp_path / "t.csv"
+        path.write_text(f"unit_id,flight,phase,p1\nu1,1,,0.5\n{unit},1,,0.5\n")
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 3: unit id {unit[:24]!r}... is not a file name: "
+            "it is 251 UTF-8 bytes long, more than 250"
+        )
+
+    def test_telemetry_names_of_250_bytes_are_read(self, tmp_path):
+        column, unit = "p" * 250, "\u00e9" * 125
+        path = tmp_path / "t.csv"
+        path.write_text(f"unit_id,flight,phase,{column}\n{unit},1,,0.5\n", encoding="utf-8")
+        (panel,) = read_telemetry_csv(path)
+        assert panel.columns == (column,) and panel.unit_id == unit
+
     def test_events(self, tmp_path):
         events = [EventRecord("u2", 30, 31, "7100W310"), EventRecord("u1", 5, 8, "E2")]
         path = tmp_path / "e.csv"
@@ -412,3 +457,151 @@ class TestCsvRoundTrips:
         assert [a.alarm_id for a in back] == ["a", "b"]
         assert back[0].firings_for("u1") == frozenset({1, 3})
         assert path.read_text().splitlines()[0] == "unit_id,flight,alarm_id"
+
+
+# Cell spellings for the reader properties: reprs of edge values and other
+# texts that float() reads.
+EDGE_CELLS = [repr(x) for x in (-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                                1e308, -1e308, 0.1, -2.5, 1.7976931348623157e308)]
+OTHER_CELLS = ["1.50", "1E5", " 2", "2 ", "1_0", "-0", "+3.", ".5e-3", "4.9e-324",
+               "1e+308", "nan", "-nan", "NaN", "\u0663", "\t7"]
+
+
+def _csv_text(rows, quote_all, line_end):
+    """Rows as CSV text; a cell is quoted when it holds a comma or a quote, or always."""
+
+    def cell(text):
+        if quote_all or any(c in text for c in ',"'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    return "".join(",".join(map(cell, row)) + line_end for row in rows)
+
+
+def _panel_bytes(panels):
+    return [(p.unit_id, p.columns, p.flights.tobytes(), p.values.tobytes(), p.phases)
+            for p in panels]
+
+
+def _outcome(read, path):
+    """The panels ``read`` returns as bytes, or the message it raises."""
+    try:
+        return _panel_bytes(read(path))
+    except (ValueError, csv.Error) as exc:
+        return str(exc)
+
+
+class TestTelemetryReaderAgainstRowLoop:
+    """The bulk telemetry reader returns, bit for bit, what the per-row csv
+    loop of ``oracles.read_telemetry_reference`` returns, and raises the
+    same messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_equal_to_reference(self, tmp_path_factory, data):
+        n_cols = data.draw(st.integers(1, 6))
+        quoted = data.draw(st.booleans())
+        names = ["u1", "unit-b", "e f", "\u00e9", *(["c,d"] if quoted else [])]
+        units = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+        row_units = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=12))
+        cell = st.one_of(
+            st.just(""),  # missing
+            st.sampled_from(EDGE_CELLS),
+            st.sampled_from(OTHER_CELLS),
+            st.floats(allow_infinity=False).map(repr),
+        )
+        phases = ["", "cruise", *(["climb, high"] if quoted else [])]
+        last: dict[str, int] = {}
+        rows = [["unit_id", "flight", "phase", *(f"p{j}" for j in range(n_cols))]]
+        for unit in row_units:
+            last[unit] = last.get(unit, data.draw(st.integers(-5, 5))) + data.draw(
+                st.integers(1, 3)
+            )
+            phase = data.draw(st.sampled_from(phases))
+            rows.append([unit, str(last[unit]), phase,
+                         *data.draw(st.lists(cell, min_size=n_cols, max_size=n_cols))])
+        for _ in range(data.draw(st.integers(0, 2))):
+            rows.insert(data.draw(st.integers(1, len(rows))), [])  # blank line
+        quote_all = quoted and data.draw(st.booleans())
+        text = _csv_text(rows, quote_all, data.draw(st.sampled_from(["\n", "\r\n"])))
+        path = tmp_path_factory.mktemp("reader") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expect = _outcome(read_telemetry_reference, path)
+        assert isinstance(expect, list)  # every drawn file is valid
+        assert _outcome(read_telemetry_csv, path) == expect
+        if not any(c in text for c in '"\r_\u0663'):  # what the bulk pass reads alone
+            assert _panel_bytes(core._panels(*core._bulk_rows(path))) == expect
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([*"0123456789.e+-_ \t#\x1c\x1f", "nan", "inf", "\u0663"]),
+            max_size=8,
+        ).map("".join),
+        st.integers(0, 2),
+    )
+    @example("1#", 2)  # a number, then what loadtxt would read as a comment
+    @example("1_0", 1)
+    @example("\x1c1", 1)
+    def test_cell_parity_with_float(self, tmp_path_factory, cell, column):
+        cells = ["0.5", "1.0", "2.0"]
+        cells[column] = cell
+        path = tmp_path_factory.mktemp("cell") / "t.csv"
+        path.write_text(
+            "unit_id,flight,phase,p0,p1,p2\n"
+            "u1,1,,0.25,0.5,0.75\n"
+            f"u1,2,,{','.join(cells)}\n",
+            encoding="utf-8",
+        )
+        try:
+            expect = float(cell) if cell else math.nan
+        except ValueError:
+            expect = None
+        if expect is None or math.isinf(expect):
+            with pytest.raises(ValueError) as info:
+                read_telemetry_csv(path)
+            assert str(info.value) == _outcome(read_telemetry_reference, path)
+            assert str(info.value).startswith(f"{path}: line 3: ")
+        else:
+            got = read_telemetry_csv(path)[0].values[1, column]
+            assert struct.pack("<d", got) == struct.pack("<d", expect)
+
+    @pytest.mark.parametrize(
+        "phase", ["x" * (csv.field_size_limit() + 1), "x" * 1000], ids=["long-field", "long-line"]
+    )
+    def test_long_lines_read_as_by_the_row_loop(self, tmp_path, phase):
+        path = tmp_path / "t.csv"
+        cell = "0." + "0" * 1000 + "5"
+        cells = ",".join([cell] * (csv.field_size_limit() // 1000))  # a line beyond the limit
+        header = ",".join(f"p{j}" for j in range(cells.count(",") + 1))
+        path.write_text(f"unit_id,flight,phase,{header}\nu1,1,{phase},{cells}\n")
+        assert _outcome(read_telemetry_csv, path) == _outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_file_without_rows_reads_no_panels_quietly(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_text("unit_id,flight,phase,p1\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_telemetry_csv(path) == []
+
+    def test_plain_file_never_takes_the_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "unit_id,flight,phase,p1,p2,p3,p4\n"
+            "u2,1,,,1e5,,\n"
+            "u1,4,x,0.5,,,7\n"
+            "\n"
+            "u2,3,,-0.0,,2,\n"
+            "u1,5,,,,,\n"
+        )
+        expect = _panel_bytes(read_telemetry_reference(path))
+
+        def row_loop(path):
+            raise AssertionError("row loop")
+
+        monkeypatch.setattr(core, "_checked_rows", row_loop)
+        assert _panel_bytes(read_telemetry_csv(path)) == expect
+        path.write_text('unit_id,flight,phase,p1,p2\n"u2",1,,,1e5\n')
+        with pytest.raises(AssertionError, match="row loop"):
+            read_telemetry_csv(path)
