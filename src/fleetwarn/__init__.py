@@ -6,6 +6,7 @@ from fleetwarn.core import (
     EventRecord,
     FiringKind,
     FiringLabel,
+    FleetAxis,
     MatchParams,
     TelemetryPanel,
     apply_column_stats,
@@ -21,6 +22,7 @@ __all__ = [
     "EventRecord",
     "FiringKind",
     "FiringLabel",
+    "FleetAxis",
     "MatchParams",
     "TelemetryPanel",
     "apply_column_stats",

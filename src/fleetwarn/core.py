@@ -133,32 +133,74 @@ class MatchParams:
 
 
 @dataclass(frozen=True)
+class FleetAxis:
+    """Every unit's flights laid end to end, units in sorted order: flight ``t``
+    of ``units[i]`` sits at position ``starts[i] + t - first[i]``, and the unit
+    fills positions ``[starts[i], starts[i + 1])``."""
+
+    units: tuple[str, ...]
+    first: tuple[int, ...]
+    starts: tuple[int, ...]
+
+    @classmethod
+    def from_ranges(cls, ranges: Mapping[str, tuple[int, int]]) -> "FleetAxis":
+        """The axis over each unit's inclusive [first, last] observation range."""
+        units = tuple(sorted(ranges))
+        sizes = [ranges[u][1] - ranges[u][0] + 1 for u in units]
+        for unit, size in zip(units, sizes):
+            if size < 1:
+                raise ValueError(f"bad observation range for unit {unit!r}")
+        return cls(units, tuple(ranges[u][0] for u in units), (0, *itertools.accumulate(sizes)))
+
+    def shift(self, unit: str) -> int:
+        """Position minus flight on ``unit``."""
+        i = self.units.index(unit)
+        return self.starts[i] - self.first[i]
+
+    def locate(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The unit index and the flight of each position."""
+        i = np.searchsorted(self.starts, positions, side="right") - 1
+        shifts = np.array(self.starts[:-1], dtype=np.int64) - np.array(self.first, dtype=np.int64)
+        return i, positions - shifts[i]
+
+
+@dataclass(frozen=True, eq=False)
 class AlarmSeries:
-    """A named binary signal over the fleet, stored as per-unit firing sets."""
+    """A named binary signal over the fleet: the sorted, read-only positions on
+    ``axis`` where it fires, which ``firings`` and ``firings_for`` read back as flights."""
 
     alarm_id: str
-    firings: Mapping[str, frozenset[int]]
+    axis: FleetAxis
+    positions: np.ndarray
 
     def __post_init__(self) -> None:
-        clean = {unit: frozenset(int(t) for t in ts) for unit, ts in self.firings.items()}
-        object.__setattr__(self, "firings", clean)
+        positions = np.asarray(self.positions, dtype=np.int64)
+        if positions.ndim != 1 or (positions[1:] <= positions[:-1]).any() or (
+                positions.size and not 0 <= positions[0] <= positions[-1] < self.axis.starts[-1]):
+            raise ValueError("alarm positions must strictly increase within the axis")
+        positions.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
 
     def units(self) -> tuple[str, ...]:
-        return tuple(sorted(self.firings))
+        return self.axis.units
+
+    @property
+    def firings(self) -> dict[str, frozenset[int]]:
+        return {unit: self.firings_for(unit) for unit in self.axis.units}
 
     def firings_for(self, unit_id: str) -> frozenset[int]:
-        return self.firings.get(unit_id, frozenset())
+        if unit_id not in self.axis.units:
+            return frozenset()
+        i = self.axis.units.index(unit_id)
+        lo, hi = np.searchsorted(self.positions, self.axis.starts[i : i + 2])
+        return frozenset((self.positions[lo:hi] - self.axis.shift(unit_id)).tolist())
 
     def total_firings(self) -> int:
-        return sum(len(ts) for ts in self.firings.values())
+        return self.positions.size
 
-    def signature(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        """Canonical form of the non-empty firing sets, for deduplication."""
-        return tuple(
-            (unit, tuple(sorted(ts)))
-            for unit, ts in sorted(self.firings.items())
-            if ts
-        )
+    def signature(self) -> bytes:
+        """The positions as bytes: equal for equal firings on one axis, for deduplication."""
+        return self.positions.tobytes()
 
 
 class FiringKind(Enum):
@@ -319,23 +361,35 @@ def _parse_cell(name: str, cell: str, parse: Callable[[str], Any] = float) -> An
         value = parse(cell)
     except ValueError:
         raise ValueError(f"cannot parse {cell!r} in column {name!r}") from None
+    if parse is int and not -2**63 <= value < 2**63:
+        raise ValueError(f"{cell!r} in column {name!r} is outside the 64-bit integer range")
     if math.isinf(value):
         raise ValueError(f"infinite value in column {name!r}")
     return value
 
 
+def _csv_rows(path: str | Path, fh: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each csv row with its line number; csv's own refusals fail with the line."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_csv(path: str | Path, header: Sequence[str], parse: Callable[[list[str]], Any]) -> list:
     """``parse(row)`` of each non-blank row below ``header``.
 
-    A row of the wrong width, or one that ``parse`` rejects, fails as
+    A row of the wrong width, or one that csv or ``parse`` rejects, fails as
     ``<path>: line N: <reason>``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(header):
+        rows = _csv_rows(path, fh)
+        if next(rows, (0, None))[1] != list(header):
             raise ValueError(f"{path}: expected header {','.join(header)}")
         records = []
-        for row in reader:
+        for line, row in rows:
             if not row:
                 continue
             try:
@@ -343,7 +397,7 @@ def _read_csv(path: str | Path, header: Sequence[str], parse: Callable[[list[str
                     raise ValueError(f"row arity {len(row)} != {len(header)}")
                 records.append(parse(row))
             except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+                raise ValueError(f"{path}: line {line}: {exc}") from None
     return records
 
 
@@ -469,9 +523,8 @@ def _checked_rows(path: str | Path) -> tuple:
     ``<path>: line N: <reason>``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        columns = _telemetry_columns(path, header, reader.line_num)
+        line, header = next(_csv_rows(path, fh), (0, None))
+        columns = _telemetry_columns(path, header, line)
     previous: dict[str, int] = {}
 
     def parse(row: list[str]) -> tuple[str, int, str, list[float]]:
@@ -521,7 +574,7 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
     """
     try:
         return _panels(*_bulk_rows(path))
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: a flight outside int64
         return _panels(*_checked_rows(path))
 
 
@@ -564,8 +617,17 @@ def read_scores_csv(path: str | Path) -> dict[str, dict[int, float]]:
 
 
 def write_alarms_csv(path: str | Path, alarms: Iterable[AlarmSeries]) -> None:
-    # Each unit's flights are sorted first, so the final sort merges sorted runs.
-    rows = sorted(
-        (u, t, a.alarm_id) for a in alarms for u in a.units() for t in sorted(a.firings_for(u))
-    )
-    write_csv(path, ["unit_id", "flight", "alarm_id"], ([u, str(t), a] for u, t, a in rows))
+    """One row per firing, sorted by unit, flight and alarm id; the alarms that
+    fire share one fleet axis, whose positions run in unit then flight order."""
+    alarms = sorted((a for a in alarms if a.positions.size), key=lambda a: a.alarm_id)
+    axis = alarms[0].axis if alarms else FleetAxis.from_ranges({})
+    if any(a.axis != axis for a in alarms):
+        raise ValueError("alarms to write disagree on the fleet axis")
+    positions = np.concatenate([np.empty(0, np.int64)] + [a.positions for a in alarms])
+    order = np.argsort(positions, kind="stable")  # ties keep the alarm id order
+    ids = np.repeat(np.array([a.alarm_id for a in alarms], dtype=object),
+                    [a.positions.size for a in alarms])[order]
+    unit, flight = axis.locate(positions[order])
+    rows = zip(np.array(axis.units, dtype=object)[unit].tolist(), map(str, flight.tolist()),
+               ids.tolist())
+    write_csv(path, ["unit_id", "flight", "alarm_id"], rows)

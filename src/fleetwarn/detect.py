@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from fleetwarn.core import AlarmSeries, EventRecord, TelemetryPanel, write_json
+from fleetwarn.core import AlarmSeries, EventRecord, FleetAxis, TelemetryPanel, write_json
 
 
 class NoNormalRegimeError(ValueError):
@@ -189,21 +189,21 @@ def fit_threshold(scores: np.ndarray, q: float) -> float:
 
 
 def binarize(
-    det: SubspaceDetector, scores: Mapping[str, tuple[np.ndarray, np.ndarray]]
+    det: SubspaceDetector, scores: Mapping[str, tuple[np.ndarray, np.ndarray]], axis: FleetAxis
 ) -> AlarmSeries:
-    """Alarm that fires where a score strictly exceeds the threshold.
+    """Alarm on ``axis`` that fires where a score strictly exceeds the threshold.
 
     ``scores`` maps unit -> (flights, scores), two aligned arrays as
-    :func:`score_reconstruction` gives them for a panel; missing (NaN)
-    never fires.
+    :func:`score_reconstruction` gives them for a panel, with the flights
+    inside the unit's range on the axis; missing (NaN) never fires.
     """
     if det.threshold is None:
         raise ValueError("threshold not set; call fit_threshold first")
-    firings = {
-        unit: frozenset(np.asarray(flights)[np.asarray(values) > det.threshold].tolist())
-        for unit, (flights, values) in scores.items()
-    }
-    return AlarmSeries(alarm_id=det.alarm_id, firings=firings)
+    positions = [np.empty(0, dtype=np.int64)] + [
+        np.asarray(flights)[np.asarray(values) > det.threshold] + axis.shift(unit)
+        for unit, (flights, values) in sorted(scores.items())
+    ]
+    return AlarmSeries(det.alarm_id, axis, np.concatenate(positions))
 
 
 def write_detector_json(path: str | Path, det: SubspaceDetector) -> None:

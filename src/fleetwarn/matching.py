@@ -29,6 +29,7 @@ from fleetwarn.core import (
     AlarmSeries,
     EventRecord,
     FiringKind,
+    FleetAxis,
     FiringLabel,
     MatchParams,
     NoTargetEventsError,
@@ -66,9 +67,8 @@ _FIRING_KINDS = (FiringKind.FALSE, FiringKind.IRRELEVANT, FiringKind.TRUE)
 class PeriodLayout:
     """Fleet-wide region decomposition plus the events it had to drop.
 
-    The decomposition is also held as per-flight arrays over one fleet axis
-    that concatenates the units in sorted order, unit ``u`` taking positions
-    ``offsets[u] + (flight - first)``:
+    The decomposition is also held as per-flight arrays over ``axis``, the
+    fleet axis of the observation ranges:
 
     * ``kind``: the flight's region (``_TRUE``, ``_IRRELEVANT``, ``_FALSE``);
     * ``owner``: for true flights, the fleet-wide id of the earliest-onset
@@ -78,24 +78,23 @@ class PeriodLayout:
     * ``window_lo``/``window_hi``: the axis bounds ``[lo, hi)`` of every
       window, in window id order.
 
-    The arrays restate ``units`` and take no part in ``repr`` or equality.
+    The arrays, the axis and ``n_false_segments`` (the fleet's count of false
+    segments) restate ``units`` and take no part in ``repr`` or equality.
     """
 
     units: Mapping[str, UnitLayout]
     params: MatchParams
     dropped: tuple[EventRecord, ...]
-    offsets: Mapping[str, int] = field(repr=False, compare=False)
+    axis: FleetAxis = field(repr=False, compare=False)
     kind: np.ndarray = field(repr=False, compare=False)
     owner: np.ndarray = field(repr=False, compare=False)
     segment: np.ndarray = field(repr=False, compare=False)
     window_lo: np.ndarray = field(repr=False, compare=False)
     window_hi: np.ndarray = field(repr=False, compare=False)
+    n_false_segments: int = field(repr=False, compare=False)
 
     def total_window_events(self) -> int:
         return self.window_lo.size
-
-    def total_false_segments(self) -> int:
-        return sum(len(ul.false_segments) for ul in self.units.values())
 
 
 @dataclass(frozen=True)
@@ -169,21 +168,14 @@ def layout_periods(
             continue
         per_unit.setdefault(ev.unit_id, []).append(ev)
 
-    offsets: dict[str, int] = {}
-    size = 0
-    for unit in sorted(ranges):
-        first, last = ranges[unit]
-        if last < first:
-            raise ValueError(f"bad observation range for unit {unit!r}")
-        offsets[unit] = size
-        size += last - first + 1
-    kind = np.full(size, _FALSE, dtype=np.int8)
-    owner = np.full(size, -1, dtype=np.int32)
-    segment = np.full(size, -1, dtype=np.int32)
+    axis = FleetAxis.from_ranges(ranges)
+    kind = np.full(axis.starts[-1], _FALSE, dtype=np.int8)
+    owner = np.full(axis.starts[-1], -1, dtype=np.int32)
+    segment = np.full(axis.starts[-1], -1, dtype=np.int32)
     bounds: list[tuple[int, int]] = []
     n_segments = 0
     units: dict[str, UnitLayout] = {}
-    for unit, base in offsets.items():
+    for unit, base in zip(axis.units, axis.starts):
         first, last = ranges[unit]
         shift = base - first
         evs = tuple(sorted(per_unit.get(unit, []), key=lambda e: (e.onset, e.end, e.code)))
@@ -225,30 +217,31 @@ def layout_periods(
     for array in (kind, owner, segment, windows):
         array.setflags(write=False)
     return PeriodLayout(
-        units=units, params=params, dropped=tuple(dropped), offsets=offsets, kind=kind,
-        owner=owner, segment=segment, window_lo=windows[:, 0], window_hi=windows[:, 1],
+        units=units, params=params, dropped=tuple(dropped), axis=axis, kind=kind, owner=owner,
+        segment=segment, window_lo=windows[:, 0], window_hi=windows[:, 1],
+        n_false_segments=n_segments,
     )
 
 
-def _positions(alarm: AlarmSeries, layout: PeriodLayout) -> dict[str, list[int]]:
-    """Each firing unit's sorted fleet-axis positions, in unit order; a firing
-    on a unit or flight outside the layout breaks every grader's precondition."""
-    positions: dict[str, list[int]] = {}
-    for unit in alarm.units():
-        flights = sorted(alarm.firings_for(unit))
-        if not flights:
-            continue
+def _positions(alarm: AlarmSeries, layout: PeriodLayout) -> np.ndarray:
+    """The alarm's sorted positions on the layout's axis.  An alarm on another
+    axis is mapped unit by unit, and a firing on a unit or flight outside the
+    layout breaks every grader's precondition."""
+    if alarm.axis == layout.axis:
+        return alarm.positions
+    units, flights = alarm.axis.locate(alarm.positions)
+    shifts = np.zeros(len(alarm.axis.units), dtype=np.int64)
+    for u in np.unique(units).tolist():
+        unit, fired = alarm.axis.units[u], flights[units == u]
         ul = layout.units.get(unit)
         if ul is None:
             raise ValueError(f"firings on unit {unit!r} absent from layout")
-        if flights[0] < ul.first or flights[-1] > ul.last:
-            t = next(t for t in flights if not ul.first <= t <= ul.last)
-            raise ValueError(
-                f"firing at flight {t} outside range [{ul.first}, {ul.last}] of unit {unit!r}"
-            )
-        shift = layout.offsets[unit] - ul.first
-        positions[unit] = [t + shift for t in flights]
-    return positions
+        outside = fired[(fired < ul.first) | (fired > ul.last)]
+        if outside.size:
+            raise ValueError(f"firing at flight {outside[0]} outside range "
+                             f"[{ul.first}, {ul.last}] of unit {unit!r}")
+        shifts[u] = layout.axis.shift(unit)
+    return flights + shifts[units]
 
 
 def classify_firings(alarm: AlarmSeries, layout: PeriodLayout) -> list[FiringLabel]:
@@ -259,19 +252,19 @@ def classify_firings(alarm: AlarmSeries, layout: PeriodLayout) -> list[FiringLab
     index of its false segment among its unit's.
     """
     labels: list[FiringLabel] = []
-    for unit, pos in _positions(alarm, layout).items():
-        ul = layout.units[unit]
-        shift = layout.offsets[unit] - ul.first
-        # the fleet-wide id of the unit's first false segment
-        seg0 = int(layout.segment[ul.false_segments[0][0] + shift]) if ul.false_segments else 0
-        for p, k, s in zip(pos, layout.kind[pos].tolist(), layout.segment[pos].tolist()):
-            t = p - shift
-            if k == _FALSE:
-                labels.append(FiringLabel(unit, t, _FIRING_KINDS[k], segment=s - seg0))
-                continue
-            regions = ul.true_windows if k == _TRUE else ul.irrelevant_zones
-            owners = tuple(i for lo, hi, i in regions if lo <= t < hi)
-            labels.append(FiringLabel(unit, t, _FIRING_KINDS[k], events=owners))
+    pos = _positions(alarm, layout)
+    units, flights = layout.axis.locate(pos)
+    # the fleet-wide id of each unit's first false segment
+    seg0 = np.cumsum([0] + [len(layout.units[u].false_segments) for u in layout.axis.units])
+    for u, t, k, s in zip(units.tolist(), flights.tolist(), layout.kind[pos].tolist(),
+                          layout.segment[pos].tolist()):
+        ul = layout.units[layout.axis.units[u]]
+        if k == _FALSE:
+            labels.append(FiringLabel(ul.unit_id, t, _FIRING_KINDS[k], segment=s - int(seg0[u])))
+            continue
+        regions = ul.true_windows if k == _TRUE else ul.irrelevant_zones
+        owners = tuple(i for lo, hi, i in regions if lo <= t < hi)
+        labels.append(FiringLabel(ul.unit_id, t, _FIRING_KINDS[k], events=owners))
     return labels
 
 
@@ -284,13 +277,12 @@ def _grade(
     samples), the number of irrelevant firings and the number of covered
     window events.
     """
-    # sorted, as the units are, so that true positions can be searched by window bound
-    pos = np.array([p for ps in _positions(alarm, layout).values() for p in ps], dtype=np.int64)
+    pos = _positions(alarm, layout)  # sorted, so true positions can be searched by window bound
     kind = layout.kind[pos]
     true_pos = pos[kind == _TRUE]
     window_counts = np.bincount(layout.owner[true_pos], minlength=layout.window_lo.size)
     segment_counts = np.bincount(
-        layout.segment[pos[kind == _FALSE]], minlength=layout.total_false_segments()
+        layout.segment[pos[kind == _FALSE]], minlength=layout.n_false_segments
     )
     fired_in_window = np.searchsorted(true_pos, layout.window_hi) - np.searchsorted(
         true_pos, layout.window_lo
@@ -361,7 +353,7 @@ def match_stats(
     window_counts, segment_counts, irrelevant, covered = _grade(alarm, layout)
     return MatchStats.from_counters(
         window_events=k_plus,
-        false_segments=layout.total_false_segments(),
+        false_segments=layout.n_false_segments,
         true_firings=int(window_counts.sum()),
         false_firings=int(segment_counts.sum()),
         irrelevant_firings=irrelevant,

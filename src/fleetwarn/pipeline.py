@@ -19,6 +19,7 @@ from fleetwarn.core import (
     AlarmSeries,
     ColumnStats,
     EventRecord,
+    FleetAxis,
     MatchParams,
     NoTargetEventsError,
     TelemetryPanel,
@@ -127,13 +128,14 @@ def fit_alarm(
     panels: Sequence[TelemetryPanel],
     masks: Sequence[np.ndarray],
     q: float,
+    axis: FleetAxis,
 ) -> tuple[SubspaceDetector, AlarmSeries]:
     """Threshold ``det`` at the q-quantile of its scores on the masked (normal)
-    flights, and binarize those same scores into its alarm on every panel."""
+    flights, and binarize those same scores into its alarm on the panels' ``axis``."""
     scores = _scores(det, panels)
     normal = np.concatenate([scores[p.unit_id][1][m] for p, m in zip(panels, masks)])
     det = replace(det, quantile=q, threshold=fit_threshold(normal, q))
-    return det, binarize(det, scores)
+    return det, binarize(det, scores, axis)
 
 
 def train_model(
@@ -159,18 +161,18 @@ def train_model(
     dep = dependence_from_rows(normal_rows, panels[0].columns, cfg.measure)
     grouping = build_groups(dep, cfg.rho)
 
+    ranges = {p.unit_id: p.observation_range() for p in panels}
+    layout = layout_periods(target_events, cfg.match, ranges)
+
     col_index = {name: i for i, name in enumerate(panels[0].columns)}
     detectors, alarms = [], []
     for group in grouping.groups:
         rows = normal_rows[:, [col_index[n] for n in group]]
         det = fit_subspace_from_rows(rows, group, min(cfg.rank, len(group)))
         q = cfg.quantile_overrides.get(group[0], cfg.quantile)
-        det, alarm = fit_alarm(det, normalized, masks, q)
+        det, alarm = fit_alarm(det, normalized, masks, q, layout.axis)
         detectors.append(det)
         alarms.append(alarm)
-
-    ranges = {p.unit_id: p.observation_range() for p in panels}
-    layout = layout_periods(target_events, cfg.match, ranges)
 
     precursors = search_combinations(alarms, layout, cfg.search, target_code=cfg.code_prefix)
     # Warned after the search, whose first p-value imports scipy.special: that resets the
@@ -198,7 +200,8 @@ def elementary_alarms_on(
     """Score new panels with the fitted detectors and thresholds."""
     panels = sorted(panels, key=lambda p: p.unit_id)
     normalized = [apply_column_stats(p, model.column_stats) for p in panels]
-    return {det.alarm_id: binarize(det, _scores(det, normalized)) for det in model.detectors}
+    axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
+    return {det.alarm_id: binarize(det, _scores(det, normalized), axis) for det in model.detectors}
 
 
 def pooled_on(model: TrainedModel, panels: Sequence[TelemetryPanel]) -> AlarmSeries:

@@ -24,6 +24,7 @@ import numpy as np
 
 from fleetwarn.core import (
     EventRecord,
+    FleetAxis,
     TelemetryPanel,
     apply_column_stats,
     fit_column_stats,
@@ -230,16 +231,16 @@ def _anomalies_exceed_q95(
     masks = normal_masks(panels, events, before, after)
     stats = fit_column_stats(list(panels), masks)
     normalized = [apply_column_stats(p, stats) for p in panels]
+    axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
     group_cols = cfg.group_columns()
     planted_groups = sorted({g for spec in cfg.planted for g in spec.groups})
     for g in planted_groups:
         cols = group_cols[g]
         rows = np.vstack([p.subvalues(cols)[m] for p, m in zip(normalized, masks)])
-        _, alarm = fit_alarm(fit_subspace_from_rows(rows, cols, rank=1), normalized, masks, q)
+        _, alarm = fit_alarm(fit_subspace_from_rows(rows, cols, rank=1), normalized, masks, q, axis)
+        fired = alarm.firings
         for anom in anomalies:
-            if g in cfg.planted[anom["spec"]].groups and (
-                anom["flight"] not in alarm.firings_for(anom["unit"])
-            ):
+            if g in cfg.planted[anom["spec"]].groups and anom["flight"] not in fired[anom["unit"]]:
                 return False
     return True
 

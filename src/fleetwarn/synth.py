@@ -13,7 +13,9 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from fleetwarn.core import AlarmSeries, write_json
+import numpy as np
+
+from fleetwarn.core import AlarmSeries, FleetAxis, write_json
 from fleetwarn.matching import (
     MatchStats,
     PeriodLayout,
@@ -68,31 +70,28 @@ class PrecursorSet:
 
 
 def compose_and(alarms: Sequence[AlarmSeries]) -> AlarmSeries:
-    """Per-unit intersection of 1-3 member alarms over one unit universe."""
+    """Intersection of 1-3 member alarms on one fleet axis."""
     if not 1 <= len(alarms) <= 3:
         raise ValueError("compose_and takes 1 to 3 member alarms")
-    universe = alarms[0].units()
+    positions = alarms[0].positions
     for alarm in alarms[1:]:
-        if alarm.units() != universe:
+        if alarm.axis != alarms[0].axis:
             raise ValueError("member alarms disagree on the unit universe")
-    firings = {
-        unit: frozenset.intersection(*(a.firings_for(unit) for a in alarms))
-        for unit in universe
-    }
+        # the positions of the shorter array that the longer one holds too
+        short, long = sorted((positions, alarm.positions), key=len)
+        positions = short[long.take(long.searchsorted(short), mode="clip") == short]
     member_ids = sorted(a.alarm_id for a in alarms)
-    return AlarmSeries(alarm_id="&".join(member_ids), firings=firings)
+    return AlarmSeries("&".join(member_ids), alarms[0].axis, positions)
 
 
 def pool_or(alarms: Iterable[AlarmSeries]) -> AlarmSeries:
     """OR-pool of the combinations' composed alarms; an empty pool never fires."""
-    firings: dict[str, set[int]] = {}
-    for alarm in alarms:
-        for unit in alarm.units():
-            firings.setdefault(unit, set()).update(alarm.firings_for(unit))
-    return AlarmSeries(
-        alarm_id="pooled",
-        firings={u: frozenset(ts) for u, ts in firings.items()},
-    )
+    alarms = list(alarms)
+    axis = alarms[0].axis if alarms else FleetAxis.from_ranges({})
+    if any(a.axis != axis for a in alarms):
+        raise ValueError("pooled alarms disagree on the unit universe")
+    positions = np.unique(np.concatenate([a.positions for a in alarms] or [np.empty(0, np.int64)]))
+    return AlarmSeries("pooled", axis, positions)
 
 
 def _passes(stats: MatchStats, cfg: SearchConfig) -> bool:

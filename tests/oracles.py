@@ -17,7 +17,7 @@ from scipy import stats as sstats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from fleetwarn.core import TelemetryPanel, _check_name, _parse_cell, _read_csv
+from fleetwarn.core import TelemetryPanel, _check_name, _parse_cell, _read_csv, write_csv
 
 
 def _label_flights(evs, params, first, last):
@@ -378,6 +378,8 @@ def read_telemetry_reference(path):
                 per_unit[unit].append((flight, phase, vals))
         except ValueError:  # a decoding error recurs in the second read
             raise _first_telemetry_problem(path, columns) from None
+        except csv.Error as exc:  # a field beyond csv's size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     panels = []
     for unit in order:
         records = per_unit[unit]
@@ -392,3 +394,13 @@ def read_telemetry_reference(path):
                            values=values, phases=phases)
         )
     return panels
+
+
+def write_alarms_reference(path, alarms):
+    """The alarms CSV as one sort of (unit, flight, alarm_id) tuples over every
+    alarm's per-unit flight sets."""
+    # Each unit's flights are sorted first, so the final sort merges sorted runs.
+    rows = sorted(
+        (u, t, a.alarm_id) for a in alarms for u in a.units() for t in sorted(a.firings_for(u))
+    )
+    write_csv(path, ["unit_id", "flight", "alarm_id"], ([u, str(t), a] for u, t, a in rows))

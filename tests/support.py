@@ -4,7 +4,30 @@ from __future__ import annotations
 
 import math
 
-from fleetwarn.core import write_csv
+import numpy as np
+
+from fleetwarn.core import AlarmSeries, FleetAxis, write_csv
+
+# The flight range of every unit of a test alarm built without an axis, so
+# that alarms over the same units share one fleet axis, as one fleet's do.
+WIDE_RANGE = (-(2**31), 2**31 - 1)
+
+
+def alarm_series(alarm_id, firings, axis=None):
+    """An ``AlarmSeries`` from per-unit flight sets.
+
+    Without ``axis`` every unit named in ``firings`` spans ``WIDE_RANGE``.
+    """
+    if axis is None:
+        axis = FleetAxis.from_ranges({unit: WIDE_RANGE for unit in firings})
+    positions = []
+    for unit, flights in firings.items():
+        i = axis.units.index(unit)
+        for t in set(flights):
+            if not 0 <= t - axis.first[i] < axis.starts[i + 1] - axis.starts[i]:
+                raise ValueError(f"flight {t} of unit {unit!r} is off the axis")
+            positions.append(t + axis.shift(unit))
+    return AlarmSeries(alarm_id, axis, np.array(sorted(positions), dtype=np.int64))
 
 
 def write_scores_csv(path, scores):

@@ -16,7 +16,7 @@ from itertools import combinations as subsets
 import numpy as np
 
 from fleetwarn.cli import main
-from fleetwarn.core import AlarmSeries, EventRecord, MatchParams, TelemetryPanel
+from fleetwarn.core import EventRecord, MatchParams, TelemetryPanel
 from fleetwarn.detect import fit_subspace_from_rows, fit_threshold, score_reconstruction
 from fleetwarn.evaluation import (
     leave_one_unit_out,
@@ -33,7 +33,7 @@ from fleetwarn.synth import (
 )
 
 from oracles import brute_force_match, exact_max_matching
-from support import precision_at_recall
+from support import alarm_series, precision_at_recall
 
 COUNTERS = (
     "window_events",
@@ -93,7 +93,7 @@ def test_criterion_1_metric_oracle_equivalence():
             layout = layout_periods(records, params, ranges)
             if layout.total_window_events() == 0:
                 continue
-            alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
+            alarm = alarm_series("a", {u: frozenset(v) for u, v in firings.items()})
             stats = match_stats(alarm, layout)
             ref = brute_force_match(events, params, ranges, firings)
             for key in COUNTERS:
@@ -195,7 +195,7 @@ def test_criterion_5_boolean_algebra_laws():
                     )
                     for unit, (lo, hi) in ranges.items()
                 }
-                alarms.append(AlarmSeries(f"a{k}", firings))
+                alarms.append(alarm_series(f"a{k}", firings))
             for size in (2, 3):
                 for members in subsets(alarms, size):
                     composed = compose_and(members)

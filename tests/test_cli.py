@@ -516,6 +516,32 @@ class TestInputNamesStayInOutDir:
         self.check(tmp_path, capsys, "run", edit, ws, "line 1: repeated column name 'g0p0'")
 
 
+def _second_row(edit_row):
+    def edit(text):
+        header, row, rest = text.split("\n", 2)
+        return "\n".join([header, edit_row(row.split(",")), rest])
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            _second_row(lambda cells: ",".join([cells[0], "99999999999999999999", *cells[2:]])),
+            "line 2: '99999999999999999999' in column 'flight' is outside the 64-bit integer range",
+        ),
+        (
+            _second_row(lambda cells: ",".join([*cells[:2], "x" * 140_000, *cells[3:]])),
+            "line 2: field larger than field limit (131072)",
+        ),
+    ],
+    ids=["flight-outside-int64", "field-beyond-csv-limit"],
+)
+def test_telemetry_the_reader_cannot_hold_exits_2(ws, tmp_path, capsys, edit, message):
+    TestInputNamesStayInOutDir().check(tmp_path, capsys, "run", edit, ws, message)
+
+
 def test_crossval_warns_once_of_an_unused_quantile_override(tmp_path):
     # every fold retrains, but the warning is about the config, so it prints once
     sim = write_config(tmp_path / "sim.json", {"sim": {**SIM_SECTION, "units": 4}})
@@ -559,6 +585,12 @@ class TestInputFileErrors:
             ("u1,5,6,E1\nu1,x,5,E1\n", "line 3: cannot parse 'x' in column 'onset'"),
             ("u1,5,3,E1\n", "line 2: event end 3 must exceed onset 5"),
             ("u1,5,6\n", "line 2: row arity 3 != 4"),
+            (
+                "u1,5,99999999999999999999,E1\n",
+                "line 2: '99999999999999999999' in column 'end' is outside the 64-bit integer range",
+            ),
+            ("u1,5,6,E1\nu1,7,8," + "E" * 140_000 + "\n",
+             "line 3: field larger than field limit (131072)"),
         ],
     )
     def test_bad_events(self, tmp_path, capsys, events, message):
@@ -574,6 +606,11 @@ class TestInputFileErrors:
             ("u1,1,0.9\nu1,2,0.5\nu1,1,0.1\n", "line 4: repeated flight 1 of unit 'u1'"),
             ("u1,x,0.5\n", "line 2: cannot parse 'x' in column 'flight'"),
             ("u1,1,high\n", "line 2: cannot parse 'high' in column 'score'"),
+            (
+                "u1,-99999999999999999999,0.5\n",
+                "line 2: '-99999999999999999999' in column 'flight' is outside the 64-bit "
+                "integer range",
+            ),
         ],
     )
     def test_bad_scores(self, tmp_path, capsys, scores, message):

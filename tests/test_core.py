@@ -13,6 +13,7 @@ from fleetwarn.core import (
     AlarmSeries,
     ColumnStats,
     EventRecord,
+    FleetAxis,
     MatchParams,
     TelemetryPanel,
     apply_column_stats,
@@ -29,12 +30,14 @@ from fleetwarn.core import (
     write_json,
     write_telemetry_csv,
 )
+from fleetwarn.synth import pool_or
 from oracles import (
     apply_column_stats_reference,
     fit_column_stats_reference,
     read_telemetry_reference,
+    write_alarms_reference,
 )
-from support import write_scores_csv
+from support import alarm_series, write_scores_csv
 
 
 def make_panel(values, columns=("x",), unit="u1", flights=None):
@@ -55,7 +58,7 @@ def read_alarms_csv(path):
         for unit, flight, alarm_id in reader:
             sets.setdefault(alarm_id, {}).setdefault(unit, set()).add(int(flight))
     return [
-        AlarmSeries(alarm_id=aid, firings={u: frozenset(ts) for u, ts in units.items()})
+        alarm_series(aid, {u: frozenset(ts) for u, ts in units.items()})
         for aid, units in sorted(sets.items())
     ]
 
@@ -209,12 +212,47 @@ class TestNormalize:
 
 class TestAlarmSeries:
     def test_signature_skips_empty_units(self):
-        alarm = AlarmSeries("a", {"u2": frozenset({3, 1}), "u1": frozenset()})
-        assert alarm.signature() == (("u2", (1, 3)),)
+        axis = FleetAxis.from_ranges({"u1": (0, 9), "u2": (0, 9)})
+        alarm = alarm_series("a", {"u2": frozenset({3, 1}), "u1": frozenset()}, axis)
+        assert alarm.signature() == np.array([11, 13], dtype=np.int64).tobytes()
+        assert alarm.signature() == alarm_series("b", {"u2": {1, 3}}, axis).signature()
 
     def test_total_firings(self):
-        alarm = AlarmSeries("a", {"u": frozenset({1, 2}), "v": frozenset({9})})
+        alarm = alarm_series("a", {"u": frozenset({1, 2}), "v": frozenset({9})})
         assert alarm.total_firings() == 3
+
+    @pytest.mark.parametrize("positions", [[2, 1], [1, 1], [-1], [20], [[1]]])
+    def test_positions_strictly_increase_within_the_axis(self, positions):
+        axis = FleetAxis.from_ranges({"u1": (0, 9), "u2": (0, 9)})
+        with pytest.raises(ValueError, match="strictly increase within the axis"):
+            AlarmSeries("a", axis, np.array(positions))
+
+    def test_firings_view_is_read_only(self):
+        alarm = alarm_series("a", {"u": {1, 2}})
+        with pytest.raises(ValueError):
+            alarm.positions[0] = 0
+
+
+@st.composite
+def alarm_lists(draw):
+    """Alarms on one random axis, with repeated ids, ids and unit ids that csv
+    must quote, alarms that never fire and a never-firing pool on no axis."""
+    names = st.text(alphabet='ab,"', min_size=1, max_size=3)
+    ranges = {}
+    for unit in draw(st.lists(names, min_size=1, max_size=4, unique=True)):
+        first = draw(st.integers(-20, 20))
+        ranges[unit] = (first, first + draw(st.integers(0, 30)))
+    axis = FleetAxis.from_ranges(ranges)
+    alarms = [
+        alarm_series(draw(names), {
+            unit: draw(st.frozensets(st.integers(first, last), max_size=8))
+            for unit, (first, last) in ranges.items()
+        }, axis)
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    if draw(st.booleans()):
+        alarms.append(pool_or([]))
+    return draw(st.permutations(alarms))
 
 
 class TestOutputEncodings:
@@ -447,9 +485,10 @@ class TestCsvRoundTrips:
         assert back == {"u1": {1: 0.5}, "u2": {7: 1.25}}
 
     def test_alarms(self, tmp_path):
+        axis = FleetAxis.from_ranges({"u1": (0, 9), "u2": (0, 9)})
         alarms = [
-            AlarmSeries("b", {"u1": frozenset({2})}),
-            AlarmSeries("a", {"u1": frozenset({1, 3}), "u2": frozenset()}),
+            alarm_series("b", {"u1": frozenset({2})}, axis),
+            alarm_series("a", {"u1": frozenset({1, 3}), "u2": frozenset()}, axis),
         ]
         path = tmp_path / "a.csv"
         write_alarms_csv(path, alarms)
@@ -457,6 +496,19 @@ class TestCsvRoundTrips:
         assert [a.alarm_id for a in back] == ["a", "b"]
         assert back[0].firings_for("u1") == frozenset({1, 3})
         assert path.read_text().splitlines()[0] == "unit_id,flight,alarm_id"
+
+    @settings(max_examples=200, deadline=None)
+    @given(alarm_lists())
+    def test_alarms_equal_the_sorted_tuple_writer(self, tmp_path_factory, alarms):
+        tmp = tmp_path_factory.mktemp("alarms")
+        write_alarms_csv(tmp / "got.csv", alarms)
+        write_alarms_reference(tmp / "ref.csv", alarms)
+        assert (tmp / "got.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+    def test_alarms_on_two_axes_are_refused(self, tmp_path):
+        alarms = [alarm_series("a", {"u1": {1}}), alarm_series("b", {"u2": {1}})]
+        with pytest.raises(ValueError, match="disagree on the fleet axis"):
+            write_alarms_csv(tmp_path / "a.csv", alarms)
 
 
 # Cell spellings for the reader properties: reprs of edge values and other
@@ -576,6 +628,34 @@ class TestTelemetryReaderAgainstRowLoop:
         header = ",".join(f"p{j}" for j in range(cells.count(",") + 1))
         path.write_text(f"unit_id,flight,phase,{header}\nu1,1,{phase},{cells}\n")
         assert _outcome(read_telemetry_csv, path) == _outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["bulk", "row-loop"])
+    @pytest.mark.parametrize("flight", ["99999999999999999999", "-9223372036854775809"])
+    def test_flight_outside_int64_names_its_line(self, tmp_path, quote, flight):
+        path = tmp_path / "t.csv"
+        path.write_text(f"unit_id,flight,phase,p1\nu1,1,,0.5\n{quote}u1{quote},{flight},,1\n")
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 3: {flight!r} in column 'flight' is outside the 64-bit integer range"
+        )
+
+    def test_int64_bounds_are_flights(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("unit_id,flight,phase,p1\nu1,-9223372036854775808,,0.5\n"
+                        "u2,9223372036854775807,,1\n")
+        assert [p.flights.tolist() for p in read_telemetry_csv(path)] == [[-(2**63)], [2**63 - 1]]
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_beyond_the_csv_limit_names_its_line(self, tmp_path, line):
+        path = tmp_path / "t.csv"
+        lines = ["unit_id,flight,phase,p1", "u1,1,,0.5", "u1,2,,1"]
+        lines[line - 1] += "x" * 140_000
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_telemetry_csv(path)
+        limit = csv.field_size_limit()
+        assert str(info.value) == f"{path}: line {line}: field larger than field limit ({limit})"
 
     @pytest.mark.parametrize("body", ["", "\n\n"])
     def test_file_without_rows_reads_no_panels_quietly(self, tmp_path, body):

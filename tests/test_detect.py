@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fleetwarn.core import EventRecord, TelemetryPanel
+from fleetwarn.core import EventRecord, FleetAxis, TelemetryPanel
 from fleetwarn.detect import (
     InsufficientNormalDataError,
     NoNormalRegimeError,
@@ -235,6 +235,10 @@ class TestThreshold:
                 assert frac <= 1 - q + 1 / n + 1e-12
 
 
+# one unit observed on flights 1-3
+AXIS = FleetAxis.from_ranges({"u": (1, 3)})
+
+
 class TestBinarize:
     def detector(self, threshold):
         det = SubspaceDetector(
@@ -248,17 +252,17 @@ class TestBinarize:
 
     def test_strictly_above_fires(self):
         det = self.detector(1.0)
-        alarm = binarize(det, {"u": (np.array([1, 2, 3]), np.array([0.1, 5.0, 0.2]))})
+        alarm = binarize(det, {"u": (np.array([1, 2, 3]), np.array([0.1, 5.0, 0.2]))}, AXIS)
         assert alarm.firings_for("u") == frozenset({2})
 
     def test_at_threshold_does_not_fire(self):
         det = self.detector(1.0)
-        alarm = binarize(det, {"u": (np.array([1]), np.array([1.0]))})
+        alarm = binarize(det, {"u": (np.array([1]), np.array([1.0]))}, AXIS)
         assert alarm.firings_for("u") == frozenset()
 
     def test_missing_never_fires(self):
         det = self.detector(0.5)
-        alarm = binarize(det, {"u": (np.array([1, 2]), np.array([np.nan, 2.0]))})
+        alarm = binarize(det, {"u": (np.array([1, 2]), np.array([np.nan, 2.0]))}, AXIS)
         assert alarm.firings_for("u") == frozenset({2})
 
     def test_threshold_required(self):
@@ -266,7 +270,7 @@ class TestBinarize:
             group=("a",), mean=np.zeros(1), basis=np.ones((1, 1)), rank=1, quantile=0.9
         )
         with pytest.raises(ValueError, match="threshold"):
-            binarize(det, {"u": (np.array([1]), np.array([1.0]))})
+            binarize(det, {"u": (np.array([1]), np.array([1.0]))}, AXIS)
 
     def test_alarm_id_records_group_rank_quantile(self):
         det = self.detector(1.0)

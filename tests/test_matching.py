@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_labels, brute_force_match, welch_reference_p
+from support import alarm_series
 from fleetwarn.core import (
-    AlarmSeries,
     EventRecord,
     FiringKind,
     MatchParams,
@@ -132,7 +132,7 @@ class TestLayout:
 class TestClassify:
     def test_base_example_labels(self):
         layout = base_layout()
-        alarm = AlarmSeries("a", {"u": frozenset({3, 16, 21, 27})})
+        alarm = alarm_series("a", {"u": frozenset({3, 16, 21, 27})})
         labels = {lab.flight: lab.kind for lab in classify_firings(alarm, layout)}
         assert labels == {
             3: FiringKind.FALSE,
@@ -145,7 +145,7 @@ class TestClassify:
         # flight 8 falls in event 1's window and event 0's zone
         events = [EventRecord("u", 7, 9, "A"), EventRecord("u", 12, 13, "B")]
         layout = layout_periods(events, MatchParams(window=5), {"u": (1, 30)})
-        alarm = AlarmSeries("a", {"u": frozenset({8})})
+        alarm = alarm_series("a", {"u": frozenset({8})})
         (lab,) = classify_firings(alarm, layout)
         assert lab.kind is FiringKind.TRUE
         assert lab.events == (1,)
@@ -153,31 +153,31 @@ class TestClassify:
     def test_shared_firing_credits_both_owners(self):
         events = [EventRecord("u", 10, 11, "A"), EventRecord("u", 12, 13, "B")]
         layout = layout_periods(events, MatchParams(window=5), {"u": (1, 30)})
-        alarm = AlarmSeries("a", {"u": frozenset({8})})
+        alarm = alarm_series("a", {"u": frozenset({8})})
         (lab,) = classify_firings(alarm, layout)
         assert lab.kind is FiringKind.TRUE
         assert lab.events == (0, 1)
 
     def test_false_firing_carries_segment_index(self):
         layout = base_layout()
-        alarm = AlarmSeries("a", {"u": frozenset({3, 27})})
+        alarm = alarm_series("a", {"u": frozenset({3, 27})})
         labs = classify_firings(alarm, layout)
         assert [lab.segment for lab in labs] == [0, 1]
 
     def test_unknown_unit_rejected(self):
         layout = base_layout()
-        alarm = AlarmSeries("a", {"ghost": frozenset({3})})
+        alarm = alarm_series("a", {"ghost": frozenset({3})})
         with pytest.raises(ValueError, match="absent from layout"):
             classify_firings(alarm, layout)
 
     def test_out_of_range_flight_rejected(self):
         layout = base_layout()
-        alarm = AlarmSeries("a", {"u": frozenset({31})})
+        alarm = alarm_series("a", {"u": frozenset({31})})
         with pytest.raises(ValueError, match="outside range"):
             classify_firings(alarm, layout)
 
     def test_empty_alarm(self):
-        assert classify_firings(AlarmSeries("a", {}), base_layout()) == []
+        assert classify_firings(alarm_series("a", {}), base_layout()) == []
 
 
 class TestSignificance:
@@ -216,7 +216,7 @@ class TestSignificance:
         # two windows, one shared firing attributed to the earlier event only
         events = [EventRecord("u", 10, 11, "A"), EventRecord("u", 12, 13, "B")]
         layout = layout_periods(events, MatchParams(window=5), {"u": (1, 30)})
-        alarm = AlarmSeries("a", {"u": frozenset({8, 20})})
+        alarm = alarm_series("a", {"u": frozenset({8, 20})})
         window_counts, segment_counts = significance_samples(alarm, layout)
         assert window_counts == [1, 0]
         assert sum(window_counts) == 1  # equals true firing total
@@ -226,7 +226,7 @@ class TestSignificance:
 class TestMatchStats:
     def test_base_example_counters(self):
         layout = base_layout()
-        alarm = AlarmSeries("a", {"u": frozenset({3, 16, 21, 27})})
+        alarm = alarm_series("a", {"u": frozenset({3, 16, 21, 27})})
         st = match_stats(alarm, layout)
         assert st.window_events == 1
         assert st.false_segments == 2
@@ -240,7 +240,7 @@ class TestMatchStats:
         assert st.false_to_covered == 2.0
 
     def test_silent_alarm(self):
-        st = match_stats(AlarmSeries("a", {}), base_layout())
+        st = match_stats(alarm_series("a", {}), base_layout())
         assert st.coverage == 0.0
         assert st.false_alarm_rate == 0.0
         assert math.isinf(st.false_to_covered)
@@ -249,7 +249,7 @@ class TestMatchStats:
     def test_half_coverage(self):
         events = [EventRecord("u", 10, 11, "A"), EventRecord("u", 25, 26, "B")]
         layout = layout_periods(events, MatchParams(window=5), {"u": (1, 40)})
-        alarm = AlarmSeries("a", {"u": frozenset({7})})
+        alarm = alarm_series("a", {"u": frozenset({7})})
         st = match_stats(alarm, layout)
         assert st.covered_events == 1
         assert st.coverage == 0.5
@@ -257,11 +257,11 @@ class TestMatchStats:
     def test_no_events_strict(self):
         layout = layout_periods([], MatchParams(), {"u": (1, 10)})
         with pytest.raises(NoTargetEventsError, match="no target events"):
-            match_stats(AlarmSeries("a", {}), layout)
+            match_stats(alarm_series("a", {}), layout)
 
     def test_no_events_lenient(self):
         layout = layout_periods([], MatchParams(), {"u": (1, 10)})
-        st = match_stats(AlarmSeries("a", {"u": frozenset({5})}), layout, require_events=False)
+        st = match_stats(alarm_series("a", {"u": frozenset({5})}), layout, require_events=False)
         assert math.isnan(st.coverage)
         assert math.isnan(st.false_alarm_rate)
         assert math.isinf(st.false_to_covered)
@@ -271,16 +271,16 @@ class TestMatchStats:
         shift = 1000
         events = [EventRecord("u", 20, 22, "E")]
         params = MatchParams(window=5)
-        alarm = AlarmSeries("a", {"u": frozenset({3, 16, 21, 27})})
+        alarm = alarm_series("a", {"u": frozenset({3, 16, 21, 27})})
         st0 = match_stats(alarm, layout_periods(events, params, {"u": (1, 30)}))
         events_s = [EventRecord("u", 20 + shift, 22 + shift, "E")]
-        alarm_s = AlarmSeries("a", {"u": frozenset({t + shift for t in (3, 16, 21, 27)})})
+        alarm_s = alarm_series("a", {"u": frozenset({t + shift for t in (3, 16, 21, 27)})})
         st1 = match_stats(alarm_s, layout_periods(events_s, params, {"u": (1 + shift, 30 + shift)}))
         assert st0 == st1
 
     def test_wider_window_absorbs_false_firings(self):
         events = [EventRecord("u", 20, 21, "E")]
-        alarm = AlarmSeries("a", {"u": frozenset({12, 18})})
+        alarm = alarm_series("a", {"u": frozenset({12, 18})})
         prev_false, prev_covered = None, None
         for w in (2, 4, 8, 10):
             st = match_stats(alarm, layout_periods(events, MatchParams(window=w), {"u": (1, 30)}))
@@ -297,7 +297,7 @@ class TestMatchStats:
             events = [EventRecord("u", rng.randint(5, 25), rng.randint(26, 28), "E")]
             fires = frozenset(rng.sample(range(1, 31), rng.randint(0, 10)))
             layout = layout_periods(events, MatchParams(window=rng.randint(1, 6)), {"u": (1, 30)})
-            st = match_stats(AlarmSeries("a", {"u": fires}), layout)
+            st = match_stats(alarm_series("a", {"u": fires}), layout)
             assert (st.fired_false_segments == 0) == (st.false_firings == 0)
 
     def test_random_fleet_matches_brute_force(self):
@@ -331,7 +331,7 @@ class TestMatchStats:
             layout = layout_periods(records, params, ranges)
             if layout.total_window_events() == 0:
                 continue
-            alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
+            alarm = alarm_series("a", {u: frozenset(v) for u, v in firings.items()})
             st = match_stats(alarm, layout)
             ref = brute_force_match(events, params, ranges, firings)
             for key in (
@@ -409,8 +409,11 @@ class TestOracleProperties:
     def test_match_stats_equals_brute_force(self, fleet):
         events, records, params, ranges, firings = fleet
         layout = layout_periods(records, params, ranges)
-        alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
+        alarm = alarm_series("a", {u: frozenset(v) for u, v in firings.items()})
         got = match_stats(alarm, layout, require_events=False)
+        # the same firings on the layout's own axis are graded as they are
+        on_axis = match_stats(alarm_series("a", firings, layout.axis), layout, require_events=False)
+        assert stats_to_jsonable(on_axis) == stats_to_jsonable(got)
         ref = brute_force_match(events, params, ranges, firings)
         for key in (
             "window_events",
@@ -435,12 +438,13 @@ class TestOracleProperties:
     def test_significance_samples_equal_brute_force(self, fleet):
         events, records, params, ranges, firings = fleet
         layout = layout_periods(records, params, ranges)
-        alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
         ref = brute_force_match(events, params, ranges, firings)
-        assert significance_samples(alarm, layout) == (
-            ref["window_counts"],
-            ref["segment_counts"],
-        )
+        for axis in (None, layout.axis):
+            alarm = alarm_series("a", {u: frozenset(v) for u, v in firings.items()}, axis)
+            assert significance_samples(alarm, layout) == (
+                ref["window_counts"],
+                ref["segment_counts"],
+            )
 
     @settings(max_examples=400, deadline=None)
     @given(random_fleets())
@@ -464,14 +468,15 @@ class TestOracleProperties:
     def test_classify_firings_equals_brute_force(self, fleet):
         events, records, params, ranges, firings = fleet
         layout = layout_periods(records, params, ranges)
-        alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
         kinds = {FiringKind.TRUE: "T", FiringKind.IRRELEVANT: "I", FiringKind.FALSE: "F"}
-        got = []
-        for lab in classify_firings(alarm, layout):
-            evs = layout.units[lab.unit_id].events
-            owners = tuple((evs[i].onset, evs[i].end) for i in lab.events)
-            got.append((lab.unit_id, lab.flight, kinds[lab.kind], owners, lab.segment))
-        assert got == brute_force_labels(events, params, ranges, firings)
+        for axis in (None, layout.axis):
+            alarm = alarm_series("a", {u: frozenset(v) for u, v in firings.items()}, axis)
+            got = []
+            for lab in classify_firings(alarm, layout):
+                evs = layout.units[lab.unit_id].events
+                owners = tuple((evs[i].onset, evs[i].end) for i in lab.events)
+                got.append((lab.unit_id, lab.flight, kinds[lab.kind], owners, lab.segment))
+            assert got == brute_force_labels(events, params, ranges, firings)
 
 
 class TestFiringPreconditions:
@@ -495,13 +500,13 @@ class TestFiringPreconditions:
         ],
     )
     def test_message(self, grade, firings, message):
-        alarm = AlarmSeries("a", {u: frozenset(v) for u, v in firings.items()})
+        alarm = alarm_series("a", {u: frozenset(v) for u, v in firings.items()})
         with pytest.raises(ValueError) as exc:
             grade(alarm, self.LAYOUT)
         assert str(exc.value) == message
 
     def test_silent_unknown_unit_is_accepted(self):
-        alarm = AlarmSeries("a", {"ghost": frozenset(), "u": frozenset({16})})
+        alarm = alarm_series("a", {"ghost": frozenset(), "u": frozenset({16})})
         assert match_stats(alarm, self.LAYOUT).covered_events == 1
 
 

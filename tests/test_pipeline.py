@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fleetwarn.core import (
     EventRecord,
+    FleetAxis,
     MatchParams,
     NoTargetEventsError,
     TelemetryPanel,
@@ -191,6 +192,7 @@ def test_thresholds_bit_equal_to_complete_row_reference():
                 [panel],
                 [everything],
                 0.99,
+                FleetAxis.from_ranges({"u": panel.observation_range()}),
             )
             centered = complete - det.mean
             residual = centered - (centered @ det.basis) @ det.basis.T

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_search
-from fleetwarn.core import AlarmSeries, EventRecord, MatchParams
+from support import alarm_series
+from fleetwarn.core import EventRecord, FleetAxis, MatchParams
 from fleetwarn.matching import MatchStats, layout_periods, match_stats
 from fleetwarn.synth import (
     FILTER_KINDS,
@@ -25,7 +26,7 @@ UNITS = ("u0", "u1", "u2")
 
 def alarm(alarm_id, flights_by_unit):
     firings = {u: frozenset(flights_by_unit.get(u, ())) for u in UNITS}
-    return AlarmSeries(alarm_id=alarm_id, firings=firings)
+    return alarm_series(alarm_id, firings)
 
 
 def same_everywhere(alarm_id, flights):
@@ -78,7 +79,7 @@ class TestCompose:
 
     def test_unit_universe_must_agree(self):
         a = same_everywhere("a", {1})
-        b = AlarmSeries("b", {"u0": frozenset({1})})
+        b = alarm_series("b", {"u0": frozenset({1})})
         with pytest.raises(ValueError, match="unit universe"):
             compose_and([a, b])
 
@@ -126,6 +127,59 @@ class TestPool:
         for a in alarms:
             for u in UNITS:
                 assert a.firings_for(u) <= pooled.firings_for(u)
+
+
+@st.composite
+def alarms_on_an_axis(draw):
+    """A random fleet axis and 1-3 per-unit flight sets on it.
+
+    Units may be one or several, a unit may never fire, and a unit's first
+    and last flights are drawn on purpose; the small ranges make equal sets
+    common.
+    """
+    ranges = {}
+    for unit in draw(st.lists(st.sampled_from(["a", "b", "u0", "u,1"]), min_size=1, unique=True)):
+        first = draw(st.integers(-3, 3))
+        ranges[unit] = (first, first + draw(st.integers(0, 4)))
+    firings = []
+    for _ in range(draw(st.integers(1, 3))):
+        fires = {}
+        for unit, (first, last) in ranges.items():
+            flights = st.sampled_from([first, last]) | st.integers(first, last)
+            fires[unit] = draw(st.frozensets(flights, max_size=4))
+        firings.append(fires)
+    return FleetAxis.from_ranges(ranges), firings
+
+
+class TestArraysAgainstSets:
+    """Positions on one axis compose, pool and compare as the flight sets do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(alarms_on_an_axis())
+    def test_compose_pool_and_signature_follow_the_sets(self, drawn):
+        axis, firings = drawn
+        alarms = [alarm_series(f"a{k}", fires, axis) for k, fires in enumerate(firings)]
+        for alarm, fires in zip(alarms, firings):
+            assert alarm.firings == fires
+            assert alarm.units() == tuple(sorted(fires))
+            assert alarm.total_firings() == sum(map(len, fires.values()))
+        assert compose_and(alarms).firings == {
+            u: frozenset.intersection(*(f[u] for f in firings)) for u in axis.units
+        }
+        assert pool_or(alarms).firings == {
+            u: frozenset.union(*(f[u] for f in firings)) for u in axis.units
+        }
+        for a, fa in zip(alarms, firings):
+            for b, fb in zip(alarms, firings):
+                assert (a.signature() == b.signature()) == (fa == fb)
+
+    def test_members_on_other_axes_are_refused(self):
+        a = alarm_series("a", {"u": {1}}, FleetAxis.from_ranges({"u": (0, 5)}))
+        b = alarm_series("b", {"u": {1}}, FleetAxis.from_ranges({"u": (1, 5)}))
+        with pytest.raises(ValueError, match="disagree on the unit universe"):
+            compose_and([a, b])
+        with pytest.raises(ValueError, match="disagree on the unit universe"):
+            pool_or([a, b])
 
 
 class TestSearchFixture:
@@ -211,7 +265,7 @@ class TestSearchFixture:
     def test_eventless_layout_rejected(self):
         layout = layout_periods([], MatchParams(), {"u": (1, 10)})
         with pytest.raises(ValueError, match="no target events"):
-            search_combinations([AlarmSeries("a", {"u": frozenset()})], layout, SearchConfig())
+            search_combinations([alarm_series("a", {"u": frozenset()})], layout, SearchConfig())
 
 
 def oracle_search(pool, layout, cfg, events, ranges):
@@ -273,7 +327,7 @@ class TestSearchProperty:
         records = [EventRecord(u, onset, end, "E1") for u, onset, end in events]
         layout = layout_periods(records, params, ranges)
         alarms = [
-            AlarmSeries(alarm_id, {u: frozenset(ts) for u, ts in fires.items()})
+            alarm_series(alarm_id, {u: frozenset(ts) for u, ts in fires.items()})
             for alarm_id, fires in pool.items()
         ]
         if layout.total_window_events() < 1:
@@ -322,7 +376,7 @@ class TestSearchAgainstOracle:
             for u in UNITS:
                 for _ in range(rng.randint(0, 2)):
                     fires[u].add(rng.randrange(1, 81))
-            return AlarmSeries(f"g{i}", {u: frozenset(v) for u, v in fires.items()})
+            return alarm_series(f"g{i}", {u: frozenset(v) for u, v in fires.items()})
 
         pool = [good(i) for i in range(rng.randint(1, 2))]
         pool += [
