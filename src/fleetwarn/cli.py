@@ -289,10 +289,10 @@ def cmd_curves(cfg: RunConfig, out: Path) -> int:
             scores[panel.unit_id] = {t: s for t, s in zip(flights, values) if not math.isnan(s)}
     else:
         raise ConfigError("curves needs io.scores or curves.baseline_param")
-    points = roc_pr_curves(scores, events, cfg.tolerance)
+    curve = roc_pr_curves(scores, events, cfg.tolerance)
     out.mkdir(parents=True, exist_ok=True)
-    write_curves_csv(out / "curves.csv", points)
-    best = operating_point(points, nu=0.6)
+    write_curves_csv(out / "curves.csv", curve)
+    best = operating_point(curve, nu=0.6)
     _write_json(
         out / "operating_point.json",
         {

@@ -54,7 +54,7 @@ class TelemetryPanel:
                 f"values shape {values.shape} does not match "
                 f"{flights.size} flights x {len(columns)} columns"
             )
-        if flights.size and np.any(np.diff(flights) <= 0):
+        if np.any(flights[1:] <= flights[:-1]):  # np.diff would wrap in int64
             raise ValueError(f"flight indices not strictly increasing for unit {self.unit_id!r}")
         if len(set(columns)) != len(columns):
             raise ValueError("column names must be unique")

@@ -11,13 +11,22 @@ import csv
 import itertools
 import math
 import warnings
+from bisect import insort
 
 import numpy as np
 from scipy import stats as sstats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from fleetwarn.core import TelemetryPanel, _check_name, _parse_cell, _read_csv, write_csv
+from fleetwarn.core import (
+    NoTargetEventsError,
+    TelemetryPanel,
+    _check_name,
+    _parse_cell,
+    _read_csv,
+    write_csv,
+)
+from fleetwarn.evaluation import CurvePoint, greedy_max_matching
 
 
 def _label_flights(evs, params, first, last):
@@ -270,6 +279,75 @@ def exact_max_matching(flags, onsets, tolerance):
     return size
 
 
+def roc_pr_reference(scores, events, tolerance, require_events=True):
+    """The confusion curve as a list of ``CurvePoint``, swept threshold by
+    threshold: each threshold inserts its relevant flags into their unit's
+    sorted list and rematches every unit whose flags changed."""
+    if tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
+    units = sorted(scores)
+    for ev in events:
+        if ev.unit_id not in scores:
+            raise ValueError(f"event on unit {ev.unit_id!r} which has no scores")
+    n_events = len(events)
+    if n_events == 0 and require_events:
+        raise NoTargetEventsError("no events: precision-recall undefined")
+
+    onsets = {u: [] for u in units}
+    for ev in events:
+        onsets[ev.unit_id].append(ev.onset)
+    for u in units:
+        onsets[u].sort()
+
+    triples = []
+    relevant = {}
+    for u in units:
+        near = set()
+        for onset in onsets[u]:
+            near.update(range(onset - tolerance, onset + tolerance + 1))
+        for flight in sorted(scores[u]):
+            s = scores[u][flight]
+            if math.isnan(s):
+                continue
+            triples.append((s, u, flight))
+            relevant[(u, flight)] = flight in near
+    n_scored = len(triples)
+    triples.sort(key=lambda t: (-t[0], t[1], t[2]))
+
+    def emit(nu, n_flags, tp):
+        fp = n_flags - tp
+        fn = n_events - tp
+        tn = max(n_scored - tp - fp - fn, 0)
+        precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
+        recall = tp / n_events if n_events else float("nan")
+        fpr = fp / (fp + tn) if fp + tn else 0.0
+        return CurvePoint(nu, tp, fp, fn, tn, precision, recall, fpr)
+
+    points = [emit(float("inf"), 0, 0)]
+    active = {u: [] for u in units}
+    unit_tp = {u: 0 for u in units}
+    n_flags = 0
+    tp = 0
+    i = 0
+    while i < len(triples):
+        nu = triples[i][0]
+        changed = set()
+        while i < len(triples) and triples[i][0] == nu:
+            _, u, flight = triples[i]
+            n_flags += 1
+            if relevant[(u, flight)]:
+                insort(active[u], flight)
+                changed.add(u)
+            i += 1
+        # only a unit whose relevant flags changed can change its matching
+        for u in changed:
+            matched = greedy_max_matching(active[u], onsets[u], tolerance)
+            tp += matched - unit_tp[u]
+            unit_tp[u] = matched
+        points.append(emit(float(nu), n_flags, tp))
+    return points
+
+
 def bfs_components(n, edges):
     """Connected components of an undirected graph, as sorted index tuples."""
     adj = {i: set() for i in range(n)}
@@ -387,7 +465,7 @@ def read_telemetry_reference(path):
         phases = tuple(r[1] or None for r in records)
         values = np.array([r[2] for r in records], dtype=np.float64)
         values = values.reshape(len(records), len(columns))
-        if np.isinf(values).any() or np.any(np.diff(flights) <= 0):
+        if np.isinf(values).any() or np.any(flights[1:] <= flights[:-1]):
             raise _first_telemetry_problem(path, columns)
         panels.append(
             TelemetryPanel(unit_id=unit, flights=flights, columns=columns,

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from fleetwarn.core import AlarmSeries, FleetAxis, write_csv
+from fleetwarn.evaluation import Curve, CurvePoint
 
 # The flight range of every unit of a test alarm built without an axis, so
 # that alarms over the same units share one fleet axis, as one fleet's do.
@@ -28,6 +30,15 @@ def alarm_series(alarm_id, firings, axis=None):
                 raise ValueError(f"flight {t} of unit {unit!r} is off the axis")
             positions.append(t + axis.shift(unit))
     return AlarmSeries(alarm_id, axis, np.array(sorted(positions), dtype=np.int64))
+
+
+def curve_of(points):
+    """A ``Curve`` holding ``points`` in order."""
+    return Curve(**{
+        f.name: np.array([getattr(p, f.name) for p in points],
+                         dtype=np.float64 if f.type == "float" else np.int64)
+        for f in fields(CurvePoint)
+    })
 
 
 def write_scores_csv(path, scores):

@@ -10,7 +10,7 @@ import pytest
 
 import fleetwarn
 from fleetwarn.cli import main
-from fleetwarn.core import read_events_csv
+from fleetwarn.core import read_events_csv, read_telemetry_csv
 from support import write_scores_csv
 
 SIM_SECTION = {
@@ -399,10 +399,14 @@ class TestCurves:
             assert int(loose[1]) >= int(tight[1])
 
     def test_external_scores(self, ws, tmp_path):
-        events = read_events_csv(ws["fleet"] / "events.csv")
+        # The baseline column, written as a scores file, sweeps to the same bytes.
+        baseline = tmp_path / "baseline"
+        cfg = self.baseline_cfg(ws, tmp_path)
+        assert main(["curves", "--config", cfg, "--out", str(baseline)]) == 0
         scores = {
-            f"unit{u:03d}": {t: (t * 37 % 101) / 101 for t in range(1, 301)}
-            for u in range(5)
+            panel.unit_id: dict(zip(panel.flights.tolist(),
+                                    panel.values[:, panel.column_index("g0p0")].tolist()))
+            for panel in read_telemetry_csv(ws["fleet"] / "telemetry.csv")
         }
         scores_path = tmp_path / "scores.csv"
         write_scores_csv(scores_path, scores)
@@ -411,12 +415,40 @@ class TestCurves:
                 "events": str(ws["fleet"] / "events.csv"),
                 "scores": str(scores_path),
             },
+            "eval": {"tolerance": 2},
         }
         cfg = write_config(tmp_path / "c.json", payload)
         out = tmp_path / "o"
         assert main(["curves", "--config", cfg, "--out", str(out)]) == 0
-        rows = read_rows(out / "curves.csv")
-        assert len(rows) > 2
+        assert len(read_rows(out / "curves.csv")) > 2
+        for name in ("curves.csv", "operating_point.json"):
+            assert (out / name).read_bytes() == (baseline / name).read_bytes()
+
+    def test_empty_baseline_column_sweeps_nothing(self, ws, tmp_path):
+        header, *rows = (ws["fleet"] / "telemetry.csv").read_text().splitlines()
+        column = header.split(",").index("g0p0")
+        blanked = [header]
+        for row in rows:
+            cells = row.split(",")
+            cells[column] = ""
+            blanked.append(",".join(cells))
+        (tmp_path / "telemetry.csv").write_text("\n".join(blanked) + "\n")
+        payload = {
+            "io": {"telemetry": "telemetry.csv", "events": str(ws["fleet"] / "events.csv")},
+            "curves": {"baseline_param": "g0p0"},
+        }
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "o"
+        assert main(["curves", "--config", cfg, "--out", str(out)]) == 0
+        n_events = len(read_events_csv(ws["fleet"] / "events.csv"))
+        assert n_events
+        assert (out / "curves.csv").read_text() == (
+            f"nu,tp,fp,fn,tn,precision,recall,fpr\ninf,0,0,{n_events},0,1.0,0.0,0.0\n"
+        )
+        assert json.loads((out / "operating_point.json").read_text()) == {
+            "target_nu": 0.6, "nu": "inf", "tp": 0, "fp": 0, "fn": n_events, "tn": 0,
+            "precision": 1.0, "recall": 0.0, "fpr": 0.0,
+        }
 
     def test_scores_missing_event_unit(self, ws, tmp_path, capsys):
         scores_path = tmp_path / "scores.csv"

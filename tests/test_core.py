@@ -72,6 +72,12 @@ class TestTelemetryPanel:
         with pytest.raises(ValueError, match="increasing"):
             TelemetryPanel("u", np.array([1, 1, 2]), ("a",), np.zeros((3, 1)))
 
+    def test_flight_order_does_not_wrap(self):
+        bounds = np.array([-(2**63), 2**63 - 1])
+        assert TelemetryPanel("u", bounds, ("a",), np.zeros((2, 1))).n_flights == 2
+        with pytest.raises(ValueError, match="increasing"):
+            TelemetryPanel("u", bounds[::-1], ("a",), np.zeros((2, 1)))
+
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             TelemetryPanel("u", np.arange(2), ("a", "a"), np.zeros((2, 2)))
@@ -643,8 +649,8 @@ class TestTelemetryReaderAgainstRowLoop:
     def test_int64_bounds_are_flights(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("unit_id,flight,phase,p1\nu1,-9223372036854775808,,0.5\n"
-                        "u2,9223372036854775807,,1\n")
-        assert [p.flights.tolist() for p in read_telemetry_csv(path)] == [[-(2**63)], [2**63 - 1]]
+                        "u1,9223372036854775807,,1\n")
+        assert [p.flights.tolist() for p in read_telemetry_csv(path)] == [[-(2**63), 2**63 - 1]]
 
     @pytest.mark.parametrize("line", [1, 3])
     def test_field_beyond_the_csv_limit_names_its_line(self, tmp_path, line):

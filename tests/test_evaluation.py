@@ -1,19 +1,23 @@
 import functools
 import math
 import random
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_max_matching
+from oracles import exact_max_matching, roc_pr_reference
+from fleetwarn import evaluation
 from fleetwarn.core import (
     EventRecord,
     MatchParams,
     NoTargetEventsError,
+    csv_float,
 )
 from fleetwarn.evaluation import (
+    Curve,
     CurvePoint,
     greedy_max_matching,
     leave_one_unit_out,
@@ -26,7 +30,7 @@ from fleetwarn.matching import significance_test
 from fleetwarn.pipeline import PipelineConfig
 from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet
 from fleetwarn.synth import SearchConfig, precursors_to_jsonable
-from support import precision_at_recall
+from support import curve_of, precision_at_recall
 
 
 class TestThresholdBaseline:
@@ -151,7 +155,7 @@ class TestCurves:
             scores = {"u": {t: rng.choice([0.0, 0.3, 0.7, 1.0, rng.random()]) for t in range(1, n + 1)}}
             onsets = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
             events = [EventRecord("u", o, o + 1, "E") for o in onsets]
-            points = roc_pr_curves(scores, events, tolerance=rng.randint(0, 2))
+            points = list(roc_pr_curves(scores, events, tolerance=rng.randint(0, 2)))
             for prev, cur in zip(points, points[1:]):
                 assert cur.recall >= prev.recall - 1e-12
                 assert cur.fpr >= prev.fpr - 1e-12
@@ -182,17 +186,21 @@ class TestCurves:
 
 @st.composite
 def curve_inputs(draw):
-    """Scores with ties and NaNs on 1-3 units, events on and off the scored flights."""
-    levels = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, float("nan")]), st.floats(0, 1))
+    """Scores with ties (0.0 and -0.0 among them) and NaNs on 1-3 units at
+    negative and positive flights; a unit may have no events, and nearby
+    onsets have overlapping tolerance windows."""
+    levels = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, float("nan")]), st.floats(-1, 1)
+    )
     scores = {}
     events = []
     for u in range(draw(st.integers(1, 3))):
         unit = f"u{u}"
-        flights = draw(st.sets(st.integers(1, 30), max_size=25))
+        flights = draw(st.sets(st.integers(-10, 30), max_size=25))
         scores[unit] = {t: draw(levels) for t in sorted(flights)}
-        for onset in draw(st.lists(st.integers(-2, 33), max_size=4)):
+        for onset in draw(st.lists(st.integers(-12, 33), max_size=5)):
             events.append(EventRecord(unit, onset, onset + 1, "E"))
-    return scores, events, draw(st.integers(0, 3))
+    return scores, events, draw(st.integers(0, 5))
 
 
 class TestCurveOracle:
@@ -221,12 +229,73 @@ class TestCurveOracle:
             assert p.tn == max(n_scored - tp - fp - fn, 0)
 
 
+class TestCurveReference:
+    """The sorted-array sweep against the threshold-by-threshold rematching
+    it replaced, compared by ``repr`` so the bits of -0.0 and NaN count."""
+
+    @staticmethod
+    def same(scores, events, tolerance):
+        curve = roc_pr_curves(scores, events, tolerance, require_events=False)
+        reference = roc_pr_reference(scores, events, tolerance, require_events=False)
+        assert [repr(p) for p in curve] == [repr(p) for p in reference]
+
+    @settings(max_examples=500, deadline=None)
+    @given(curve_inputs())
+    def test_sweep_equals_reference(self, inputs):
+        self.same(*inputs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve_inputs())
+    def test_sweep_without_events_equals_reference(self, inputs):
+        scores, _, tolerance = inputs
+        self.same(scores, [], tolerance)
+
+    def test_no_scores_at_all(self):
+        self.same({"u": {}, "v": {1: float("nan")}}, [EventRecord("u", 3, 4, "E")], 1)
+        self.same({}, [], 0)
+
+    def test_infinite_scores_form_their_own_thresholds(self):
+        scores = {"u": {1: math.inf, 2: math.inf, 3: -math.inf, 4: 0.0}}
+        self.same(scores, [EventRecord("u", 2, 3, "E")], 1)
+
+    def test_int64_bound_flights_and_onsets(self):
+        low, high = -(2**63), 2**63 - 1
+        scores = {"u": {low: 1.0, low + 1: 0.5, high - 1: 0.5, high: 0.25}}
+        events = [EventRecord("u", low, low + 1, "E"), EventRecord("u", high, high + 1, "E")]
+        for tolerance in (0, 1, 3):
+            self.same(scores, events, tolerance)
+
+
+class TestCurveColumns:
+    def test_fields_are_the_point_fields(self):
+        assert [f.name for f in fields(Curve)] == [f.name for f in fields(CurvePoint)]
+
+    def test_points_are_python_scalars(self):
+        curve = roc_pr_curves({"u": {1: 0.5, 2: -0.0}}, [EventRecord("u", 2, 3, "E")], 0)
+        assert len(curve) == 3
+        assert curve[-1] == CurvePoint(-0.0, 1, 1, 0, 0, 0.5, 1.0, 1.0)
+        assert list(curve) == [curve[0], curve[1], curve[2]]
+        assert [type(getattr(curve[1], f.name)) for f in fields(CurvePoint)] == [
+            float, int, int, int, int, float, float, float
+        ]
+
+    @pytest.mark.parametrize("rows", [1, 3, 4096])
+    def test_blocks_do_not_change_the_file(self, tmp_path, monkeypatch, rows):
+        rng = random.Random(5)
+        scores = {"u": {t: rng.choice([0.0, -0.0, rng.random()]) for t in range(40)}}
+        curve = roc_pr_curves(scores, [EventRecord("u", 7, 8, "E")], 2)
+        monkeypatch.setattr(evaluation, "CSV_BLOCK_ROWS", rows)
+        write_curves_csv(tmp_path / "curves.csv", curve)
+        expected = ["nu,tp,fp,fn,tn,precision,recall,fpr"] + [
+            ",".join(csv_float(v) if isinstance(v, float) else str(v) for v in astuple(p))
+            for p in curve
+        ]
+        assert (tmp_path / "curves.csv").read_text().splitlines() == expected
+
+
 class TestCurveSummaries:
     def points(self, nus):
-        return [
-            CurvePoint(nu, 1, 1, 0, 7, 0.5, 1.0, 0.125)
-            for nu in nus
-        ]
+        return curve_of([CurvePoint(nu, 1, 1, 0, 7, 0.5, 1.0, 0.125) for nu in nus])
 
     def test_operating_point_nearest(self):
         pts = self.points([math.inf, 0.9, 0.55, 0.2])
@@ -239,7 +308,7 @@ class TestCurveSummaries:
 
     def test_operating_point_empty(self):
         with pytest.raises(ValueError):
-            operating_point([])
+            operating_point(curve_of([]))
 
     def test_precision_at_recall_picks_best(self):
         pts = [
@@ -260,7 +329,7 @@ class TestCurveSummaries:
             CurvePoint(0.5, 1, 1, 1, 7, 0.5, 0.5, 0.125),
         ]
         path = tmp_path / "curves.csv"
-        write_curves_csv(path, pts)
+        write_curves_csv(path, curve_of(pts))
         lines = path.read_text().splitlines()
         assert lines[0] == "nu,tp,fp,fn,tn,precision,recall,fpr"
         assert lines[1] == "inf,0,0,2,8,1.0,0.0,0.0"
@@ -269,7 +338,7 @@ class TestCurveSummaries:
     def test_csv_nan_becomes_empty(self, tmp_path):
         pts = [CurvePoint(1.0, 0, 1, 0, 9, 0.0, float("nan"), 0.1)]
         path = tmp_path / "curves.csv"
-        write_curves_csv(path, pts)
+        write_curves_csv(path, curve_of(pts))
         assert path.read_text().splitlines()[1] == "1.0,0,1,0,9,0.0,,0.1"
 
     def test_csv_golden_bytes(self, tmp_path):
@@ -278,7 +347,7 @@ class TestCurveSummaries:
             CurvePoint(-0.0, 3, 9, 0, 0, 0.25, float("nan"), 1.0),
         ]
         path = tmp_path / "curves.csv"
-        write_curves_csv(path, pts)
+        write_curves_csv(path, curve_of(pts))
         assert path.read_bytes() == (
             b"nu,tp,fp,fn,tn,precision,recall,fpr\n"
             b"inf,0,0,3,9,1.0,0.0,0.0\n"
