@@ -227,13 +227,26 @@ def _anomalies_exceed_q95(
     after: int = 30,
 ) -> bool:
     """Self-check: every planted flight fires in the rank-1 alarm of each of
-    its groups, fitted with :func:`fit_alarm` on the fleet's normal regime."""
+    its groups, fitted with :func:`fit_alarm` on the fleet's normal regime.
+
+    With nothing planted it holds without a fit.  A planted fleet with no
+    flight at least ``before`` flights ahead of and ``after`` flights past
+    every event of its unit has no normal regime to fit on: a ValueError.
+    """
+    planted_groups = sorted({g for spec in cfg.planted for g in spec.groups})
+    if not planted_groups:
+        return True
     masks = normal_masks(panels, events, before, after)
+    if not any(m.any() for m in masks):
+        raise ValueError(
+            f"cannot verify the planted precursors: every flight lies fewer than {before} "
+            f"flights before or {after} after an event of its unit, so no flight is left "
+            f"in the normal regime the check fits on"
+        )
     stats = fit_column_stats(list(panels), masks)
     normalized = [apply_column_stats(p, stats) for p in panels]
     axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
     group_cols = cfg.group_columns()
-    planted_groups = sorted({g for spec in cfg.planted for g in spec.groups})
     for g in planted_groups:
         cols = group_cols[g]
         rows = np.vstack([p.subvalues(cols)[m] for p, m in zip(normalized, masks)])

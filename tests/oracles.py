@@ -24,6 +24,7 @@ from fleetwarn.core import (
     _check_name,
     _parse_cell,
     _read_csv,
+    csv_float,
     write_csv,
 )
 from fleetwarn.evaluation import CurvePoint, greedy_max_matching
@@ -482,3 +483,20 @@ def write_alarms_reference(path, alarms):
         (u, t, a.alarm_id) for a in alarms for u in a.units() for t in sorted(a.firings_for(u))
     )
     write_csv(path, ["unit_id", "flight", "alarm_id"], ([u, str(t), a] for u, t, a in rows))
+
+
+def write_telemetry_reference(path, panels):
+    """The telemetry CSV as one ``csv.writer`` row per flight, units sorted by id."""
+    panels = sorted(panels, key=lambda p: p.unit_id)
+    if not panels:
+        raise ValueError("no panels to write")
+    columns = panels[0].columns
+    if any(p.columns != columns for p in panels):
+        raise ValueError("panels disagree on columns")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["unit_id", "flight", "phase", *columns])
+        for p in panels:
+            phases = p.phases or (None,) * p.n_flights
+            for flight, phase, values in zip(p.flights.tolist(), phases, p.values.tolist()):
+                writer.writerow([p.unit_id, str(flight), phase or "", *map(csv_float, values)])

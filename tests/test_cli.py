@@ -208,6 +208,28 @@ class TestSimulate:
         assert main(["simulate", "--config", ws["sim_cfg"]]) == 2
         assert "io.outdir or --out" in capsys.readouterr().err
 
+    def test_nothing_planted_needs_no_normal_regime(self, tmp_path):
+        # at seed 1 every flight of both units lies near an event
+        cfg = write_config(tmp_path / "c.json", {"sim": {"units": 2, "flights_per_unit": 100}})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["verified_q95"] is True
+
+    def test_planted_without_normal_regime_exits_2(self, tmp_path, capsys):
+        sim = {
+            "units": 2, "flights_per_unit": 60, "groups": [[2, 0.9], [2, 0.9]],
+            "planted": [{"groups": [0, 1], "lead": [1, 2], "magnitude": 6.0}], "event_rate": 3,
+        }
+        cfg = write_config(tmp_path / "c.json", {"sim": sim})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "fleetwarn: cannot verify the planted precursors: every flight lies fewer than 50 "
+            "flights before or 30 after an event of its unit, so no flight is left in the "
+            "normal regime the check fits on\n"
+        )
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def run_out(ws, tmp_path_factory):

@@ -1,7 +1,12 @@
 import csv
+import io
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 
 from fleetwarn import core
 from fleetwarn.core import (
+    CSV_BLOCK_ROWS,
     AlarmSeries,
     ColumnStats,
     EventRecord,
@@ -36,6 +42,7 @@ from oracles import (
     fit_column_stats_reference,
     read_telemetry_reference,
     write_alarms_reference,
+    write_telemetry_reference,
 )
 from support import alarm_series, write_scores_csv
 
@@ -691,3 +698,191 @@ class TestTelemetryReaderAgainstRowLoop:
         path.write_text('unit_id,flight,phase,p1,p2\n"u2",1,,,1e5\n')
         with pytest.raises(AssertionError, match="row loop"):
             read_telemetry_csv(path)
+
+
+def _csv_writer_bytes(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+# Cells csv must quote, or write as they are: the delimiter, the quote, both
+# line ends, a Unicode line separator and empty text.
+CSV_CELLS = st.text(st.sampled_from([*'a,"\r\n ', "\u2028", "é", "0"]), max_size=4)
+CSV_ROWS = st.lists(CSV_CELLS, max_size=4).flatmap(
+    lambda row: st.sampled_from([row, tuple(row)]))
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows around the block size: a repeated plain background
+    with a few drawn rows put in, at the block edges among other places."""
+    b = CSV_BLOCK_ROWS
+    n = draw(st.sampled_from(sorted({0, 1, 2, b - 2, b - 1, b, b + 1, 4095, 4096, 4097})))
+    plain = st.lists(st.text("ab.-0", min_size=1, max_size=3), min_size=1, max_size=4)
+    background = draw(st.lists(plain, min_size=1, max_size=3))
+    rows = [background[i % len(background)] for i in range(n)]
+    edges = [0, 1, b - 2, b - 1, b, n - 1]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        where = draw(st.sampled_from([i for i in edges if 0 <= i < n]) | st.integers(0, n - 1))
+        rows[where] = draw(CSV_ROWS)
+    return draw(CSV_ROWS), rows
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(csv_tables())
+    @example((["a", "b"], [[""]]))
+    @example((["a"], [[]] * CSV_BLOCK_ROWS + [["x"]]))
+    @example(([""], [["a"], ["", ""], ("b",)]))
+    @example((["a", "b"], [["x", 'say "hi"']]))
+    @example((["a"], [["a\rb"]] * (CSV_BLOCK_ROWS + 1)))
+    def test_bytes_of_csv_writer(self, tmp_path_factory, table):
+        header, rows = table
+        path = tmp_path_factory.mktemp("csv") / "o.csv"
+        write_csv(path, header, iter(rows))
+        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "o.csv"
+
+        def rows():
+            yield from [["x"]] * 5000
+            raise RuntimeError("no more rows")
+
+        with pytest.raises(RuntimeError, match="no more rows"):
+            write_csv(path, ["a"], rows())
+        assert not path.exists()
+
+
+SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
+                  2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@st.composite
+def written_fleets(draw):
+    """Panels of more than three CSV blocks: ids and phases csv must quote,
+    missing phases, and the special floats strewn over normal values."""
+    n_units = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.sampled_from(["u1", "u,2", 'u"3', "u\n4", "u 5", "é", "u\r6"]),
+                        min_size=n_units, max_size=n_units, unique=True))
+    sizes = draw(st.lists(st.integers(1, 6000), min_size=n_units, max_size=n_units))
+    sizes[0] += max(0, 3 * CSV_BLOCK_ROWS + 1 - sum(sizes))
+    n_cols = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phase_texts = st.sampled_from(["", "cruise", "climb, high", 'say "hi"', "a\nb", "\u2028"])
+    panels = []
+    for unit, size in zip(ids, sizes):
+        values = rng.standard_normal((size, n_cols)) * 10.0 ** rng.integers(-300, 300, (size, 1))
+        for _ in range(draw(st.integers(0, 8))):
+            values[rng.integers(size), rng.integers(n_cols)] = draw(st.sampled_from(SPECIAL_FLOATS))
+        phases = None
+        if draw(st.booleans()):
+            texts = draw(st.lists(phase_texts, min_size=1, max_size=3))
+            phases = [texts[i % len(texts)] or None for i in range(size)]
+        panels.append(TelemetryPanel(unit, np.cumsum(rng.integers(1, 4, size)) - 2, tuple(
+            f"p{j}" for j in range(n_cols)), values, phases=phases))
+    return draw(st.permutations(panels))
+
+
+class TestTelemetryWriter:
+    """``write_telemetry_csv`` writes the bytes of ``oracles.write_telemetry_reference``
+    however many processes format the rows."""
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @settings(max_examples=12, deadline=None)
+    @given(panels=written_fleets())
+    @example(panels=[  # four even units: three chunks at three processes
+        TelemetryPanel(f"u{i}", np.arange(CSV_BLOCK_ROWS), ("p0",), np.full((CSV_BLOCK_ROWS, 1), i))
+        for i in range(4)
+    ])
+    def test_bytes_of_the_reference(self, tmp_path_factory, processes, panels):
+        folder = tmp_path_factory.mktemp("telemetry")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_telemetry_processes", lambda rows, units: processes)
+            write_telemetry_csv(folder / "t.csv", panels)
+        write_telemetry_reference(folder / "ref.csv", panels)
+        assert (folder / "t.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+        if any("\r" in text for p in panels for text in (p.unit_id, *(p.phases or ())) if text):
+            return  # csv writes a lone CR unquoted, and its reader ends the row there
+        if any(np.isinf(p.values).any() for p in panels):
+            with pytest.raises(ValueError, match="infinite value"):
+                read_telemetry_csv(folder / "t.csv")
+            return
+        back = read_telemetry_csv(folder / "t.csv")
+        expect = sorted(panels, key=lambda p: p.unit_id)
+        assert [p.unit_id for p in back] == [p.unit_id for p in expect]
+        for got, want in zip(back, expect):
+            assert got.flights.tobytes() == want.flights.tobytes()
+            assert np.array_equal(got.values, want.values, equal_nan=True)
+            assert (np.signbit(got.values) == np.signbit(want.values))[~np.isnan(want.values)].all()
+            assert got.phases == (want.phases or (None,) * want.n_flights)
+
+    @pytest.mark.parametrize("rows, units, processes", [
+        (1, 5, 1), (CSV_BLOCK_ROWS, 5, 1), (CSV_BLOCK_ROWS + 1, 5, 2),
+        (10 * CSV_BLOCK_ROWS, 1, 1), (10 * CSV_BLOCK_ROWS, 64, 2),
+    ])
+    def test_processes_per_cpu_block_and_unit(self, monkeypatch, rows, units, processes):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert core._telemetry_processes(rows, units) == processes
+
+    def test_one_process_without_cpu_affinity(self, monkeypatch):
+        monkeypatch.delattr(core.os, "sched_getaffinity", raising=False)
+        assert core._telemetry_processes(10 * CSV_BLOCK_ROWS, 64) == 1
+
+
+def _run_python(code, *args):
+    """``code`` in a fresh interpreter that imports fleetwarn from this tree."""
+    src = str(Path(core.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+class TestTelemetryWorkers:
+    """Forked formatters leave no trace in the parent's output and report failure."""
+
+    def test_parent_output_and_atexit_run_once(self, tmp_path):
+        code = (
+            "import atexit, sys\n"
+            "import numpy as np\n"
+            "from fleetwarn import core\n"
+            "core._telemetry_processes = lambda rows, units: 3\n"
+            "atexit.register(print, 'atexit')\n"
+            "print('before')\n"  # a pipe is block-buffered: still unflushed at the fork
+            "panels = [core.TelemetryPanel(f'u{i}', np.arange(5000), ('x',), np.zeros((5000, 1)))\n"
+            "          for i in range(3)]\n"
+            "core.write_telemetry_csv(sys.argv[1], panels)\n"
+            "print('after')\n"
+        )
+        proc = _run_python(code, str(tmp_path / "t.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "before\nafter\natexit\n"
+        assert len(read_telemetry_csv(tmp_path / "t.csv")) == 3
+
+    def test_failed_worker_fails_simulate_and_leaves_no_file(self, tmp_path):
+        config = tmp_path / "sim.json"
+        config.write_text('{"sim": {"units": 4, "flights_per_unit": 3000, "groups": [[2, 0.5]]}}')
+        code = (
+            "import os, sys\n"
+            "from fleetwarn import core\n"
+            "from fleetwarn.cli import main\n"
+            "parent, rows = os.getpid(), core._telemetry_rows\n"
+            "def failing(panels):\n"
+            "    if os.getpid() != parent:\n"
+            "        raise RuntimeError('formatter broke')\n"
+            "    return rows(panels)\n"
+            "core._telemetry_rows = failing\n"
+            "core._telemetry_processes = lambda rows, units: 2\n"
+            "sys.exit(main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        proc = _run_python(code, str(config), str(tmp_path / "fleet"))
+        assert proc.returncode == 2, proc.stderr
+        assert "RuntimeError: formatter broke" in proc.stderr
+        telemetry = tmp_path / "fleet" / "telemetry.csv"
+        assert proc.stderr.splitlines()[-1] == (
+            f"fleetwarn: {telemetry}: the process formatting its rows exited with code 1"
+        )
+        assert not telemetry.exists()

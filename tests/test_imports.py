@@ -55,6 +55,17 @@ def test_no_unused_module_imports(path):
 WRITERS = {"json.dump", "csv.writer"}
 
 
+def _import_aliases(tree: ast.AST) -> dict[str, str]:
+    """Each name an import binds anywhere in ``tree``, mapped to what it imports."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            aliases.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    return aliases
+
+
 def _qualified(node: ast.expr, aliases: dict[str, str]) -> str | None:
     """``module.name`` of a called name or attribute, through import aliases."""
     if isinstance(node, ast.Name):
@@ -84,12 +95,7 @@ def file_writes(source: str) -> list[str]:
     ``write_bytes`` always write.
     """
     tree = ast.parse(source)
-    aliases = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            aliases.update((a.asname or a.name, a.name) for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            aliases.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    aliases = _import_aliases(tree)
     found = []
     for call in ast.walk(tree):
         if not isinstance(call, ast.Call):
@@ -148,3 +154,76 @@ def test_core_writes_through_one_json_and_one_csv_writer():
     writes = file_writes((SRC / "core.py").read_text(encoding="utf-8"))
     calls = sorted(w.split(": ", 1)[1] for w in writes)
     assert calls == ["csv.writer", "json.dump", "open", "open"]
+
+
+
+# Processes and threads start only where core formats telemetry rows.
+CONCURRENCY = ("os.fork", "multiprocessing", "subprocess", "concurrent.futures", "threading")
+TELEMETRY_WRITER = {"write_telemetry_csv", "_telemetry_processes", "_fork_formatter"}
+
+
+def concurrency_uses(source: str) -> list[str]:
+    """Imports of, and attributes read through, a process or thread API.
+
+    Each is ``<holder>: line N: <name>``, where the holder is the top-level
+    function or class it sits in, or ``<module>``; attributes are followed
+    through import aliases.
+    """
+    tree = ast.parse(source)
+    aliases = _import_aliases(tree)
+    found = []
+    for top in tree.body:
+        holder = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [_qualified(node, aliases)]
+            else:
+                continue
+            found.extend(
+                f"{holder}: line {node.lineno}: {name}" for name in names
+                if any(name == c or name.startswith(c + ".") for c in CONCURRENCY)
+            )
+    return found
+
+
+def test_guard_flags_processes_and_threads():
+    source = (
+        "import os\n"
+        "import os.path as osp\n"
+        "import threading\n"
+        "def f():\n"
+        "    import multiprocessing as mp\n"
+        "    return os.fork(), os.forkpty, osp.join, mp.get_context\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        from concurrent.futures import ThreadPoolExecutor\n"
+        "        from concurrent import futures\n"
+        "        import concurrent.futures.thread\n"
+        "        return subprocess.run\n"
+        "from os import fork as spoon, getpid\n"
+        "import os as o\n"
+        "o.fork\n"
+    )
+    assert concurrency_uses(source) == [
+        "<module>: line 3: threading",
+        "f: line 5: multiprocessing",
+        "f: line 6: multiprocessing.get_context",
+        "f: line 6: os.fork",
+        "C: line 9: concurrent.futures.ThreadPoolExecutor",
+        "C: line 10: concurrent.futures",
+        "C: line 11: concurrent.futures.thread",
+        "C: line 12: subprocess.run",
+        "<module>: line 13: os.fork",
+        "<module>: line 15: os.fork",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_processes_start_only_in_the_telemetry_writer(path):
+    allowed = TELEMETRY_WRITER if path.name == "core.py" else set()
+    uses = concurrency_uses(path.read_text(encoding="utf-8"))
+    assert [u for u in uses if u.split(":")[0] not in allowed] == []
