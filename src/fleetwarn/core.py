@@ -12,16 +12,19 @@ worker threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -356,18 +359,24 @@ CSV_BLOCK_ROWS = 1024
 
 
 def _csv_text(rows: Sequence[Sequence[str]]) -> str:
-    """``rows`` as csv.writer writes them with LF line ends.
+    """``rows`` as csv.writer writes them with LF line ends, every cell of a
+    row that holds a CR quoted.
 
     The rows are joined by hand when the joined text shows that no cell
     needs quoting: it holds no '"' or CR, one LF between rows, one comma
     between cells, and no empty line (csv writes a row of one empty cell as
-    ``""``).  Any other block goes through csv.writer.
+    ``""``).  Any other block goes through csv.writer.  Its minimal quoting
+    leaves a lone CR bare, which csv reads as a line end; a row that holds a
+    CR is therefore written with every cell quoted.
     """
     text = "\n".join(map(",".join, rows))
     if ('"' in text or "\r" in text or text.count("\n") != len(rows) - 1
             or text.count(",") != sum(map(len, rows)) - len(rows) or "\n\n" in f"\n{text}\n"):
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        minimal, quote_all = (csv.writer(buffer, lineterminator="\n", quoting=quoting)
+                              for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
+        for row in rows:
+            (quote_all if any("\r" in cell for cell in row) else minimal).writerow(row)
         return buffer.getvalue()
     return text + "\n"
 
@@ -393,7 +402,8 @@ def _write_text(path: str | Path, texts: Iterable[str]) -> None:
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """A UTF-8 CSV with LF line ends: the header, then each row of cells.
 
-    Every cell is a ``str``; the bytes are those of ``csv.writer``.
+    Every cell is a ``str``; the bytes are those of ``csv.writer``, except
+    that a row that holds a CR has every cell quoted.
     """
     _write_text(path, _csv_blocks(itertools.chain([header], rows)))
 
@@ -456,35 +466,69 @@ def _telemetry_text(panels: Sequence[TelemetryPanel]) -> str:
     return "".join(_csv_blocks(_telemetry_rows(panels)))
 
 
-def _telemetry_processes(rows: int, units: int) -> int:
-    """Processes to format telemetry rows in: one per CPU this process may run
-    on, at most one per CSV block and one per unit; one where fork or CPU
-    affinity is missing."""
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where fork or CPU affinity is missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), -(-rows // CSV_BLOCK_ROWS), units))
+    return len(os.sched_getaffinity(0))
 
 
-def _fork_formatter(panels: Sequence[TelemetryPanel]) -> tuple[Any, Any]:
-    """A forked process that sends back the CSV text of ``panels``, and its pipe.
+def _telemetry_processes(rows: int, units: int) -> int:
+    """Processes to format telemetry rows in: one per CPU, at most one per CSV
+    block and one per unit."""
+    return max(1, min(_cpus(), -(-rows // CSV_BLOCK_ROWS), units))
 
-    A forked child starts at once, with the panels already in its memory;
-    a spawned one would import numpy again.  The child only formats text:
-    it calls no BLAS and takes no lock that another thread may hold.
-    multiprocessing flushes stdout and stderr before the fork and ends the
-    child with ``os._exit``, so the child runs no atexit handler and writes
-    no buffered output twice.
+
+@contextlib.contextmanager
+def _forked(path: str | Path, doing: str,
+            tasks: Sequence[Callable[[], bytes]]) -> Iterator[Iterator[bytes]]:
+    """Runs each task in a forked process, and yields the tasks' bytes in order.
+
+    A forked child starts at once, with the parent's data already in its
+    memory; a spawned one would import numpy again.  A task calls no BLAS and
+    takes no lock that another thread may hold.  multiprocessing flushes
+    stdout and stderr before the fork and ends the child with ``os._exit``,
+    so the child runs no atexit handler and writes no buffered output twice.
+    A child that exits without sending raises ``ChildProcessError``.  Leaving
+    the block kills every child if the block raised, then joins them all: a
+    child may be blocked writing into a pipe that nobody reads any more.
     """
-    import multiprocessing
+    workers: list[tuple[Any, Any]] = []
 
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(
-        target=lambda: sender.send_bytes(_telemetry_text(panels).encode("utf-8"))
-    )
-    process.start()
-    sender.close()
-    return process, receiver
+    def results() -> Iterator[bytes]:
+        for process, receiver in workers:
+            try:
+                yield receiver.recv_bytes()
+            except EOFError:
+                process.join()
+                raise ChildProcessError(
+                    f"{path}: the process {doing} its rows exited with code {process.exitcode}"
+                ) from None
+
+    try:
+        for task in tasks:
+            import multiprocessing  # imported only when a child starts
+
+            context = multiprocessing.get_context("fork")
+            receiver, sender = context.Pipe(duplex=False)
+
+            def child() -> None:
+                receiver.close()  # so that a send fails, rather than waits, if the parent dies
+                sender.send_bytes(task())
+
+            process = context.Process(target=child)
+            process.start()  # the fork: the child sees this task and pipe
+            sender.close()
+            workers.append((process, receiver))
+        yield results()
+    except BaseException:
+        for process, _ in workers:
+            process.kill()
+        raise
+    finally:
+        for process, receiver in workers:
+            receiver.close()
+            process.join()
 
 
 def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> None:
@@ -507,31 +551,12 @@ def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> N
     # Chunk i ends after the unit whose rows reach (i + 1) / k of all rows.
     cuts = [0, *(np.searchsorted(ends, ends[-1] * np.arange(1, k) / k) + 1).tolist(), len(panels)]
     chunks = [panels[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
-    workers: list[tuple[Any, Any]] = []
-
-    def texts() -> Iterator[str]:
-        yield _csv_text([["unit_id", "flight", "phase", *columns]])
-        yield _telemetry_text(chunks[0])
-        for process, receiver in workers:
-            try:
-                yield receiver.recv_bytes().decode("utf-8")
-            except EOFError:
-                process.join()
-                raise ChildProcessError(
-                    f"{path}: the process formatting its rows exited with code {process.exitcode}"
-                ) from None
-
-    try:
-        workers.extend(_fork_formatter(chunk) for chunk in chunks[1:])
-        _write_text(path, texts())
-    except BaseException:
-        for process, _ in workers:
-            process.kill()
-        raise
-    finally:
-        for process, receiver in workers:
-            receiver.close()
-            process.join()
+    tasks = [lambda chunk=chunk: _telemetry_text(chunk).encode("utf-8") for chunk in chunks[1:]]
+    with _forked(path, "formatting", tasks) as texts:
+        _write_text(path, itertools.chain(
+            [_csv_text([["unit_id", "flight", "phase", *columns]]), _telemetry_text(chunks[0])],
+            (text.decode("utf-8") for text in texts),
+        ))
 
 
 # "<name>.json" must fit the common 255-byte limit on a file name.
@@ -566,14 +591,14 @@ def _telemetry_columns(path: str | Path, header: list[str] | None, line: int) ->
     return columns
 
 
-def _plain(line: str) -> bool:
+def _plain(line: str, limit: int) -> bool:
     """Whether the bulk telemetry parse may split ``line`` by hand.
 
     csv quoting and CR line ends need the csv module; np.loadtxt strips
     U+001C..U+001F around a number, which float() rejects; and a line longer
-    than csv's field limit may hold a field that csv refuses.
+    than csv's field limit ``limit`` may hold a field that csv refuses.
     """
-    return not (len(line) > csv.field_size_limit() or '"' in line or "\r" in line
+    return not (len(line) > limit or '"' in line or "\r" in line
                 or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line)
 
 
@@ -585,55 +610,175 @@ def _nan_filled(tail: str) -> str:
     return padded.replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
 
 
-def _bulk_rows(path: str | Path) -> tuple:
-    """Columns, then per-row units, flights, phases and values of a plain telemetry file.
+class _Rows(NamedTuple):
+    """Telemetry rows in file order.  Each unit id and phase is a code into
+    its distinct texts, listed in the order they first appear: one object
+    per text, since a copy per row would outlive the read in the panels'
+    phases and scatter the heap."""
 
-    One streaming ``np.loadtxt`` parses the numeric cells of every row.  Text
-    that is not plain, or an invalid row, raises a ValueError that names no
-    line; the caller then reads the file again with ``_checked_rows``.
+    units: list[str]
+    unit_codes: np.ndarray
+    flights: np.ndarray
+    phases: list[str]
+    phase_codes: np.ndarray
+    values: np.ndarray
+
+
+def _coded(texts: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct texts in the order they first appear, and each text's index among them."""
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(t, len(index)) for t in texts), dtype=np.intp)
+    return list(index), codes
+
+
+def _bulk_rows(fh: BinaryIO, width: int, size: int | None) -> _Rows:
+    """The rows of a plain telemetry file in the next ``size`` bytes of
+    ``fh``, or in all the rest if ``size`` is None; ``fh`` stands at a line start.
+
+    The lines are read one at a time, and one streaming ``np.loadtxt`` parses
+    their numeric cells.  Text that is not plain, or an invalid row, raises a
+    ValueError or OverflowError that names no line; the caller then reads the
+    file again with ``_checked_rows``.
     """
-    units: list[str] = []
+    units: dict[str, int] = {}
+    phases: dict[str, int] = {}
+    unit_codes: list[int] = []
     flights: list[int] = []
-    phases: list[str] = []
-    # One object per distinct unit id or phase: a copy per row would outlive
-    # the read in the panels' phases and scatter the heap.
-    texts: dict[str, str] = {}
+    phase_codes: list[int] = []
+    limit = csv.field_size_limit()
 
-    def tails(fh: Iterable[str]) -> Iterator[str]:
-        for line in fh:
+    def lines() -> Iterator[bytes]:
+        if size is None:
+            yield from fh
+            return
+        left = size
+        while left > 0 and (line := fh.readline()):
+            left -= len(line)
+            yield line
+
+    def tails() -> Iterator[str]:
+        for line in map(bytes.decode, lines()):
             if line == "\n":
                 continue
-            if not _plain(line):
+            if not _plain(line, limit):
                 raise ValueError("not plain text")
             unit, flight, phase, tail = line.removesuffix("\n").split(",", 3)
-            units.append(texts.setdefault(unit, unit))
+            unit_codes.append(units.setdefault(unit, len(units)))
             flights.append(int(flight))
-            phases.append(texts.setdefault(phase, phase))
+            phase_codes.append(phases.setdefault(phase, len(phases)))
             yield _nan_filled(tail)
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not _plain(header):
+    rows = tails()
+    first = next(rows, None)  # loadtxt warns of an input without rows
+    if first is None:
+        values = np.empty((0, width))
+    else:
+        values = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None,
+                            dtype=np.float64, ndmin=2)
+    if values.shape[1] != width:
+        raise ValueError("rows of the wrong width")
+    for unit in units:
+        _check_name("unit id", unit)
+    if np.isinf(values).any():
+        raise ValueError("infinite value")
+    return _Rows(list(units), np.array(unit_codes, dtype=np.intp),
+                 np.array(flights, dtype=np.int64), list(phases),
+                 np.array(phase_codes, dtype=np.intp), values)
+
+
+def _range_bytes(path: str | Path, width: int, start: int, size: int | None) -> bytes:
+    """The pickled ``_bulk_rows`` of the ``size`` bytes of ``path`` from
+    ``start``; no bytes if a row there needs the row loop."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        try:
+            rows = _bulk_rows(fh, width, size)
+        except (ValueError, OverflowError):
+            return b""
+    return pickle.dumps(rows, pickle.HIGHEST_PROTOCOL)
+
+
+def _joined(parts: Sequence[_Rows]) -> _Rows:
+    """The rows of consecutive byte ranges as one; each distinct unit id or
+    phase stays one object."""
+    if len(parts) == 1:
+        return parts[0]
+    units: dict[str, int] = {}
+    phases: dict[str, int] = {}
+
+    def recoded(index: dict[str, int], texts: list[str], codes: np.ndarray) -> np.ndarray:
+        return np.array([index.setdefault(t, len(index)) for t in texts], dtype=np.intp)[codes]
+
+    unit_codes = np.concatenate([recoded(units, p.units, p.unit_codes) for p in parts])
+    phase_codes = np.concatenate([recoded(phases, p.phases, p.phase_codes) for p in parts])
+    return _Rows(list(units), unit_codes, np.concatenate([p.flights for p in parts]),
+                 list(phases), phase_codes, np.concatenate([p.values for p in parts]))
+
+
+# Bytes of telemetry rows below which a range is not worth a process.  On 2
+# vCPUs (Python 3.11.7) a fork plus join of a child that sends back one byte
+# took about 5 ms, and 10-13 ms for a process's first child, whose parent also
+# spent 6-11 ms importing multiprocessing; the bulk parse reads about 37 MB/s.
+# A second process thus saves its 20 ms from about 2 x 37 MB/s x 20 ms = 1.5 MB
+# of rows, that is from ranges of about 0.75 MB: 1 MiB leaves a margin.
+READ_RANGE_BYTES = 1 << 20
+
+
+def _read_processes(size: int) -> int:
+    """Processes to parse ``size`` bytes of telemetry rows in: one per CPU,
+    while each gets at least ``READ_RANGE_BYTES``."""
+    return max(1, min(_cpus(), size // READ_RANGE_BYTES))
+
+
+def _range_starts(fh: BinaryIO, start: int, size: int, k: int) -> list[int]:
+    """Where k ranges of about equal parts of the ``size`` bytes from
+    ``start`` begin, each moved on to the next line start; a range left
+    empty is dropped.  ``fh`` stands at ``start`` again."""
+    cuts = []
+    for i in range(1, k):
+        fh.seek(start + size * i // k)
+        fh.readline()
+        cuts.append(fh.tell())
+    fh.seek(start)
+    return [start, *(c for c in dict.fromkeys(cuts) if c < start + size)]
+
+
+def _plain_rows(path: str | Path) -> tuple[tuple[str, ...], _Rows]:
+    """The columns and rows of a plain telemetry file.
+
+    The rows are cut into byte ranges that start at line starts, one per
+    process that ``_read_processes`` allows.  Forked processes parse every
+    range but the first, which this process parses, and the ranges are
+    joined in file order.  A range that is not plain or holds an invalid row
+    raises a ValueError that names no line.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode()
+        if not _plain(header, csv.field_size_limit()):
             raise ValueError("not plain text")
         columns = _telemetry_columns(path, header.removesuffix("\n").split(","), 1)
         if not columns:
             raise ValueError("no parameter columns")
-        rows = tails(fh)
-        first = next(rows, None)  # loadtxt warns of an input without rows
-        if first is None:
-            values = np.empty((0, len(columns)))
+        if fh.seekable():
+            start = fh.tell()
+            body = os.fstat(fh.fileno()).st_size - start
+            starts = _range_starts(fh, start, body, _read_processes(body))
         else:
-            values = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None,
-                                dtype=np.float64, ndmin=2)
-    for unit in dict.fromkeys(units):
-        _check_name("unit id", unit)
-    if np.isinf(values).any():
-        raise ValueError("infinite value")
-    return columns, units, flights, phases, values
+            starts = [0]  # a pipe can neither seek nor tell its size: one range
+        sizes = [b - a for a, b in zip(starts, starts[1:])] + [None]  # the last runs to the end
+        tasks = [partial(_range_bytes, path, len(columns), a, n)
+                 for a, n in zip(starts[1:], sizes[1:])]
+        with _forked(path, "reading", tasks) as results:
+            parts = [_bulk_rows(fh, len(columns), sizes[0])]
+            for data in results:
+                if not data:
+                    raise ValueError("not plain text")
+                parts.append(pickle.loads(data))
+    return columns, _joined(parts)
 
 
-def _checked_rows(path: str | Path) -> tuple:
-    """What ``_bulk_rows`` returns, parsed one row at a time by ``_read_csv``.
+def _checked_rows(path: str | Path) -> tuple[tuple[str, ...], _Rows]:
+    """What ``_plain_rows`` returns, parsed one row at a time by ``_read_csv``.
 
     It reads any text ``csv`` reads, and raises the first invalid row as
     ``<path>: line N: <reason>``.
@@ -656,27 +801,28 @@ def _checked_rows(path: str | Path) -> tuple:
         return unit, flight, row[2], cells
 
     rows = _read_csv(path, header, parse)
-    units, flights, phases, cells = (list(r) for r in zip(*rows)) if rows else ([],) * 4
+    units, flights, phases, cells = zip(*rows) if rows else ((),) * 4
     values = np.array(cells, dtype=np.float64).reshape(len(rows), len(columns))
-    return columns, units, flights, phases, values
+    flights = np.array(flights, dtype=np.int64)
+    return columns, _Rows(*_coded(units), flights, *_coded(phases), values)
 
 
-def _panels(columns: tuple[str, ...], units: list[str], flights: list[int],
-            phases: list[str], values: np.ndarray) -> list[TelemetryPanel]:
+def _panels(columns: tuple[str, ...], rows: _Rows) -> list[TelemetryPanel]:
     """The rows grouped into one panel per unit, in the order units first appear.
 
     ``TelemetryPanel`` raises a ValueError that names no line if a unit's
     flights do not strictly increase or its rows have the wrong width.
     """
-    first: dict[str, int] = {}
-    codes = np.array([first.setdefault(u, len(first)) for u in units], dtype=np.intp)
-    order = np.argsort(codes, kind="stable")
-    values, flights = values[order], np.array(flights, dtype=np.int64)[order]
-    phases = [phases[i] or None for i in order.tolist()]
+    codes, flights, values = rows.unit_codes, rows.flights, rows.values
+    phases = np.array([text or None for text in rows.phases], dtype=object)[rows.phase_codes]
+    if (codes[1:] < codes[:-1]).any():  # some unit's rows are not contiguous
+        order = np.argsort(codes, kind="stable")
+        codes, flights, phases, values = codes[order], flights[order], phases[order], values[order]
+    ends = np.cumsum(np.bincount(codes, minlength=len(rows.units))).tolist()
     panels, start = [], 0
-    for unit, end in zip(first, np.cumsum(np.bincount(codes, minlength=len(first))).tolist()):
+    for unit, end in zip(rows.units, ends):
         panels.append(TelemetryPanel(unit_id=unit, flights=flights[start:end], columns=columns,
-                                     values=values[start:end], phases=phases[start:end]))
+                                     values=values[start:end], phases=phases[start:end].tolist()))
         start = end
     return panels
 
@@ -684,12 +830,14 @@ def _panels(columns: tuple[str, ...], units: list[str], flights: list[int],
 def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
     """One panel per unit, in the order the units first appear.
 
-    A plain file is parsed in bulk.  Quoted cells, CR line ends and every
-    invalid file take the row loop, which accepts the same cell text and
-    raises the first invalid row as ``<path>: line N: <reason>``.
+    A plain file is parsed in bulk, in byte ranges on every CPU the process
+    may run on.  Quoted cells, CR line ends and every invalid file take the
+    row loop, which accepts the same cell text and raises the first invalid
+    row as ``<path>: line N: <reason>``.  A forked process that dies raises
+    ``ChildProcessError``.
     """
     try:
-        return _panels(*_bulk_rows(path))
+        return _panels(*_plain_rows(path))
     except (ValueError, OverflowError):  # OverflowError: a flight outside int64
         return _panels(*_checked_rows(path))
 

@@ -22,8 +22,11 @@ from fleetwarn.core import (
     NoTargetEventsError,
     TelemetryPanel,
     _check_name,
+    _nan_filled,
     _parse_cell,
+    _plain,
     _read_csv,
+    _telemetry_columns,
     csv_float,
     write_csv,
 )
@@ -421,7 +424,7 @@ def _first_telemetry_problem(path, columns):
     return ValueError(f"{path}: invalid telemetry")
 
 
-def read_telemetry_reference(path):
+def read_telemetry_row_loop(path):
     """The telemetry reader as a per-row ``csv`` loop with ``float()`` per cell.
 
     ``fleetwarn.core.read_telemetry_csv`` parses a plain file in bulk; it
@@ -475,6 +478,71 @@ def read_telemetry_reference(path):
     return panels
 
 
+def _bulk_telemetry(path):
+    """A plain telemetry file's panels from one streaming ``np.loadtxt`` over
+    all its rows; a ValueError or OverflowError that names no line otherwise."""
+    units, flights, phases = [], [], []
+    texts = {}
+    limit = csv.field_size_limit()
+
+    def tails(fh):
+        for line in fh:
+            if line == "\n":
+                continue
+            if not _plain(line, limit):
+                raise ValueError("not plain text")
+            unit, flight, phase, tail = line.removesuffix("\n").split(",", 3)
+            units.append(texts.setdefault(unit, unit))
+            flights.append(int(flight))
+            phases.append(texts.setdefault(phase, phase))
+            yield _nan_filled(tail)
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not _plain(header, limit):
+            raise ValueError("not plain text")
+        columns = _telemetry_columns(path, header.removesuffix("\n").split(","), 1)
+        if not columns:
+            raise ValueError("no parameter columns")
+        rows = tails(fh)
+        first = next(rows, None)
+        if first is None:
+            values = np.empty((0, len(columns)))
+        else:
+            values = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None,
+                                dtype=np.float64, ndmin=2)
+    for unit in dict.fromkeys(units):
+        _check_name("unit id", unit)
+    if np.isinf(values).any():
+        raise ValueError("infinite value")
+    first_row = {}
+    codes = np.array([first_row.setdefault(u, len(first_row)) for u in units], dtype=np.intp)
+    order = np.argsort(codes, kind="stable")
+    values, flights = values[order], np.array(flights, dtype=np.int64)[order]
+    phases = [phases[i] or None for i in order.tolist()]
+    ends = np.cumsum(np.bincount(codes, minlength=len(first_row))).tolist()
+    panels, start = [], 0
+    for unit, end in zip(first_row, ends):
+        panels.append(TelemetryPanel(unit_id=unit, flights=flights[start:end], columns=columns,
+                                     values=values[start:end], phases=phases[start:end]))
+        start = end
+    return panels
+
+
+def read_telemetry_reference(path):
+    """The telemetry reader in one process: a plain file in one bulk pass,
+    and any other file, or an invalid one, through the row loop.
+
+    ``fleetwarn.core.read_telemetry_csv`` cuts a plain file into byte ranges
+    that several processes parse; it must return the same panels, with one
+    object per distinct unit id or phase, and raise the same messages.
+    """
+    try:
+        return _bulk_telemetry(path)
+    except (ValueError, OverflowError):
+        return read_telemetry_row_loop(path)
+
+
 def write_alarms_reference(path, alarms):
     """The alarms CSV as one sort of (unit, flight, alarm_id) tuples over every
     alarm's per-unit flight sets."""
@@ -486,7 +554,8 @@ def write_alarms_reference(path, alarms):
 
 
 def write_telemetry_reference(path, panels):
-    """The telemetry CSV as one ``csv.writer`` row per flight, units sorted by id."""
+    """The telemetry CSV as one ``csv.writer`` row per flight, units sorted by
+    id; a row that holds a CR is written with every cell quoted."""
     panels = sorted(panels, key=lambda p: p.unit_id)
     if not panels:
         raise ValueError("no panels to write")
@@ -494,9 +563,14 @@ def write_telemetry_reference(path, panels):
     if any(p.columns != columns for p in panels):
         raise ValueError("panels disagree on columns")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit_id", "flight", "phase", *columns])
+        minimal = csv.writer(fh, lineterminator="\n")
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+
+        def write(row):
+            (quote_all if any("\r" in cell for cell in row) else minimal).writerow(row)
+
+        write(["unit_id", "flight", "phase", *columns])
         for p in panels:
             phases = p.phases or (None,) * p.n_flights
             for flight, phase, values in zip(p.flights.tolist(), phases, p.values.tolist()):
-                writer.writerow([p.unit_id, str(flight), phase or "", *map(csv_float, values)])
+                write([p.unit_id, str(flight), phase or "", *map(csv_float, values)])

@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import io
+import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -41,6 +44,7 @@ from oracles import (
     apply_column_stats_reference,
     fit_column_stats_reference,
     read_telemetry_reference,
+    read_telemetry_row_loop,
     write_alarms_reference,
     write_telemetry_reference,
 )
@@ -293,6 +297,13 @@ class TestOutputEncodings:
         path = tmp_path / "o.csv"
         write_csv(path, ["a", "b"], [["x,y", ""], ["\u00e9", 'q"']])
         assert path.read_bytes() == 'a,b\n"x,y",\n\u00e9,"q"""\n'.encode("utf-8")
+
+    def test_write_csv_quotes_every_cell_of_a_row_with_a_cr(self, tmp_path):
+        path = tmp_path / "o.csv"
+        write_csv(path, ["a", "b"], [["x\ry", ""], ["x,y", "z"]])
+        assert path.read_bytes() == b'a,b\n"x\ry",""\n"x,y",z\n'
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["a", "b"], ["x\ry", ""], ["x,y", "z"]]
 
     @pytest.mark.parametrize(
         "x, cell",
@@ -558,7 +569,7 @@ def _outcome(read, path):
 
 class TestTelemetryReaderAgainstRowLoop:
     """The bulk telemetry reader returns, bit for bit, what the per-row csv
-    loop of ``oracles.read_telemetry_reference`` returns, and raises the
+    loop of ``oracles.read_telemetry_row_loop`` returns, and raises the
     same messages."""
 
     @settings(max_examples=300, deadline=None)
@@ -591,11 +602,11 @@ class TestTelemetryReaderAgainstRowLoop:
         text = _csv_text(rows, quote_all, data.draw(st.sampled_from(["\n", "\r\n"])))
         path = tmp_path_factory.mktemp("reader") / "t.csv"
         path.write_bytes(text.encode("utf-8"))
-        expect = _outcome(read_telemetry_reference, path)
+        expect = _outcome(read_telemetry_row_loop, path)
         assert isinstance(expect, list)  # every drawn file is valid
         assert _outcome(read_telemetry_csv, path) == expect
-        if not any(c in text for c in '"\r_\u0663'):  # what the bulk pass reads alone
-            assert _panel_bytes(core._panels(*core._bulk_rows(path))) == expect
+        if not any(c in text.partition("\n")[2] for c in '"\r_\u0663'):  # the bulk pass alone
+            assert _panel_bytes(core._panels(*core._plain_rows(path))) == expect
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -625,7 +636,7 @@ class TestTelemetryReaderAgainstRowLoop:
         if expect is None or math.isinf(expect):
             with pytest.raises(ValueError) as info:
                 read_telemetry_csv(path)
-            assert str(info.value) == _outcome(read_telemetry_reference, path)
+            assert str(info.value) == _outcome(read_telemetry_row_loop, path)
             assert str(info.value).startswith(f"{path}: line 3: ")
         else:
             got = read_telemetry_csv(path)[0].values[1, column]
@@ -640,7 +651,7 @@ class TestTelemetryReaderAgainstRowLoop:
         cells = ",".join([cell] * (csv.field_size_limit() // 1000))  # a line beyond the limit
         header = ",".join(f"p{j}" for j in range(cells.count(",") + 1))
         path.write_text(f"unit_id,flight,phase,{header}\nu1,1,{phase},{cells}\n")
-        assert _outcome(read_telemetry_csv, path) == _outcome(read_telemetry_reference, path)
+        assert _outcome(read_telemetry_csv, path) == _outcome(read_telemetry_row_loop, path)
 
     @pytest.mark.parametrize("quote", ["", '"'], ids=["bulk", "row-loop"])
     @pytest.mark.parametrize("flight", ["99999999999999999999", "-9223372036854775809"])
@@ -688,7 +699,7 @@ class TestTelemetryReaderAgainstRowLoop:
             "u2,3,,-0.0,,2,\n"
             "u1,5,,,,,\n"
         )
-        expect = _panel_bytes(read_telemetry_reference(path))
+        expect = _panel_bytes(read_telemetry_row_loop(path))
 
         def row_loop(path):
             raise AssertionError("row loop")
@@ -700,11 +711,133 @@ class TestTelemetryReaderAgainstRowLoop:
             read_telemetry_csv(path)
 
 
+READ_HEADER = "unit_id,flight,phase,p0\n"
+
+
+@st.composite
+def telemetry_texts(draw):
+    """Telemetry text of up to 10 rows, with blank lines among them and maybe
+    no final LF, and at most one odd row: quoted, ended by a CR, or invalid."""
+    n_cols = draw(st.integers(1, 3))
+    units = draw(st.lists(st.sampled_from(["u1", "unit-b", "e f", "\u00e9"]),
+                          min_size=1, max_size=3, unique=True))
+    cell = st.sampled_from(["", "0.5", "-0.0", "1e5", "nan", "4.9e-324"]) | st.floats(
+        allow_nan=False, allow_infinity=False).map(repr)
+    last: dict[str, int] = {}
+    rows = []
+    for unit in draw(st.lists(st.sampled_from(units), max_size=10)):
+        last[unit] = last.get(unit, draw(st.integers(-3, 3))) + draw(st.integers(1, 2))
+        rows.append([unit, str(last[unit]), draw(st.sampled_from(["", "cruise", "climb"])),
+                     *draw(st.lists(cell, min_size=n_cols, max_size=n_cols))])
+    odd = draw(st.sampled_from(["", "quoted", "cr", "inf", "text", "flight", "arity", "unit"]))
+    if odd and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if odd == "quoted":
+            row[0] = f'"{row[0]}"'
+        elif odd == "cr":
+            row[-1] += "\r"
+        elif odd in ("inf", "text"):
+            row[-1] = "-inf" if odd == "inf" else "x1"
+        elif odd == "flight":
+            row[1] = "1.5"
+        elif odd == "arity":
+            row.pop()
+        else:
+            row[0] = ".."
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    header = ",".join(["unit_id", "flight", "phase", *(f"p{j}" for j in range(n_cols))])
+    return "\n".join([header, *lines]) + draw(st.sampled_from(["\n", ""]))
+
+
+@contextlib.contextmanager
+def _reading_in(processes):
+    """``read_telemetry_csv`` cuts the rows into ranges for ``processes``
+    processes, however few bytes they hold."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_read_processes", lambda size: processes)
+        yield
+
+
+def _distinct_objects(panels):
+    """Whether each distinct phase text of ``panels`` is one object."""
+    phases = [x for p in panels for x in p.phases or () if x is not None]
+    return len({id(x) for x in phases}) == len(set(phases))
+
+
+class TestTelemetryReaderProcesses:
+    """Cut into byte ranges that forked processes parse, a telemetry file
+    reads as ``oracles.read_telemetry_reference`` reads it in one process."""
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(text=telemetry_texts())
+    @example(text=READ_HEADER.removesuffix("\n"))  # no body at all
+    @example(text=READ_HEADER + "\n\n")  # a cut offset on the header's end
+    @example(text=READ_HEADER + "u1,1,,0.5\n\nu1,2,,1\n")  # a cut on the blank line
+    @example(text=READ_HEADER + "u1,1,,0.5\nu1,2,,1")  # no final LF in the last range
+    @example(text=READ_HEADER + "u1,1,,0.5\nu1,2,,1\r\n")  # a CR in the last range only
+    @example(text=READ_HEADER + 'u1,1,,0.5\n"u1",2,,1\n')  # a quote in the last range only
+    @example(text=READ_HEADER + "u1,1,,0.5\nu1,2,,inf\n")  # an invalid row in the last range
+    def test_panels_of_the_reference(self, tmp_path_factory, processes, text):
+        path = tmp_path_factory.mktemp("ranges") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expect = _outcome(read_telemetry_reference, path)
+        with _reading_in(processes):
+            assert _outcome(read_telemetry_csv, path) == expect
+            if isinstance(expect, list):
+                assert _distinct_objects(read_telemetry_csv(path))
+
+    @pytest.mark.parametrize("body, processes, starts", [
+        ("\n\n", 3, [0, 1]),  # an offset on the header's end: range 1 is the second blank line
+        ("u1,1,,0.5\n\nu1,2,,1\n", 2, [0, 10]),  # the offset ends line 2: range 1 starts blank
+        ("u1,1,,0.5\nu1,2,,1.5\nu1,3,,2.5\nu1,4,,3.5\n", 2, [0, 30]),  # it starts line 4,
+        # which range 0 keeps
+        ("u1,1,,0.5\n", 3, [0]),  # fewer lines than processes: the empty ranges are dropped
+        ("u1,1,,0.5", 2, [0]),
+        ("", 3, [0]),
+    ])
+    def test_ranges_start_at_line_starts(self, tmp_path, body, processes, starts):
+        path = tmp_path / "t.csv"
+        path.write_text(READ_HEADER + body)
+        with open(path, "rb") as fh:
+            fh.readline()
+            start = fh.tell()
+            got = core._range_starts(fh, start, len(body), processes)
+            assert fh.tell() == start
+        assert [s - start for s in got] == starts
+        with _reading_in(processes):
+            assert _outcome(read_telemetry_csv, path) == _outcome(read_telemetry_reference, path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_reads_in_one_range(self, tmp_path):
+        text = READ_HEADER + "u1,1,,0.5\nu2,1,cruise,\n\nu1,2,,1"
+        (tmp_path / "t.csv").write_text(text)
+        pipe = tmp_path / "t.pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(_outcome(read_telemetry_csv, pipe)),
+                                  daemon=True)  # a second open of the pipe would wait forever
+        reader.start()
+        pipe.write_text(text)
+        reader.join(timeout=60)
+        assert got == [_outcome(read_telemetry_reference, tmp_path / "t.csv")]
+
+    def test_processes_per_cpu_and_range_floor(self, monkeypatch):
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
+        floor = core.READ_RANGE_BYTES
+        assert [core._read_processes(n) for n in (-1, 0, 2 * floor - 1, 2 * floor, 9 * floor)] == [
+            1, 1, 1, 2, 2]
+
+
 def _csv_writer_bytes(header, rows):
+    """What csv.writer writes, with every cell of a row that holds a CR quoted."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    minimal = csv.writer(buffer, lineterminator="\n")
+    quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in [header, *rows]:
+        (quote_all if any("\r" in cell for cell in row) else minimal).writerow(row)
     return buffer.getvalue().encode("utf-8")
 
 
@@ -805,8 +938,6 @@ class TestTelemetryWriter:
             write_telemetry_csv(folder / "t.csv", panels)
         write_telemetry_reference(folder / "ref.csv", panels)
         assert (folder / "t.csv").read_bytes() == (folder / "ref.csv").read_bytes()
-        if any("\r" in text for p in panels for text in (p.unit_id, *(p.phases or ())) if text):
-            return  # csv writes a lone CR unquoted, and its reader ends the row there
         if any(np.isinf(p.values).any() for p in panels):
             with pytest.raises(ValueError, match="infinite value"):
                 read_telemetry_csv(folder / "t.csv")
@@ -833,12 +964,12 @@ class TestTelemetryWriter:
         assert core._telemetry_processes(10 * CSV_BLOCK_ROWS, 64) == 1
 
 
-def _run_python(code, *args):
+def _run_python(code, *args, timeout=300):
     """``code`` in a fresh interpreter that imports fleetwarn from this tree."""
     src = str(Path(core.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=300)
+                          text=True, timeout=timeout)
 
 
 class TestTelemetryWorkers:
@@ -886,3 +1017,78 @@ class TestTelemetryWorkers:
             f"fleetwarn: {telemetry}: the process formatting its rows exited with code 1"
         )
         assert not telemetry.exists()
+
+
+class TestTelemetryReadWorkers:
+    """Forked readers leave no trace in the parent's output, report failure,
+    and never leave the parent waiting on them."""
+
+    def test_parent_output_and_atexit_run_once(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(READ_HEADER + "".join(f"u{i % 3},{i},,{i}\n" for i in range(3000)))
+        code = (
+            "import atexit, sys\n"
+            "from fleetwarn import core\n"
+            "core._read_processes = lambda size: 3\n"
+            "forked, forking = [], core._forked\n"
+            "def counted(path, doing, tasks):\n"
+            "    forked.extend(tasks)\n"
+            "    return forking(path, doing, tasks)\n"
+            "core._forked = counted\n"
+            "atexit.register(print, 'atexit')\n"
+            "print('before')\n"  # a pipe is block-buffered: still unflushed at the fork
+            "panels = core.read_telemetry_csv(sys.argv[1])\n"
+            "print(len(forked), [p.n_flights for p in panels])\n"
+        )
+        proc = _run_python(code, str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "before\n2 [1000, 1000, 1000]\natexit\n"
+
+    def test_failed_worker_fails_run(self, tmp_path):
+        telemetry = tmp_path / "t.csv"
+        telemetry.write_text(READ_HEADER + "".join(f"u1,{i},,{i}\n" for i in range(3000)))
+        (tmp_path / "e.csv").write_text("unit_id,onset,end,code\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"io": {"telemetry": str(telemetry),
+                                             "events": str(tmp_path / "e.csv")}}))
+        code = (
+            "import os, sys\n"
+            "from fleetwarn import core\n"
+            "from fleetwarn.cli import main\n"
+            "parent, rows = os.getpid(), core._bulk_rows\n"
+            "def failing(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        raise RuntimeError('reader broke')\n"
+            "    return rows(*args)\n"
+            "core._bulk_rows = failing\n"
+            "core._read_processes = lambda size: 2\n"
+            "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        proc = _run_python(code, str(config), str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "RuntimeError: reader broke" in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"fleetwarn: {telemetry}: the process reading its rows exited with code 1"
+        )
+
+    def test_invalid_first_range_does_not_wait_for_the_others(self, tmp_path):
+        """The parent's own range fails at once, while the other range's
+        process still has megabytes of rows to send into a full pipe: the
+        parent stops it rather than waiting for it."""
+        path = tmp_path / "t.csv"
+        rows = "".join(f"u1,{i},,{i}.25\n" for i in range(2, 400_000))
+        path.write_text(READ_HEADER + "u1,1,,oops\n" + rows)
+        assert path.stat().st_size > 6_000_000
+        code = (
+            "import sys\n"
+            "from fleetwarn import core\n"
+            "core._cpus = lambda: 2\n"  # the file holds over 2 MiB of rows: two ranges
+            "try:\n"
+            "    core.read_telemetry_csv(sys.argv[1])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = _run_python(code, str(path), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{path}: line 2: cannot parse 'oops' in column 'p0'\n"
+        assert proc.stderr == ""

@@ -157,9 +157,10 @@ def test_core_writes_through_one_json_and_one_csv_writer():
 
 
 
-# Processes and threads start only where core formats telemetry rows.
+# Processes and threads start only where core reads or writes telemetry
+# rows, through the one helper that forks.
 CONCURRENCY = ("os.fork", "multiprocessing", "subprocess", "concurrent.futures", "threading")
-TELEMETRY_WRITER = {"write_telemetry_csv", "_telemetry_processes", "_fork_formatter"}
+TELEMETRY_WRITER = {"_forked", "read_telemetry_csv", "write_telemetry_csv"}
 
 
 def concurrency_uses(source: str) -> list[str]:
@@ -224,6 +225,7 @@ def test_guard_flags_processes_and_threads():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_processes_start_only_in_the_telemetry_writer(path):
+    """Core's telemetry reader starts processes too, through the writer's ``_forked``."""
     allowed = TELEMETRY_WRITER if path.name == "core.py" else set()
     uses = concurrency_uses(path.read_text(encoding="utf-8"))
     assert [u for u in uses if u.split(":")[0] not in allowed] == []
