@@ -6,8 +6,8 @@ sub-flight resolution.  Missing measurements are IEEE NaN: NaN can never be
 confused with a real measurement, and every downstream operation states its
 missing policy explicitly.
 
-All types here are immutable after construction and safe to share across
-worker threads.
+All types here are immutable after construction.  The telemetry reader and
+writer split their work over forked processes, which share no objects.
 """
 
 from __future__ import annotations

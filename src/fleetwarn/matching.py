@@ -61,6 +61,9 @@ class UnitLayout:
 # Region kind of one flight on the fleet axis, and the kind of a firing there.
 _FALSE, _IRRELEVANT, _TRUE = 0, 1, 2
 _FIRING_KINDS = (FiringKind.FALSE, FiringKind.IRRELEVANT, FiringKind.TRUE)
+# The longest fleet axis a layout paints: its window and segment ids are int32,
+# and its per-flight arrays take 9 bytes a flight.
+_MAX_AXIS_FLIGHTS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,8 @@ def layout_periods(
     end+delay) misses the range, or whose unit has no range, is dropped and
     reported in ``dropped`` rather than raising.  Each unit's slice of the
     fleet axis is painted with its zones, then its windows; the false
-    segments are the runs left unpainted.
+    segments are the runs left unpainted.  An axis of more than
+    ``2**31 - 1`` flights raises ValueError before anything is painted.
     """
     per_unit: dict[str, list[EventRecord]] = {}
     dropped: list[EventRecord] = []
@@ -169,6 +173,12 @@ def layout_periods(
         per_unit.setdefault(ev.unit_id, []).append(ev)
 
     axis = FleetAxis.from_ranges(ranges)
+    if axis.starts[-1] > _MAX_AXIS_FLIGHTS:
+        unit = max(axis.units, key=lambda u: ranges[u][1] - ranges[u][0])
+        raise ValueError(
+            f"the fleet axis would hold {axis.starts[-1]} flights, more than {_MAX_AXIS_FLIGHTS}; "
+            f"the widest unit, {unit!r}, spans flights {ranges[unit][0]} to {ranges[unit][1]}"
+        )
     kind = np.full(axis.starts[-1], _FALSE, dtype=np.int8)
     owner = np.full(axis.starts[-1], -1, dtype=np.int32)
     segment = np.full(axis.starts[-1], -1, dtype=np.int32)
@@ -224,24 +234,10 @@ def layout_periods(
 
 
 def _positions(alarm: AlarmSeries, layout: PeriodLayout) -> np.ndarray:
-    """The alarm's sorted positions on the layout's axis.  An alarm on another
-    axis is mapped unit by unit, and a firing on a unit or flight outside the
-    layout breaks every grader's precondition."""
-    if alarm.axis == layout.axis:
-        return alarm.positions
-    units, flights = alarm.axis.locate(alarm.positions)
-    shifts = np.zeros(len(alarm.axis.units), dtype=np.int64)
-    for u in np.unique(units).tolist():
-        unit, fired = alarm.axis.units[u], flights[units == u]
-        ul = layout.units.get(unit)
-        if ul is None:
-            raise ValueError(f"firings on unit {unit!r} absent from layout")
-        outside = fired[(fired < ul.first) | (fired > ul.last)]
-        if outside.size:
-            raise ValueError(f"firing at flight {outside[0]} outside range "
-                             f"[{ul.first}, {ul.last}] of unit {unit!r}")
-        shifts[u] = layout.axis.shift(unit)
-    return flights + shifts[units]
+    """The alarm's sorted positions, which every grader reads on the layout's axis."""
+    if alarm.axis != layout.axis:
+        raise ValueError("alarm is not on the layout's fleet axis")
+    return alarm.positions
 
 
 def classify_firings(alarm: AlarmSeries, layout: PeriodLayout) -> list[FiringLabel]:

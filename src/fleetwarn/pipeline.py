@@ -195,19 +195,16 @@ def train_model(
 
 
 def elementary_alarms_on(
-    model: TrainedModel, panels: Sequence[TelemetryPanel]
+    model: TrainedModel, panels: Sequence[TelemetryPanel], axis: FleetAxis
 ) -> dict[str, AlarmSeries]:
-    """Score new panels with the fitted detectors and thresholds."""
-    panels = sorted(panels, key=lambda p: p.unit_id)
+    """Score new panels with the fitted detectors and thresholds, on the panels' ``axis``."""
     normalized = [apply_column_stats(p, model.column_stats) for p in panels]
-    axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
     return {det.alarm_id: binarize(det, _scores(det, normalized), axis) for det in model.detectors}
 
 
 def pooled_on(model: TrainedModel, panels: Sequence[TelemetryPanel]) -> AlarmSeries:
-    """The trained warning signal applied to (possibly unseen) panels."""
-    alarms = elementary_alarms_on(model, panels)
-    return pool_or(
-        compose_and([alarms[mid] for mid in combo.members])
-        for combo in model.precursors.combinations
-    )
+    """The trained warning signal applied to (possibly unseen) panels, on their fleet axis."""
+    axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
+    alarms = elementary_alarms_on(model, panels, axis)
+    combos = model.precursors.combinations
+    return pool_or([compose_and([alarms[mid] for mid in c.members]) for c in combos], axis)

@@ -84,10 +84,9 @@ def compose_and(alarms: Sequence[AlarmSeries]) -> AlarmSeries:
     return AlarmSeries("&".join(member_ids), alarms[0].axis, positions)
 
 
-def pool_or(alarms: Iterable[AlarmSeries]) -> AlarmSeries:
-    """OR-pool of the combinations' composed alarms; an empty pool never fires."""
+def pool_or(alarms: Iterable[AlarmSeries], axis: FleetAxis) -> AlarmSeries:
+    """OR-pool of the combinations' composed alarms on ``axis``; an empty pool never fires."""
     alarms = list(alarms)
-    axis = alarms[0].axis if alarms else FleetAxis.from_ranges({})
     if any(a.axis != axis for a in alarms):
         raise ValueError("pooled alarms disagree on the unit universe")
     positions = np.unique(np.concatenate([a.positions for a in alarms] or [np.empty(0, np.int64)]))
@@ -156,7 +155,7 @@ def search_combinations(
         key=lambda c: (c.stats.false_to_covered, -c.stats.coverage, c.alarm.alarm_id),
     )
 
-    pooled = pool_or(c.alarm for c in unique)
+    pooled = pool_or((c.alarm for c in unique), layout.axis)
     return PrecursorSet(
         target_code=target_code,
         combinations=tuple(unique),

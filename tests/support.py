@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
+import fleetwarn
 from fleetwarn.core import AlarmSeries, FleetAxis, write_csv
 from fleetwarn.evaluation import Curve, CurvePoint
 
@@ -19,17 +24,28 @@ def alarm_series(alarm_id, firings, axis=None):
     """An ``AlarmSeries`` from per-unit flight sets.
 
     Without ``axis`` every unit named in ``firings`` spans ``WIDE_RANGE``.
+    A unit missing from ``axis``, or a flight off its range, is refused.
     """
     if axis is None:
         axis = FleetAxis.from_ranges({unit: WIDE_RANGE for unit in firings})
     positions = []
     for unit, flights in firings.items():
+        if unit not in axis.units:
+            raise ValueError(f"unit {unit!r} is not on the axis")
         i = axis.units.index(unit)
         for t in set(flights):
             if not 0 <= t - axis.first[i] < axis.starts[i + 1] - axis.starts[i]:
                 raise ValueError(f"flight {t} of unit {unit!r} is off the axis")
             positions.append(t + axis.shift(unit))
     return AlarmSeries(alarm_id, axis, np.array(sorted(positions), dtype=np.int64))
+
+
+def run_python(*args, timeout=300):
+    """``python *args`` in a fresh interpreter that imports fleetwarn from this tree."""
+    src = str(Path(fleetwarn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def curve_of(points):

@@ -93,8 +93,7 @@ def test_criterion_1_metric_oracle_equivalence():
             layout = layout_periods(records, params, ranges)
             if layout.total_window_events() == 0:
                 continue
-            alarm = alarm_series("a", {u: frozenset(v) for u, v in firings.items()})
-            stats = match_stats(alarm, layout)
+            stats = match_stats(alarm_series("a", firings, layout.axis), layout)
             ref = brute_force_match(events, params, ranges, firings)
             for key in COUNTERS:
                 assert getattr(stats, key) == ref[key], key
@@ -195,14 +194,14 @@ def test_criterion_5_boolean_algebra_laws():
                     )
                     for unit, (lo, hi) in ranges.items()
                 }
-                alarms.append(alarm_series(f"a{k}", firings))
+                alarms.append(alarm_series(f"a{k}", firings, layout.axis))
             for size in (2, 3):
                 for members in subsets(alarms, size):
                     composed = compose_and(members)
                     for member in members:
                         for unit in ranges:
                             assert composed.firings_for(unit) <= member.firings_for(unit)
-            pooled = pool_or(alarms)
+            pooled = pool_or(alarms, layout.axis)
             for alarm in alarms:
                 for unit in ranges:
                     assert pooled.firings_for(unit) >= alarm.firings_for(unit)

@@ -1,17 +1,13 @@
 import csv
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import fleetwarn
 from fleetwarn.cli import main
-from fleetwarn.core import read_events_csv, read_telemetry_csv
-from support import write_scores_csv
+from fleetwarn.core import MatchParams, read_events_csv, read_telemetry_csv
+from fleetwarn.matching import layout_periods
+from support import run_python, write_scores_csv
 
 SIM_SECTION = {
     "units": 5,
@@ -146,12 +142,8 @@ class TestConfigErrors:
 
 def _scipy_modules_after(code):
     """Names of the scipy modules loaded after running ``code`` in a fresh process."""
-    src = str(Path(fleetwarn.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = code + "\nimport sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-c", probe, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
@@ -300,6 +292,19 @@ class TestRun:
         doc = json.loads((out / "precursors.json").read_text())
         assert doc["combinations"] == []
         assert (out / "alarms.csv").is_file()
+        # the never-firing pool is graded on the layout's axis, so its counts are the layout's
+        panels = read_telemetry_csv(ws["fleet"] / "telemetry.csv")
+        layout = layout_periods(read_events_csv(ws["fleet"] / "events.csv"), MatchParams(window=10),
+                                {p.unit_id: p.observation_range() for p in panels})
+        stats = json.loads((out / "stats.json").read_text())["pooled"]
+        assert doc["pooled"] == {"alarm_id": "pooled", "stats": stats}
+        assert layout.total_window_events() > 0 and layout.n_false_segments > 0
+        assert stats["window_events"] == layout.total_window_events()
+        assert stats["false_segments"] == layout.n_false_segments
+        for counter in ("true_firings", "false_firings", "irrelevant_firings", "covered_events",
+                        "fired_false_segments"):
+            assert stats[counter] == 0, counter
+        assert stats["false_to_covered"] == "inf"
 
     def test_unmatched_prefix_returns_four(self, ws, tmp_path, capsys):
         payload = {
@@ -609,12 +614,7 @@ def test_crossval_warns_once_of_an_unused_quantile_override(tmp_path):
             "detect": detect,
         },
     )
-    src = str(Path(fleetwarn.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fleetwarn", "crossval", "--config", run, "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_python("-m", "fleetwarn", "crossval", "--config", run, "--out", str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
     warned = [
         line for line in proc.stderr.splitlines()
@@ -676,3 +676,24 @@ class TestInputFileErrors:
         assert self.curves(tmp_path, "u1,5,6,E1\n", "u1,1,nan\nu1,5,0.5\nu1,6,nan\n") == 0
         rows = read_rows(tmp_path / "o" / "curves.csv")
         assert [r[0] for r in rows[1:]] == ["inf", "0.5"]
+
+
+@pytest.mark.parametrize("command", ["run", "crossval"])
+def test_a_gap_in_the_flight_counter_exits_2(tmp_path, capsys, command):
+    # the event layout keeps 9 bytes for every flight of each unit's range, gaps included
+    rows = [f"{u},{t},cruise,{math.sin(t + k):.3f},{math.cos(2 * t - k):.3f}"
+            for k, u in enumerate(("u0", "u1")) for t in range(200)]
+    (tmp_path / "telemetry.csv").write_text(
+        "unit_id,flight,phase,a,b\n" + "\n".join(rows) + f"\nu1,{10**12},cruise,0.5,0.5\n"
+    )
+    (tmp_path / "events.csv").write_text("unit_id,onset,end,code\nu0,120,121,E1\nu1,150,151,E1\n")
+    cfg = write_config(tmp_path / "c.json", {
+        "io": {"telemetry": "telemetry.csv", "events": "events.csv"}, "match": {"w": 10},
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # crossval fails in its first fold, which trains on u1 alone
+    flights = 10**12 + 1 + (200 if command == "run" else 0)
+    assert capsys.readouterr().err == (
+        f"fleetwarn: the fleet axis would hold {flights} flights, more than 2147483647; "
+        f"the widest unit, 'u1', spans flights 0 to {10**12}\n"
+    )

@@ -5,11 +5,8 @@ import json
 import math
 import os
 import struct
-import subprocess
-import sys
 import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +45,7 @@ from oracles import (
     write_alarms_reference,
     write_telemetry_reference,
 )
-from support import alarm_series, write_scores_csv
+from support import alarm_series, run_python, write_scores_csv
 
 
 def make_panel(values, columns=("x",), unit="u1", flights=None):
@@ -268,7 +265,7 @@ def alarm_lists(draw):
         for _ in range(draw(st.integers(0, 6)))
     ]
     if draw(st.booleans()):
-        alarms.append(pool_or([]))
+        alarms.append(pool_or([], FleetAxis.from_ranges({})))
     return draw(st.permutations(alarms))
 
 
@@ -964,14 +961,6 @@ class TestTelemetryWriter:
         assert core._telemetry_processes(10 * CSV_BLOCK_ROWS, 64) == 1
 
 
-def _run_python(code, *args, timeout=300):
-    """``code`` in a fresh interpreter that imports fleetwarn from this tree."""
-    src = str(Path(core.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=timeout)
-
-
 class TestTelemetryWorkers:
     """Forked formatters leave no trace in the parent's output and report failure."""
 
@@ -988,7 +977,7 @@ class TestTelemetryWorkers:
             "core.write_telemetry_csv(sys.argv[1], panels)\n"
             "print('after')\n"
         )
-        proc = _run_python(code, str(tmp_path / "t.csv"))
+        proc = run_python("-c", code, str(tmp_path / "t.csv"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "before\nafter\natexit\n"
         assert len(read_telemetry_csv(tmp_path / "t.csv")) == 3
@@ -1009,7 +998,7 @@ class TestTelemetryWorkers:
             "core._telemetry_processes = lambda rows, units: 2\n"
             "sys.exit(main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
         )
-        proc = _run_python(code, str(config), str(tmp_path / "fleet"))
+        proc = run_python("-c", code, str(config), str(tmp_path / "fleet"))
         assert proc.returncode == 2, proc.stderr
         assert "RuntimeError: formatter broke" in proc.stderr
         telemetry = tmp_path / "fleet" / "telemetry.csv"
@@ -1040,7 +1029,7 @@ class TestTelemetryReadWorkers:
             "panels = core.read_telemetry_csv(sys.argv[1])\n"
             "print(len(forked), [p.n_flights for p in panels])\n"
         )
-        proc = _run_python(code, str(path))
+        proc = run_python("-c", code, str(path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "before\n2 [1000, 1000, 1000]\natexit\n"
 
@@ -1064,7 +1053,7 @@ class TestTelemetryReadWorkers:
             "core._read_processes = lambda size: 2\n"
             "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
         )
-        proc = _run_python(code, str(config), str(tmp_path / "out"))
+        proc = run_python("-c", code, str(config), str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert "RuntimeError: reader broke" in proc.stderr
         assert proc.stderr.splitlines()[-1] == (
@@ -1088,7 +1077,7 @@ class TestTelemetryReadWorkers:
             "except ValueError as exc:\n"
             "    print(exc)\n"
         )
-        proc = _run_python(code, str(path), timeout=60)
+        proc = run_python("-c", code, str(path), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{path}: line 2: cannot parse 'oops' in column 'p0'\n"
         assert proc.stderr == ""

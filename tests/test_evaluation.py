@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -12,6 +13,7 @@ from oracles import exact_max_matching, roc_pr_reference
 from fleetwarn import evaluation
 from fleetwarn.core import (
     EventRecord,
+    FleetAxis,
     MatchParams,
     NoTargetEventsError,
     csv_float,
@@ -438,6 +440,28 @@ class TestCrossval:
         assert fold.stats.true_firings == 0
         assert fold.stats.covered_events == 0
         assert math.isnan(fold.stats.coverage)
+
+    def test_fold_whose_search_keeps_nothing_grades_a_silent_pool(self, monkeypatch):
+        panels, events = small_fleet()
+        pooled, pooled_on = {}, evaluation.pooled_on
+
+        def recording_pooled_on(model, held):
+            (panel,) = held
+            pooled[panel.unit_id] = pooled_on(model, held)
+            return pooled[panel.unit_id]
+
+        monkeypatch.setattr(evaluation, "pooled_on", recording_pooled_on)
+        cfg = dataclasses.replace(SMALL_CFG, search=SearchConfig(filter_kind="hard", theta=50))
+        result = leave_one_unit_out(list(panels), list(events), cfg)
+        assert sorted(pooled) == [p.unit_id for p in panels]
+        for panel, fold in zip(panels, result.folds):
+            assert fold.precursors.combinations == ()
+            alarm = pooled[fold.held_out_unit]
+            assert alarm.axis == FleetAxis.from_ranges({panel.unit_id: panel.observation_range()})
+            assert alarm.total_firings() == 0
+            assert fold.stats.true_firings == fold.stats.false_firings == 0
+            assert fold.stats.irrelevant_firings == fold.stats.covered_events == 0
+            assert fold.stats.false_segments == len(fold.segment_counts) > 0
 
     def test_fold_without_training_events_is_skipped(self):
         panels, events = small_fleet()

@@ -291,16 +291,18 @@ class TestTrainOnSimFleet:
 
     def test_scoring_training_panels_reproduces_alarms(self):
         model, panels, _ = sim_model()
-        rescored = elementary_alarms_on(model, list(panels))
+        rescored = elementary_alarms_on(model, list(panels), model.layout.axis)
         assert set(rescored) == {a.alarm_id for a in model.alarms}
         for alarm in model.alarms:
-            assert rescored[alarm.alarm_id].firings == alarm.firings
+            assert rescored[alarm.alarm_id].axis == alarm.axis == model.layout.axis
+            assert rescored[alarm.alarm_id].signature() == alarm.signature()
 
     def test_pooled_on_training_panels_reproduces_pool(self):
         model, panels, _ = sim_model()
         pooled = pooled_on(model, list(panels))
         assert pooled.alarm_id == "pooled"
-        assert pooled.firings == model.precursors.pooled_alarm.firings
+        assert pooled.axis == model.precursors.pooled_alarm.axis == model.layout.axis
+        assert pooled.signature() == model.precursors.pooled_alarm.signature()
 
     def test_pooled_on_unseen_fleet(self):
         import dataclasses

@@ -24,15 +24,6 @@ from fleetwarn.synth import (
 UNITS = ("u0", "u1", "u2")
 
 
-def alarm(alarm_id, flights_by_unit):
-    firings = {u: frozenset(flights_by_unit.get(u, ())) for u in UNITS}
-    return alarm_series(alarm_id, firings)
-
-
-def same_everywhere(alarm_id, flights):
-    return alarm(alarm_id, {u: flights for u in UNITS})
-
-
 def fixture_layout(window=5):
     # each unit observed on [1, 100] with events at 30 and 60
     events = []
@@ -41,6 +32,19 @@ def fixture_layout(window=5):
         events.append(EventRecord(u, 60, 61, "E1"))
     ranges = {u: (1, 100) for u in UNITS}
     return layout_periods(events, MatchParams(window=window), ranges)
+
+
+# The fleet axis of every fixture layout, whatever its window.
+AXIS = fixture_layout().axis
+
+
+def alarm(alarm_id, flights_by_unit, axis=AXIS):
+    firings = {u: frozenset(flights_by_unit.get(u, ())) for u in UNITS}
+    return alarm_series(alarm_id, firings, axis)
+
+
+def same_everywhere(alarm_id, flights, axis=AXIS):
+    return alarm(alarm_id, {u: flights for u in UNITS}, axis)
 
 
 class TestCompose:
@@ -105,25 +109,26 @@ class TestCompose:
 
 class TestPool:
     def test_union(self):
-        pooled = pool_or([same_everywhere("a", {1, 5}), same_everywhere("b", {5, 9})])
+        pooled = pool_or([same_everywhere("a", {1, 5}), same_everywhere("b", {5, 9})], AXIS)
         assert pooled.alarm_id == "pooled"
         for u in UNITS:
             assert pooled.firings_for(u) == frozenset({1, 5, 9})
 
     def test_single_combination_identity(self):
-        pooled = pool_or([same_everywhere("a", {3, 4})])
+        pooled = pool_or([same_everywhere("a", {3, 4})], AXIS)
         assert pooled.firings_for("u1") == frozenset({3, 4})
 
     def test_empty_set_never_fires(self):
-        pooled = pool_or([])
+        pooled = pool_or([], AXIS)
         assert pooled.total_firings() == 0
+        assert pooled.axis == AXIS
 
     def test_contains_every_member(self):
         rng = random.Random(6)
         alarms = [
             same_everywhere(f"m{i}", rng.sample(range(1, 50), 8)) for i in range(4)
         ]
-        pooled = pool_or(alarms)
+        pooled = pool_or(alarms, AXIS)
         for a in alarms:
             for u in UNITS:
                 assert a.firings_for(u) <= pooled.firings_for(u)
@@ -166,7 +171,7 @@ class TestArraysAgainstSets:
         assert compose_and(alarms).firings == {
             u: frozenset.intersection(*(f[u] for f in firings)) for u in axis.units
         }
-        assert pool_or(alarms).firings == {
+        assert pool_or(alarms, axis).firings == {
             u: frozenset.union(*(f[u] for f in firings)) for u in axis.units
         }
         for a, fa in zip(alarms, firings):
@@ -179,7 +184,7 @@ class TestArraysAgainstSets:
         with pytest.raises(ValueError, match="disagree on the unit universe"):
             compose_and([a, b])
         with pytest.raises(ValueError, match="disagree on the unit universe"):
-            pool_or([a, b])
+            pool_or([a, b], a.axis)
 
 
 class TestSearchFixture:
@@ -238,7 +243,11 @@ class TestSearchFixture:
         cfg = SearchConfig(filter_kind="hard", theta=2)
         pset = search_combinations([noise], layout, cfg, target_code="E1")
         assert pset.combinations == ()
+        assert pset.pooled_alarm.axis == layout.axis
         assert pset.pooled_alarm.total_firings() == 0
+        assert pset.pooled_stats.window_events == 6
+        assert pset.pooled_stats.false_segments == 9
+        assert pset.pooled_stats.true_firings == pset.pooled_stats.false_firings == 0
         assert pset.pooled_stats.coverage == 0.0
         assert math.isinf(pset.pooled_stats.false_to_covered)
 
@@ -265,7 +274,7 @@ class TestSearchFixture:
     def test_eventless_layout_rejected(self):
         layout = layout_periods([], MatchParams(), {"u": (1, 10)})
         with pytest.raises(ValueError, match="no target events"):
-            search_combinations([alarm_series("a", {"u": frozenset()})], layout, SearchConfig())
+            search_combinations([alarm_series("a", {"u": set()}, layout.axis)], layout, SearchConfig())
 
 
 def oracle_search(pool, layout, cfg, events, ranges):
@@ -327,7 +336,7 @@ class TestSearchProperty:
         records = [EventRecord(u, onset, end, "E1") for u, onset, end in events]
         layout = layout_periods(records, params, ranges)
         alarms = [
-            alarm_series(alarm_id, {u: frozenset(ts) for u, ts in fires.items()})
+            alarm_series(alarm_id, fires, layout.axis)
             for alarm_id, fires in pool.items()
         ]
         if layout.total_window_events() < 1:
@@ -376,11 +385,11 @@ class TestSearchAgainstOracle:
             for u in UNITS:
                 for _ in range(rng.randint(0, 2)):
                     fires[u].add(rng.randrange(1, 81))
-            return alarm_series(f"g{i}", {u: frozenset(v) for u, v in fires.items()})
+            return alarm_series(f"g{i}", fires, layout.axis)
 
         pool = [good(i) for i in range(rng.randint(1, 2))]
         pool += [
-            same_everywhere(f"n{i}", rng.sample(range(1, 81), rng.randint(0, 20)))
+            same_everywhere(f"n{i}", rng.sample(range(1, 81), rng.randint(0, 20)), layout.axis)
             for i in range(rng.randint(0, 2))
         ]
         return events, records, ranges, layout, pool
