@@ -199,6 +199,18 @@ class TestClassify:
         labs = classify_firings(alarm, layout)
         assert [lab.segment for lab in labs] == [0, 1]
 
+    def test_unknown_unit_rejected(self):
+        layout = base_layout()
+        alarm = alarm_series("a", {"ghost": frozenset({3})})
+        with pytest.raises(ValueError, match="not on the layout's fleet axis"):
+            classify_firings(alarm, layout)
+
+    def test_out_of_range_flight_rejected(self):
+        layout = base_layout()
+        alarm = alarm_series("a", {"u": frozenset({31})})
+        with pytest.raises(ValueError, match="not on the layout's fleet axis"):
+            classify_firings(alarm, layout)
+
     def test_empty_alarm(self):
         layout = base_layout()
         assert classify_firings(alarm_series("a", {}, layout.axis), layout) == []
