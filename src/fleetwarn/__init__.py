@@ -11,7 +11,6 @@ from fleetwarn.core import (
     TelemetryPanel,
     apply_column_stats,
     fit_column_stats,
-    normalize_panel,
 )
 
 __version__ = "0.1.0"
@@ -27,6 +26,5 @@ __all__ = [
     "TelemetryPanel",
     "apply_column_stats",
     "fit_column_stats",
-    "normalize_panel",
     "__version__",
 ]

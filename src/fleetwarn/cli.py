@@ -91,16 +91,27 @@ def _check_keys(raw: Mapping[str, Any]) -> None:
 _FIELD_NAMES = {"w": "window", "h": "horizon", "m": "delay", "kind": "filter_kind"}
 
 
-def _build(cls: type, body: Mapping[str, Any], **fixed: Any) -> Any:
-    """Dataclass ``cls`` from the config keys in ``body`` plus ``fixed``.
+def _coerce(key: str, value: Any, kind: type) -> Any:
+    """Config ``key``'s ``value`` as ``kind``; an int takes neither a bool nor a fraction."""
+    if kind is int and (isinstance(value, bool) or isinstance(value, float) and value % 1):
+        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _build(cls: type, raw: Mapping[str, Any], *sections: str, **fixed: Any) -> Any:
+    """Dataclass ``cls`` from the keys of the config ``sections`` plus ``fixed``.
 
     Keys whose field is an int, float or str are coerced to that type; the
     rest are left to ``fixed``.  Absent keys are left out, so every default
     lives only in its dataclass.
     """
     types = get_type_hints(cls)
-    named = {_FIELD_NAMES.get(key, key): value for key, value in body.items()}
-    typed = {n: types[n](v) for n, v in named.items() if types.get(n) in (int, float, str)}
+    typed = {}
+    for section in sections:
+        for key, value in raw.get(section, {}).items():
+            name = _FIELD_NAMES.get(key, key)
+            if types.get(name) in (int, float, str):
+                typed[name] = _coerce(f"{section}.{key}", value, types[name])
     return cls(**typed, **fixed)
 
 
@@ -124,16 +135,17 @@ class RunConfig:
             raise ConfigError("detect.quantile_overrides must be an object")
         try:
             self.pipeline = _build(
-                PipelineConfig,
-                {**raw.get("detect", {}), **raw.get("grouping", {}), **raw.get("target", {})},
-                match=_build(MatchParams, raw.get("match", {})),
-                search=_build(SearchConfig, raw.get("filter", {})),
+                PipelineConfig, raw, "detect", "grouping", "target",
+                match=_build(MatchParams, raw, "match"),
+                search=_build(SearchConfig, raw, "filter"),
                 quantile_overrides={str(k): float(v) for k, v in overrides.items()},
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         curves = raw.get("curves", {})
-        self.tolerance = int(raw.get("eval", {}).get("tolerance", 2))
+        self.tolerance = _coerce("eval.tolerance", raw.get("eval", {}).get("tolerance", 2), int)
+        if self.tolerance < 0:
+            raise ConfigError(f"eval.tolerance must be >= 0, got {self.tolerance}")
         self.baseline_param = curves.get("baseline_param")
         self.baseline_direction = str(curves.get("baseline_direction", "above"))
         if self.baseline_direction not in ("above", "below"):
@@ -169,7 +181,7 @@ class RunConfig:
                     GroupSpec(int(size), float(corr)) for size, corr in raw["groups"]
                 )
             body = raw if seed_override is None else {**raw, "seed": seed_override}
-            return _build(SimConfig, body, **fixed)
+            return _build(SimConfig, {"sim": body}, "sim", **fixed)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sim config: {exc}") from exc
 
@@ -312,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("simulate", "run", "crossval", "curves"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="simulation seed")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None, help="overrides sim.seed")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument(
             "--workers", type=int, default=1, help="accepted for compatibility; has no effect"

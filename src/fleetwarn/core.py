@@ -98,9 +98,6 @@ class TelemetryPanel:
         idx = [self.column_index(n) for n in names]
         return self.values.take(idx, axis=1)
 
-    def with_values(self, values: np.ndarray) -> "TelemetryPanel":
-        return replace(self, values=values)
-
 
 @dataclass(frozen=True)
 class EventRecord:
@@ -185,9 +182,6 @@ class AlarmSeries:
             raise ValueError("alarm positions must strictly increase within the axis")
         positions.setflags(write=False)
         object.__setattr__(self, "positions", positions)
-
-    def units(self) -> tuple[str, ...]:
-        return self.axis.units
 
     @property
     def firings(self) -> dict[str, frozenset[int]]:
@@ -302,23 +296,7 @@ def apply_column_stats(panel: TelemetryPanel, stats: ColumnStats) -> TelemetryPa
     no_ref = np.isnan(stats.mean)
     m = np.where(no_ref, 0.0, stats.mean)
     s = np.where(no_ref | (stats.std == 0.0), 1.0, stats.std)
-    return panel.with_values((panel.values - m) / s)
-
-
-def normalize_panel(panel: TelemetryPanel, stats_rows: np.ndarray) -> TelemetryPanel:
-    """Z-score each column using mean/std estimated only on ``stats_rows``.
-
-    The reference mask lets callers estimate the statistics on a normal
-    regime while transforming the whole timeline.  Constant columns pass
-    through centered; missing values remain missing.
-    """
-    mask = np.asarray(stats_rows, dtype=bool)
-    if mask.shape != (panel.n_flights,):
-        raise ValueError("stats_rows length does not match panel")
-    if not mask.any():
-        raise ValueError("no reference rows")
-    stats = fit_column_stats([panel], [mask])
-    return apply_column_stats(panel, stats)
+    return replace(panel, values=(panel.values - m) / s)
 
 
 # --------------------------------------------------------------------------

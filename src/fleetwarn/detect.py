@@ -19,10 +19,6 @@ import numpy as np
 from fleetwarn.core import AlarmSeries, EventRecord, FleetAxis, TelemetryPanel, write_json
 
 
-class NoNormalRegimeError(ValueError):
-    """The exclusion zones around events left no usable flights."""
-
-
 class InsufficientNormalDataError(ValueError):
     """Too few complete training rows to fit the requested rank."""
 
@@ -74,14 +70,14 @@ class SubspaceDetector:
 def select_normal_regime(
     panel: TelemetryPanel,
     events: Sequence[EventRecord],
-    before: int = 50,
-    after: int = 30,
+    before: int,
+    after: int,
 ) -> np.ndarray:
     """Boolean mask of flights far from every event of this unit.
 
     A flight t qualifies when, for every event [onset, end) of the unit,
     t <= onset - before or t >= end + after.  Units with no event keep all
-    flights.  Raises :class:`NoNormalRegimeError` when nothing qualifies.
+    flights; a unit whose every flight is near an event keeps none.
     """
     if before < 0 or after < 0:
         raise ValueError("before and after must be >= 0")
@@ -91,8 +87,6 @@ def select_normal_regime(
             continue
         excluded = (panel.flights > ev.onset - before) & (panel.flights < ev.end + after)
         mask &= ~excluded
-    if not mask.any():
-        raise NoNormalRegimeError(f"no normal regime on unit {panel.unit_id!r}")
     return mask
 
 

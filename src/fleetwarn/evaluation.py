@@ -88,24 +88,19 @@ def leave_one_unit_out(
     if len(panels) < 2:
         raise ValueError("leave-one-unit-out needs at least 2 units")
 
+    targets = [ev for ev in events if ev.code.startswith(cfg.code_prefix)]
     folds: list[FoldResult] = []
     for held in panels:
         train_panels = [p for p in panels if p.unit_id != held.unit_id]
         train_events = [ev for ev in events if ev.unit_id != held.unit_id]
+        # Built before the fold trains; it drops the targets of other units as out of range.
+        layout = layout_periods(targets, cfg.match, {held.unit_id: held.observation_range()})
         try:
             model = train_model(train_panels, train_events, cfg)
         except NoTargetEventsError:
             folds.append(FoldResult(held_out_unit=held.unit_id, skipped=True))
             continue
         pooled = pooled_on(model, [held])
-        held_events = [
-            ev
-            for ev in events
-            if ev.unit_id == held.unit_id and ev.code.startswith(cfg.code_prefix)
-        ]
-        layout = layout_periods(
-            held_events, cfg.match, {held.unit_id: held.observation_range()}
-        )
         stats = match_stats(pooled, layout, require_events=False)
         window_counts, segment_counts = significance_samples(pooled, layout)
         folds.append(
@@ -214,7 +209,6 @@ def roc_pr_curves(
     scores: Mapping[str, Mapping[int, float]],
     events: Sequence[EventRecord],
     tolerance: int,
-    require_events: bool = True,
 ) -> Curve:
     """Confusion curve over all distinct score thresholds, descending.
 
@@ -222,8 +216,8 @@ def roc_pr_curves(
     +inf (nothing flagged).  Flags match event onsets one-to-one within
     ``tolerance`` flights; unmatched flags are false positives, unmatched
     events false negatives, and remaining scored flights true negatives.
-    With no events the PR side is undefined: that raises unless
-    ``require_events`` is False, in which case recall is NaN.
+    With no events the PR side is undefined: that raises
+    :class:`NoTargetEventsError`.
 
     The flags are sorted once by (-score, unit, flight); equal scores, -0.0
     and 0.0 included, form one threshold whose ``nu`` is the first of them.
@@ -239,7 +233,7 @@ def roc_pr_curves(
         if ev.unit_id not in scores:
             raise ValueError(f"event on unit {ev.unit_id!r} which has no scores")
     n_events = len(events)
-    if n_events == 0 and require_events:
+    if n_events == 0:
         raise NoTargetEventsError("no events: precision-recall undefined")
 
     onsets: dict[str, list[int]] = {u: [] for u in units}
@@ -292,7 +286,7 @@ def roc_pr_curves(
     tn = np.maximum(n_scored - tp - fp - fn, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = np.where(cuts == 0, 1.0, tp / cuts)
-        recall = tp / n_events if n_events else np.full(cuts.size, math.nan)
+        recall = tp / n_events
         fpr = np.where(fp + tn == 0, 0.0, fp / (fp + tn))
     return Curve(nu, tp, fp, fn, tn, precision, recall, fpr)
 

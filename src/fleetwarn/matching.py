@@ -41,16 +41,14 @@ from fleetwarn.core import (
 class UnitLayout:
     """One unit's region decomposition over its observation range.
 
-    Intervals are half-open [lo, hi) on the integer flight timeline
-    [first, last].  ``events`` holds the kept events sorted by
-    (onset, end, code); interval tuples carry the owning event's index into
-    it.  ``window_events`` lists the events whose clipped true window is
-    non-empty (the ones eligible for coverage credit).
+    Intervals are half-open [lo, hi) flight ranges within it.  ``events``
+    holds the kept events sorted by (onset, end, code); interval tuples
+    carry the owning event's index into it.  ``window_events`` lists the
+    events whose clipped true window is non-empty (the ones eligible for
+    coverage credit).
     """
 
     unit_id: str
-    first: int
-    last: int
     events: tuple[EventRecord, ...]
     true_windows: tuple[tuple[int, int, int], ...]
     irrelevant_zones: tuple[tuple[int, int, int], ...]
@@ -215,8 +213,6 @@ def layout_periods(
         n_segments += len(runs)
         units[unit] = UnitLayout(
             unit_id=unit,
-            first=first,
-            last=last,
             events=evs,
             true_windows=tuple(true_windows),
             irrelevant_zones=tuple(irrelevant),

@@ -27,7 +27,6 @@ from fleetwarn.core import (
     fit_column_stats,
 )
 from fleetwarn.detect import (
-    NoNormalRegimeError,
     SubspaceDetector,
     binarize,
     fit_subspace_from_rows,
@@ -70,6 +69,8 @@ class PipelineConfig:
                 raise ValueError(f"quantile override for {key!r} must lie in (0, 1)")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
+        if not self.rho > 0.0:  # NaN too
+            raise ValueError("rho must be positive")
         if self.normal_before < 0 or self.normal_after < 0:
             raise ValueError("normal_before and normal_after must be >= 0")
         object.__setattr__(self, "quantile_overrides", dict(self.quantile_overrides))
@@ -79,14 +80,12 @@ class PipelineConfig:
 class TrainedModel:
     """Everything fitted on a training fleet, ready to score new panels."""
 
-    config: PipelineConfig
     column_stats: ColumnStats
     grouping: ParameterGrouping
     detectors: tuple[SubspaceDetector, ...]
     alarms: tuple[AlarmSeries, ...]
     layout: PeriodLayout
     precursors: PrecursorSet
-    target_events: tuple[EventRecord, ...]
 
 
 def select_target_events(
@@ -99,22 +98,6 @@ def select_target_events(
             f"no events match code prefix {code_prefix!r}"
         )
     return kept
-
-
-def normal_masks(
-    panels: Sequence[TelemetryPanel],
-    events: Sequence[EventRecord],
-    before: int,
-    after: int,
-) -> list[np.ndarray]:
-    """Per-panel normal-regime masks; a unit may contribute nothing."""
-    masks = []
-    for panel in panels:
-        try:
-            masks.append(select_normal_regime(panel, events, before, after))
-        except NoNormalRegimeError:
-            masks.append(np.zeros(panel.n_flights, dtype=bool))
-    return masks
 
 
 def _scores(
@@ -146,23 +129,24 @@ def train_model(
     """Fit the whole warning pipeline on the given fleet.
 
     Raises :class:`NoTargetEventsError` when no event matches the target
-    prefix, and ValueError when the fleet has no normal-regime rows at all.
+    prefix, and ValueError when the fleet axis is too long for the event
+    layout (before any mask or fit) or the fleet has no normal-regime rows.
     """
     if not panels:
         raise ValueError("no panels")
     panels = sorted(panels, key=lambda p: p.unit_id)
     target_events = select_target_events(events, cfg.code_prefix)
+    ranges = {p.unit_id: p.observation_range() for p in panels}
+    layout = layout_periods(target_events, cfg.match, ranges)
 
-    masks = normal_masks(panels, target_events, cfg.normal_before, cfg.normal_after)
+    masks = [select_normal_regime(p, target_events, cfg.normal_before, cfg.normal_after)
+             for p in panels]
     stats = fit_column_stats(list(panels), masks)
     normalized = [apply_column_stats(p, stats) for p in panels]
     normal_rows = np.vstack([p.values[m] for p, m in zip(normalized, masks)])
 
     dep = dependence_from_rows(normal_rows, panels[0].columns, cfg.measure)
     grouping = build_groups(dep, cfg.rho)
-
-    ranges = {p.unit_id: p.observation_range() for p in panels}
-    layout = layout_periods(target_events, cfg.match, ranges)
 
     col_index = {name: i for i, name in enumerate(panels[0].columns)}
     detectors, alarms = [], []
@@ -183,14 +167,12 @@ def train_model(
         keys = ", ".join(map(repr, unused))
         warnings.warn(f"detect.quantile_overrides {noun} {keys} {verb} no group; ignored")
     return TrainedModel(
-        config=cfg,
         column_stats=stats,
         grouping=grouping,
         detectors=tuple(detectors),
         alarms=tuple(alarms),
         layout=layout,
         precursors=precursors,
-        target_events=tuple(target_events),
     )
 
 

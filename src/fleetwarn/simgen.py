@@ -29,8 +29,8 @@ from fleetwarn.core import (
     apply_column_stats,
     fit_column_stats,
 )
-from fleetwarn.detect import fit_subspace_from_rows
-from fleetwarn.pipeline import fit_alarm, normal_masks
+from fleetwarn.detect import fit_subspace_from_rows, select_normal_regime
+from fleetwarn.pipeline import fit_alarm
 
 
 @dataclass(frozen=True)
@@ -222,21 +222,20 @@ def _anomalies_exceed_q95(
     panels: Sequence[TelemetryPanel],
     events: Sequence[EventRecord],
     anomalies: Sequence[dict],
-    q: float = 0.95,
-    before: int = 50,
-    after: int = 30,
 ) -> bool:
     """Self-check: every planted flight fires in the rank-1 alarm of each of
-    its groups, fitted with :func:`fit_alarm` on the fleet's normal regime.
+    its groups, fitted with :func:`fit_alarm` at the 0.95 quantile on the
+    fleet's normal regime.
 
     With nothing planted it holds without a fit.  A planted fleet with no
-    flight at least ``before`` flights ahead of and ``after`` flights past
-    every event of its unit has no normal regime to fit on: a ValueError.
+    flight at least 50 flights ahead of and 30 flights past every event of
+    its unit has no normal regime to fit on: a ValueError.
     """
+    q, before, after = 0.95, 50, 30
     planted_groups = sorted({g for spec in cfg.planted for g in spec.groups})
     if not planted_groups:
         return True
-    masks = normal_masks(panels, events, before, after)
+    masks = [select_normal_regime(p, events, before, after) for p in panels]
     if not any(m.any() for m in masks):
         raise ValueError(
             f"cannot verify the planted precursors: every flight lies fewer than {before} "

@@ -161,6 +161,17 @@ def brute_force_labels(events, params, ranges, firings):
     return out
 
 
+def normal_regime_reference(panel, events, before, after):
+    """The normal-regime mask flight by flight: a flight is kept when, for
+    every event of its unit, it lies at or before ``onset - before`` or at or
+    past ``end + after``."""
+    unit_events = [ev for ev in events if ev.unit_id == panel.unit_id]
+    kept = []
+    for t in panel.flights.tolist():
+        kept.append(all(t <= ev.onset - before or t >= ev.end + after for ev in unit_events))
+    return np.array(kept, dtype=bool)
+
+
 def fit_column_stats_reference(rows):
     """Per-column nanmean and population nanstd of ``rows``, with the
     warnings of all-missing columns silenced; NaN std becomes 0."""
@@ -283,7 +294,7 @@ def exact_max_matching(flags, onsets, tolerance):
     return size
 
 
-def roc_pr_reference(scores, events, tolerance, require_events=True):
+def roc_pr_reference(scores, events, tolerance):
     """The confusion curve as a list of ``CurvePoint``, swept threshold by
     threshold: each threshold inserts its relevant flags into their unit's
     sorted list and rematches every unit whose flags changed."""
@@ -294,7 +305,7 @@ def roc_pr_reference(scores, events, tolerance, require_events=True):
         if ev.unit_id not in scores:
             raise ValueError(f"event on unit {ev.unit_id!r} which has no scores")
     n_events = len(events)
-    if n_events == 0 and require_events:
+    if n_events == 0:
         raise NoTargetEventsError("no events: precision-recall undefined")
 
     onsets = {u: [] for u in units}
@@ -323,7 +334,7 @@ def roc_pr_reference(scores, events, tolerance, require_events=True):
         fn = n_events - tp
         tn = max(n_scored - tp - fp - fn, 0)
         precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
-        recall = tp / n_events if n_events else float("nan")
+        recall = tp / n_events
         fpr = fp / (fp + tn) if fp + tn else 0.0
         return CurvePoint(nu, tp, fp, fn, tn, precision, recall, fpr)
 
@@ -548,7 +559,7 @@ def write_alarms_reference(path, alarms):
     alarm's per-unit flight sets."""
     # Each unit's flights are sorted first, so the final sort merges sorted runs.
     rows = sorted(
-        (u, t, a.alarm_id) for a in alarms for u in a.units() for t in sorted(a.firings_for(u))
+        (u, t, a.alarm_id) for a in alarms for u in a.axis.units for t in sorted(a.firings_for(u))
     )
     write_csv(path, ["unit_id", "flight", "alarm_id"], ([u, str(t), a] for u, t, a in rows))
 

@@ -94,7 +94,33 @@ class TestConfigErrors:
                 {"curves": {"baseline_param": "g0p0", "baseline_direction": "sideways"}},
                 "curves.baseline_direction must be 'above' or 'below', got 'sideways'",
                 id="curves-direction",
-            )
+            ),
+            pytest.param("run", {"grouping": {"rho": 0}}, "rho must be positive", id="run-rho"),
+            pytest.param(
+                "crossval", {"grouping": {"rho": math.nan}}, "rho must be positive",
+                id="crossval-rho-nan",
+            ),
+            pytest.param(
+                "curves", {"eval": {"tolerance": -1}}, "eval.tolerance must be >= 0, got -1",
+                id="curves-tolerance",
+            ),
+            pytest.param(
+                "curves", {"eval": {"tolerance": 1.5}},
+                "eval.tolerance must be an integer, got 1.5",
+                id="curves-tolerance-fraction",
+            ),
+            pytest.param(
+                "run", {"match": {"w": 2.7}}, "match.w must be an integer, got 2.7",
+                id="run-window-fraction",
+            ),
+            pytest.param(
+                "crossval", {"filter": {"max_size": True}},
+                "filter.max_size must be an integer, got true", id="crossval-max-size-bool",
+            ),
+            pytest.param(
+                "simulate", {"sim": {"units": 2.5}}, "sim.units must be an integer, got 2.5",
+                id="simulate-units-fraction",
+            ),
         ],
     )
     def test_unknown_measure_rejected_before_reading(
@@ -678,8 +704,16 @@ class TestInputFileErrors:
         assert [r[0] for r in rows[1:]] == ["inf", "0.5"]
 
 
+@pytest.mark.parametrize("command", ["run", "crossval", "curves"])
+def test_seed_is_a_simulate_flag(ws, tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exit:
+        main([command, "--config", ws["run_cfg"], "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert exit.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "crossval"])
-def test_a_gap_in_the_flight_counter_exits_2(tmp_path, capsys, command):
+def test_a_gap_in_the_flight_counter_exits_2(tmp_path, capsys, monkeypatch, command):
     # the event layout keeps 9 bytes for every flight of each unit's range, gaps included
     rows = [f"{u},{t},cruise,{math.sin(t + k):.3f},{math.cos(2 * t - k):.3f}"
             for k, u in enumerate(("u0", "u1")) for t in range(200)]
@@ -690,6 +724,11 @@ def test_a_gap_in_the_flight_counter_exits_2(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "c.json", {
         "io": {"telemetry": "telemetry.csv", "events": "events.csv"}, "match": {"w": 10},
     })
+
+    def masked(*args):
+        raise AssertionError("the gap was not refused before the normal-regime masks")
+
+    monkeypatch.setattr("fleetwarn.pipeline.select_normal_regime", masked)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     # crossval fails in its first fold, which trains on u1 alone
     flights = 10**12 + 1 + (200 if command == "run" else 0)

@@ -26,7 +26,6 @@ from fleetwarn.core import (
     csv_float,
     fit_column_stats,
     json_number,
-    normalize_panel,
     read_events_csv,
     read_scores_csv,
     read_telemetry_csv,
@@ -126,40 +125,45 @@ class TestEventRecord:
             EventRecord("u", 5, 5, "X")
 
 
+def zscored(panel, mask):
+    """``panel`` z-scored with stats fitted on its ``mask`` rows alone."""
+    return apply_column_stats(panel, fit_column_stats([panel], [mask]))
+
+
 class TestNormalize:
     def test_zscore_known_values(self):
         # mean 4, population std sqrt(8/3)
         panel = make_panel([2.0, 4.0, 6.0])
-        out = normalize_panel(panel, np.ones(3, dtype=bool))
+        out = zscored(panel, np.ones(3, dtype=bool))
         expect = np.array([-1.224744871391589, 0.0, 1.224744871391589])
         assert np.allclose(out.values.ravel(), expect, atol=1e-12)
 
     def test_stats_rows_restrict_reference(self):
         panel = make_panel([0.0, 10.0, 100.0])
         mask = np.array([True, True, False])
-        out = normalize_panel(panel, mask)
+        out = zscored(panel, mask)
         # mean 5, std 5 from the first two rows only
         assert np.allclose(out.values.ravel(), [-1.0, 1.0, 19.0])
 
     def test_constant_column_passes_through_centered(self):
         panel = make_panel([3.0, 3.0, 3.0])
-        out = normalize_panel(panel, np.ones(3, dtype=bool))
+        out = zscored(panel, np.ones(3, dtype=bool))
         assert np.allclose(out.values.ravel(), [0.0, 0.0, 0.0])
 
     def test_missing_stays_missing(self):
         panel = make_panel([1.0, float("nan"), 3.0])
-        out = normalize_panel(panel, np.ones(3, dtype=bool))
+        out = zscored(panel, np.ones(3, dtype=bool))
         assert math.isnan(out.values[1, 0])
         assert not np.isnan(out.values[[0, 2], 0]).any()
 
     def test_no_reference_rows_errors(self):
         panel = make_panel([1.0, 2.0])
         with pytest.raises(ValueError, match="no reference rows"):
-            normalize_panel(panel, np.zeros(2, dtype=bool))
+            zscored(panel, np.zeros(2, dtype=bool))
 
     def test_all_missing_column_untouched(self):
         panel = make_panel([float("nan"), float("nan")])
-        out = normalize_panel(panel, np.ones(2, dtype=bool))
+        out = zscored(panel, np.ones(2, dtype=bool))
         assert np.isnan(out.values).all()
 
     def test_fleet_pooled_stats(self):

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import normal_regime_reference
 from fleetwarn.core import EventRecord, FleetAxis, TelemetryPanel
 from fleetwarn.detect import (
     InsufficientNormalDataError,
-    NoNormalRegimeError,
     SubspaceDetector,
     binarize,
     fit_subspace_from_rows,
@@ -65,10 +67,41 @@ class TestNormalRegime:
             expect = all(t <= ev.onset - 50 or t >= ev.end + 30 for ev in events)
             assert ok == expect
 
-    def test_empty_regime_errors(self):
+    def test_empty_regime_is_all_false(self):
         panel = panel_of(np.zeros((40, 1)), ("x",))
-        with pytest.raises(NoNormalRegimeError, match="no normal regime"):
-            select_normal_regime(panel, [EventRecord("u", 20, 21, "X")], 50, 30)
+        mask = select_normal_regime(panel, [EventRecord("u", 20, 21, "X")], 50, 30)
+        assert mask.shape == (40,) and not mask.any()
+
+
+def regime_panel(flights):
+    return TelemetryPanel("u", flights, ("x",), np.zeros((len(flights), 1)))
+
+
+@st.composite
+def regime_inputs(draw):
+    """A panel of unit ``u`` whose flights have gaps, events on ``u`` and on
+    ``v``, and exclusion spans from 0 to past the whole record."""
+    panel = regime_panel(sorted(draw(st.sets(st.integers(-20, 60), max_size=30))))
+    events = [
+        EventRecord(unit, onset, onset + draw(st.integers(1, 4)), "X")
+        for unit, onset in draw(
+            st.lists(st.tuples(st.sampled_from("uv"), st.integers(-30, 70)), max_size=4)
+        )
+    ]
+    return panel, events, draw(st.integers(0, 90)), draw(st.integers(0, 90))
+
+
+@settings(max_examples=300, deadline=None)
+@given(regime_inputs())
+@example((regime_panel([1, 2, 5, 9]), [EventRecord("u", 5, 6, "X")], 0, 0))
+@example((regime_panel([1, 4, 30]), [EventRecord("v", 4, 5, "X"), EventRecord("u", 29, 31, "X")],
+          0, 0))
+@example((regime_panel([3, 7, 8, 20]), [EventRecord("u", 10, 11, "X")], 50, 30))  # all False
+def test_normal_regime_equals_reference(inputs):
+    panel, events, before, after = inputs
+    mask = select_normal_regime(panel, events, before, after)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, normal_regime_reference(panel, events, before, after))
 
 
 class TestFitSubspace:

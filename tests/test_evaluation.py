@@ -141,11 +141,6 @@ class TestCurves:
         with pytest.raises(NoTargetEventsError):
             roc_pr_curves({"u": {1: 1.0}}, [], tolerance=0)
 
-    def test_no_events_lenient_nan_recall(self):
-        points = roc_pr_curves({"u": {1: 1.0}}, [], tolerance=0, require_events=False)
-        assert all(math.isnan(p.recall) for p in points)
-        assert points[-1].fp == 1
-
     def test_event_on_unscored_unit_rejected(self):
         with pytest.raises(ValueError, match="no scores"):
             roc_pr_curves({"u": {1: 1.0}}, [EventRecord("v", 1, 2, "E")], tolerance=0)
@@ -210,7 +205,11 @@ class TestCurveOracle:
     @given(curve_inputs())
     def test_every_point_equals_a_recount(self, inputs):
         scores, events, tolerance = inputs
-        points = roc_pr_curves(scores, events, tolerance, require_events=False)
+        if not events:
+            with pytest.raises(NoTargetEventsError):
+                roc_pr_curves(scores, events, tolerance)
+            return
+        points = roc_pr_curves(scores, events, tolerance)
         finite = [s for series in scores.values() for s in series.values() if not math.isnan(s)]
         assert [p.nu for p in points] == [math.inf] + sorted(set(finite), reverse=True)
         n_scored = len(finite)
@@ -237,20 +236,19 @@ class TestCurveReference:
 
     @staticmethod
     def same(scores, events, tolerance):
-        curve = roc_pr_curves(scores, events, tolerance, require_events=False)
-        reference = roc_pr_reference(scores, events, tolerance, require_events=False)
+        if not events:
+            for sweep in (roc_pr_curves, roc_pr_reference):
+                with pytest.raises(NoTargetEventsError):
+                    sweep(scores, events, tolerance)
+            return
+        curve = roc_pr_curves(scores, events, tolerance)
+        reference = roc_pr_reference(scores, events, tolerance)
         assert [repr(p) for p in curve] == [repr(p) for p in reference]
 
     @settings(max_examples=500, deadline=None)
     @given(curve_inputs())
     def test_sweep_equals_reference(self, inputs):
         self.same(*inputs)
-
-    @settings(max_examples=100, deadline=None)
-    @given(curve_inputs())
-    def test_sweep_without_events_equals_reference(self, inputs):
-        scores, _, tolerance = inputs
-        self.same(scores, [], tolerance)
 
     def test_no_scores_at_all(self):
         self.same({"u": {}, "v": {1: float("nan")}}, [EventRecord("u", 3, 4, "E")], 1)
@@ -419,7 +417,7 @@ class TestCrossval:
         panels, events = small_fleet()
         held = panels[0]
         result = small_crossval()
-        mangled = [held.with_values(held.values * 1.7 + 0.3)] + list(panels[1:])
+        mangled = [dataclasses.replace(held, values=held.values * 1.7 + 0.3)] + list(panels[1:])
         redone = leave_one_unit_out(mangled, list(events), SMALL_CFG)
         fold0 = result.folds[0]
         refold0 = redone.folds[0]

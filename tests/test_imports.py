@@ -1,9 +1,11 @@
-"""Source guards for the package: unused imports, and file writes outside ``core``.
+"""Source guards for the package: unused imports, file writes outside ``core``,
+processes and threads, and public names without a caller.
 
-No linter is installed, so both checks walk the ``ast`` of each module.
+No linter is installed, so the checks walk the ``ast`` of each module.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -229,3 +231,52 @@ def test_processes_start_only_in_the_telemetry_writer(path):
     allowed = TELEMETRY_WRITER if path.name == "core.py" else set()
     uses = concurrency_uses(path.read_text(encoding="utf-8"))
     assert [u for u in uses if u.split(":")[0] not in allowed] == []
+
+
+# Every public function and class has a caller in the package, bar the names
+# the benchmark's tracer wraps (its ``SITES``), which it requires to exist.
+TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
+
+
+def uncalled_public_names(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """``module.name`` of each public top-level function or class that no
+    module but ``__init__`` reads as a ``Name`` or an ``Attribute``."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined.extend(
+            (module, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        )
+        if module != "__init__":
+            read.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+            read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    return [f"{m}.{name}" for m, name in defined if name not in read | exempt]
+
+
+def test_guard_flags_public_names_without_a_caller():
+    sources = {
+        "__init__": "from pkg.a import orphan, Used\n__all__ = ['orphan', 'Used']\n",
+        "a": (
+            "def orphan(): pass\n"
+            "def _private(): pass\n"
+            "def traced(): pass\n"
+            "class Used: pass\n"
+            "def self_caller(): return Used()\n"
+            "async def waits(): pass\n"
+            "def outer():\n"
+            "    def inner(): pass\n"
+        ),
+        "b": "import a\na.self_caller()\nouter\n",
+    }
+    assert uncalled_public_names(sources, {"traced"}) == ["a.orphan", "a.waits"]
+
+
+def test_every_public_name_has_a_caller():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    exempt = {site.rpartition(".")[2] for site in tracer.SITES}
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert uncalled_public_names(sources, exempt) == []

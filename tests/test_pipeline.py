@@ -13,12 +13,16 @@ from fleetwarn.core import (
     TelemetryPanel,
     apply_column_stats,
 )
-from fleetwarn.detect import fit_subspace_from_rows, fit_threshold, score_reconstruction
+from fleetwarn.detect import (
+    fit_subspace_from_rows,
+    fit_threshold,
+    score_reconstruction,
+    select_normal_regime,
+)
 from fleetwarn.pipeline import (
     PipelineConfig,
     elementary_alarms_on,
     fit_alarm,
-    normal_masks,
     pooled_on,
     select_target_events,
     train_model,
@@ -70,7 +74,7 @@ class TestNormalMasks:
     def test_saturated_unit_gets_empty_mask(self):
         panels, events = tiny_fleet()
         target = select_target_events(events, "E100")
-        masks = normal_masks(panels, target, 50, 30)
+        masks = [select_normal_regime(p, target, 50, 30) for p in panels]
         by_unit = dict(zip((p.unit_id for p in panels), masks))
         # u2's two events blanket its whole 80-flight record
         assert not by_unit["u2"].any()
@@ -135,11 +139,12 @@ class TestTrainOnTinyFleet:
     def test_alarms_cover_all_units(self):
         model, _, _ = tiny_model()
         for alarm in model.alarms:
-            assert alarm.units() == ("u0", "u1", "u2")
+            assert alarm.axis.units == ("u0", "u1", "u2")
 
     def test_layout_holds_targets_only(self):
         model, _, _ = tiny_model()
-        assert [ev.code for ev in model.target_events] == ["E100"] * 3
+        kept = [ev.code for unit in model.layout.units.values() for ev in unit.events]
+        assert kept == ["E100"] * 3
         assert model.layout.units["u1"].events == ()
         assert len(model.layout.units["u2"].events) == 2
 
@@ -233,7 +238,7 @@ def small_fleets(draw):
 def test_alarms_fire_exactly_above_threshold_fitted_on_same_scores(fleet):
     panels, events, cfg = fleet
     model = train_model(panels, events, cfg)
-    masks = normal_masks(panels, events, cfg.normal_before, cfg.normal_after)
+    masks = [select_normal_regime(p, events, cfg.normal_before, cfg.normal_after) for p in panels]
     normalized = [apply_column_stats(p, model.column_stats) for p in panels]
     for det, alarm in zip(model.detectors, model.alarms):
         scores = [score_reconstruction(det, p) for p in normalized]
@@ -312,7 +317,7 @@ class TestTrainOnSimFleet:
             dataclasses.replace(SIM, seed=14), verify=False
         )
         pooled = pooled_on(model, new_panels)
-        assert pooled.units() == tuple(sorted(p.unit_id for p in new_panels))
+        assert pooled.axis.units == tuple(sorted(p.unit_id for p in new_panels))
         for panel in new_panels:
             fires = pooled.firings_for(panel.unit_id)
             assert all(1 <= t <= panel.n_flights for t in fires)

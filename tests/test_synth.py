@@ -166,7 +166,7 @@ class TestArraysAgainstSets:
         alarms = [alarm_series(f"a{k}", fires, axis) for k, fires in enumerate(firings)]
         for alarm, fires in zip(alarms, firings):
             assert alarm.firings == fires
-            assert alarm.units() == tuple(sorted(fires))
+            assert alarm.axis.units == tuple(sorted(fires))
             assert alarm.total_firings() == sum(map(len, fires.values()))
         assert compose_and(alarms).firings == {
             u: frozenset.intersection(*(f[u] for f in firings)) for u in axis.units
@@ -279,7 +279,7 @@ class TestSearchFixture:
 
 def oracle_search(pool, layout, cfg, events, ranges):
     """Member ids of :func:`brute_force_search` survivors, best first."""
-    firings = {a.alarm_id: {u: a.firings_for(u) for u in a.units()} for a in pool}
+    firings = {a.alarm_id: {u: a.firings_for(u) for u in a.axis.units} for a in pool}
     ranked = brute_force_search(
         firings, events, layout.params, ranges,
         cfg.alpha, cfg.filter_kind, cfg.theta, cfg.max_size,
