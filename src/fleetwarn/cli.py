@@ -89,12 +89,19 @@ def _check_keys(raw: Mapping[str, Any]) -> None:
 
 # Config keys named differently from their dataclass fields.
 _FIELD_NAMES = {"w": "window", "h": "horizon", "m": "delay", "kind": "filter_kind"}
+# What a typed key must hold, as its refusal names it.
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _coerce(key: str, value: Any, kind: type) -> Any:
-    """Config ``key``'s ``value`` as ``kind``; an int takes neither a bool nor a fraction."""
-    if kind is int and (isinstance(value, bool) or isinstance(value, float) and value % 1):
-        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    """Config ``key``'s ``value`` as ``kind``: no kind takes a bool, a number
+    takes no string and an int no fraction."""
+    if (
+        isinstance(value, bool)
+        or kind is not str and isinstance(value, str)
+        or kind is int and isinstance(value, float) and value % 1
+    ):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
     return kind(value)
 
 

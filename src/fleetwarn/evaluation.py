@@ -101,7 +101,7 @@ def leave_one_unit_out(
             folds.append(FoldResult(held_out_unit=held.unit_id, skipped=True))
             continue
         pooled = pooled_on(model, [held])
-        stats = match_stats(pooled, layout, require_events=False)
+        stats = match_stats(pooled, layout)
         window_counts, segment_counts = significance_samples(pooled, layout)
         folds.append(
             FoldResult(

@@ -32,28 +32,8 @@ from fleetwarn.core import (
     FleetAxis,
     FiringLabel,
     MatchParams,
-    NoTargetEventsError,
     json_number,
 )
-
-
-@dataclass(frozen=True)
-class UnitLayout:
-    """One unit's region decomposition over its observation range.
-
-    Intervals are half-open [lo, hi) flight ranges within it.  ``events``
-    holds the kept events sorted by (onset, end, code); interval tuples
-    carry the owning event's index into it.  ``window_events`` lists the
-    events whose clipped true window is non-empty (the ones eligible for
-    coverage credit).
-    """
-
-    unit_id: str
-    events: tuple[EventRecord, ...]
-    true_windows: tuple[tuple[int, int, int], ...]
-    irrelevant_zones: tuple[tuple[int, int, int], ...]
-    false_segments: tuple[tuple[int, int], ...]
-    window_events: tuple[int, ...]
 
 
 # Region kind of one flight on the fleet axis, and the kind of a firing there.
@@ -66,10 +46,11 @@ _MAX_AXIS_FLIGHTS = 2**31 - 1
 
 @dataclass(frozen=True)
 class PeriodLayout:
-    """Fleet-wide region decomposition plus the events it had to drop.
+    """Fleet-wide region decomposition, held as per-flight arrays over ``axis``.
 
-    The decomposition is also held as per-flight arrays over ``axis``, the
-    fleet axis of the observation ranges:
+    ``events`` maps every unit of the axis to its kept events, sorted by
+    (onset, end, code); ``dropped`` holds the events the layout had to drop.
+    The arrays over ``axis``, the fleet axis of the observation ranges:
 
     * ``kind``: the flight's region (``_TRUE``, ``_IRRELEVANT``, ``_FALSE``);
     * ``owner``: for true flights, the fleet-wide id of the earliest-onset
@@ -79,14 +60,15 @@ class PeriodLayout:
     * ``window_lo``/``window_hi``: the axis bounds ``[lo, hi)`` of every
       window, in window id order.
 
-    The arrays, the axis and ``n_false_segments`` (the fleet's count of false
-    segments) restate ``units`` and take no part in ``repr`` or equality.
+    The arrays and ``n_false_segments`` (the fleet's count of false segments)
+    restate the events, ``params`` and ``axis`` and take no part in ``repr``
+    or equality.
     """
 
-    units: Mapping[str, UnitLayout]
+    events: Mapping[str, tuple[EventRecord, ...]]
     params: MatchParams
     dropped: tuple[EventRecord, ...]
-    axis: FleetAxis = field(repr=False, compare=False)
+    axis: FleetAxis = field(repr=False)
     kind: np.ndarray = field(repr=False, compare=False)
     owner: np.ndarray = field(repr=False, compare=False)
     segment: np.ndarray = field(repr=False, compare=False)
@@ -104,8 +86,8 @@ class MatchStats:
 
     ``window_events`` / ``false_segments`` are the denominators (events with
     a usable true window; maximal false segments).  ``coverage`` and
-    ``false_alarm_rate`` are NaN when there are no window events (possible
-    only on non-strict evaluation of an event-free slice).
+    ``false_alarm_rate`` are NaN when there are no window events (an
+    event-free layout, such as a held-out unit without target events).
     ``false_to_covered`` is +inf when no event is covered.
     """
 
@@ -142,6 +124,12 @@ class MatchStats:
         )
 
 
+def _spans(ev: EventRecord, params: MatchParams) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The event's true window and irrelevant zone, half-open and unclipped."""
+    act_by = ev.onset - params.horizon
+    return (act_by - params.window, act_by), (act_by, ev.end + params.delay)
+
+
 def layout_periods(
     events: Sequence[EventRecord],
     params: MatchParams,
@@ -161,14 +149,11 @@ def layout_periods(
     dropped: list[EventRecord] = []
     for ev in events:
         rng = ranges.get(ev.unit_id)
-        if rng is None:
+        (lo, _), (_, hi) = _spans(ev, params)
+        if rng is None or hi <= rng[0] or lo > rng[1]:
             dropped.append(ev)
-            continue
-        first, last = rng
-        if ev.end + params.delay <= first or ev.onset - params.horizon - params.window > last:
-            dropped.append(ev)
-            continue
-        per_unit.setdefault(ev.unit_id, []).append(ev)
+        else:
+            per_unit.setdefault(ev.unit_id, []).append(ev)
 
     axis = FleetAxis.from_ranges(ranges)
     if axis.starts[-1] > _MAX_AXIS_FLIGHTS:
@@ -182,48 +167,35 @@ def layout_periods(
     segment = np.full(axis.starts[-1], -1, dtype=np.int32)
     bounds: list[tuple[int, int]] = []
     n_segments = 0
-    units: dict[str, UnitLayout] = {}
-    for unit, base in zip(axis.units, axis.starts):
-        first, last = ranges[unit]
-        shift = base - first
-        evs = tuple(sorted(per_unit.get(unit, []), key=lambda e: (e.onset, e.end, e.code)))
-        true_windows: list[tuple[int, int, int]] = []
-        irrelevant: list[tuple[int, int, int]] = []
-        for i, ev in enumerate(evs):
-            t_lo = max(ev.onset - params.horizon - params.window, first)
-            t_hi = min(ev.onset - params.horizon, last + 1)
-            if t_lo < t_hi:
-                true_windows.append((t_lo, t_hi, i))
-            z_lo = max(ev.onset - params.horizon, first)
-            z_hi = min(ev.end + params.delay, last + 1)
-            if z_lo < z_hi:
-                irrelevant.append((z_lo, z_hi, i))
-        for lo, hi, _ in irrelevant:
-            kind[lo + shift : hi + shift] = _IRRELEVANT
-        # later windows first, so an overlap keeps its earliest owner
-        for w, (lo, hi, _) in reversed(list(enumerate(true_windows, start=len(bounds)))):
-            kind[lo + shift : hi + shift] = _TRUE
-            owner[lo + shift : hi + shift] = w
-        bounds.extend((lo + shift, hi + shift) for lo, hi, _ in true_windows)
-        free = kind[base : base + last - first + 1] == _FALSE
-        edges = np.flatnonzero(np.diff(free, prepend=False, append=False)).tolist()
-        runs = tuple(zip(edges[::2], edges[1::2]))
-        for s, (lo, hi) in enumerate(runs, start=n_segments):
-            segment[base + lo : base + hi] = s
-        n_segments += len(runs)
-        units[unit] = UnitLayout(
-            unit_id=unit,
-            events=evs,
-            true_windows=tuple(true_windows),
-            irrelevant_zones=tuple(irrelevant),
-            false_segments=tuple((lo + first, hi + first) for lo, hi in runs),
-            window_events=tuple(i for _, _, i in true_windows),
+    kept: dict[str, tuple[EventRecord, ...]] = {}
+    for unit, first, base, end in zip(axis.units, axis.first, axis.starts, axis.starts[1:]):
+        evs = kept[unit] = tuple(
+            sorted(per_unit.get(unit, []), key=lambda e: (e.onset, e.end, e.code))
         )
+        # each event's window and zone on the axis, clipped to the unit's slice
+        shift = base - first
+        spans = [
+            [(max(lo + shift, base), min(hi + shift, end)) for lo, hi in _spans(ev, params)]
+            for ev in evs
+        ]
+        for _, (lo, hi) in spans:
+            if lo < hi:
+                kind[lo:hi] = _IRRELEVANT
+        unit_windows = [(lo, hi) for (lo, hi), _ in spans if lo < hi]
+        # later windows first, so an overlap keeps its earliest owner
+        for w, (lo, hi) in reversed(list(enumerate(unit_windows, start=len(bounds)))):
+            kind[lo:hi] = _TRUE
+            owner[lo:hi] = w
+        bounds.extend(unit_windows)
+        edges = np.flatnonzero(np.diff(kind[base:end] == _FALSE, prepend=False, append=False))
+        for s, (lo, hi) in enumerate(edges.reshape(-1, 2).tolist(), start=n_segments):
+            segment[base + lo : base + hi] = s
+        n_segments += edges.size // 2
     windows = np.array(bounds, dtype=np.int64).reshape(-1, 2)
     for array in (kind, owner, segment, windows):
         array.setflags(write=False)
     return PeriodLayout(
-        units=units, params=params, dropped=tuple(dropped), axis=axis, kind=kind, owner=owner,
+        events=kept, params=params, dropped=tuple(dropped), axis=axis, kind=kind, owner=owner,
         segment=segment, window_lo=windows[:, 0], window_hi=windows[:, 1],
         n_false_segments=n_segments,
     )
@@ -246,17 +218,18 @@ def classify_firings(alarm: AlarmSeries, layout: PeriodLayout) -> list[FiringLab
     labels: list[FiringLabel] = []
     pos = _positions(alarm, layout)
     units, flights = layout.axis.locate(pos)
-    # the fleet-wide id of each unit's first false segment
-    seg0 = np.cumsum([0] + [len(layout.units[u].false_segments) for u in layout.axis.units])
+    # one past the highest false-segment id before each unit: the unit's first id
+    seg0 = np.maximum.accumulate(np.append(-1, layout.segment))[list(layout.axis.starts)] + 1
     for u, t, k, s in zip(units.tolist(), flights.tolist(), layout.kind[pos].tolist(),
                           layout.segment[pos].tolist()):
-        ul = layout.units[layout.axis.units[u]]
+        unit = layout.axis.units[u]
         if k == _FALSE:
-            labels.append(FiringLabel(ul.unit_id, t, _FIRING_KINDS[k], segment=s - int(seg0[u])))
+            labels.append(FiringLabel(unit, t, _FIRING_KINDS[k], segment=s - int(seg0[u])))
             continue
-        regions = ul.true_windows if k == _TRUE else ul.irrelevant_zones
-        owners = tuple(i for lo, hi, i in regions if lo <= t < hi)
-        labels.append(FiringLabel(ul.unit_id, t, _FIRING_KINDS[k], events=owners))
+        region = 0 if k == _TRUE else 1  # the window or the zone of each event
+        spans = [_spans(ev, layout.params)[region] for ev in layout.events[unit]]
+        owners = tuple(i for i, (lo, hi) in enumerate(spans) if lo <= t < hi)
+        labels.append(FiringLabel(unit, t, _FIRING_KINDS[k], events=owners))
     return labels
 
 
@@ -326,25 +299,14 @@ def significance_test(
     return float(stdtr(df, -t))  # Student-t survival function at t
 
 
-def match_stats(
-    alarm: AlarmSeries,
-    layout: PeriodLayout,
-    *,
-    require_events: bool = True,
-) -> MatchStats:
+def match_stats(alarm: AlarmSeries, layout: PeriodLayout) -> MatchStats:
     """Aggregate counters and metrics for one alarm over the whole layout.
 
-    With ``require_events`` (the default) a layout containing no window
-    events raises :class:`NoTargetEventsError`.  Cross-validation passes
-    False to evaluate event-free held-out units, in which case the event
-    ratios are NaN.
+    On a layout without window events the event ratios are NaN.
     """
-    k_plus = layout.total_window_events()
-    if k_plus == 0 and require_events:
-        raise NoTargetEventsError("no target events in range")
     window_counts, segment_counts, irrelevant, covered = _grade(alarm, layout)
     return MatchStats.from_counters(
-        window_events=k_plus,
+        window_events=layout.total_window_events(),
         false_segments=layout.n_false_segments,
         true_firings=int(window_counts.sum()),
         false_firings=int(segment_counts.sum()),
@@ -360,7 +322,7 @@ def gate_ttest(stats: MatchStats, alpha: float) -> bool:
     return stats.covered_events > 1 and stats.p_value < alpha
 
 
-def hard_filter(stats: MatchStats, theta: int) -> bool:
+def hard_filter(stats: MatchStats, theta: float) -> bool:
     """Implication-grade alarm: enough covered events and zero false firings."""
     return stats.covered_events >= theta and stats.fired_false_segments == 0
 

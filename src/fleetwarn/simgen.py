@@ -61,8 +61,8 @@ class PlantedSpec:
             raise ValueError("planted group ids must be distinct")
         if not 1 <= self.lead_lo <= self.lead_hi:
             raise ValueError("lead range must satisfy 1 <= lo <= hi")
-        if self.magnitude < 0.0:
-            raise ValueError("magnitude must be >= 0")
+        if not 0.0 <= self.magnitude < math.inf:
+            raise ValueError(f"sim.planted magnitude must be finite and >= 0, got {self.magnitude}")
         object.__setattr__(self, "groups", tuple(self.groups))
 
 
@@ -81,8 +81,8 @@ class SimConfig:
             raise ValueError("units and flights_per_unit must be >= 1")
         if not self.groups:
             raise ValueError("need at least one group")
-        if self.event_rate < 0.0:
-            raise ValueError("event rate must be >= 0")
+        if not 0.0 <= self.event_rate < math.inf:
+            raise ValueError(f"sim.event_rate must be finite and >= 0, got {self.event_rate}")
         for spec in self.planted:
             for g in spec.groups:
                 if not 0 <= g < len(self.groups):

@@ -45,8 +45,10 @@ class SearchConfig:
             raise ValueError("max_size must be 2 or 3")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
+        if not self.theta >= 0:
+            raise ValueError(f"filter.theta must be >= 0, got {self.theta}")
+        if self.filter_kind == "hard" and self.theta % 1:
+            raise ValueError(f"filter.theta must be a whole number of events, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def _passes(stats: MatchStats, cfg: SearchConfig) -> bool:
     if not gate_ttest(stats, cfg.alpha):
         return False
     if cfg.filter_kind == "hard":
-        return hard_filter(stats, int(cfg.theta))
+        return hard_filter(stats, cfg.theta)
     return soft_filter(stats, cfg.theta)
 
 

@@ -121,6 +121,55 @@ class TestConfigErrors:
                 "simulate", {"sim": {"units": 2.5}}, "sim.units must be an integer, got 2.5",
                 id="simulate-units-fraction",
             ),
+            pytest.param(
+                "run", {"match": {"w": "3"}}, 'match.w must be an integer, got "3"',
+                id="run-window-string",
+            ),
+            pytest.param(
+                "run", {"target": {"code_prefix": True}},
+                "target.code_prefix must be a string, got true", id="run-prefix-bool",
+            ),
+            pytest.param(
+                "run", {"filter": {"theta": True}}, "filter.theta must be a number, got true",
+                id="run-theta-bool",
+            ),
+            pytest.param(
+                "crossval", {"filter": {"kind": "soft", "theta": "2"}},
+                'filter.theta must be a number, got "2"', id="crossval-theta-string",
+            ),
+            pytest.param(
+                "run", {"filter": {"kind": "soft", "theta": math.nan}},
+                "filter.theta must be >= 0, got nan", id="run-theta-nan",
+            ),
+            pytest.param(
+                "crossval", {"filter": {"kind": "hard", "theta": 2.7}},
+                "filter.theta must be a whole number of events, got 2.7",
+                id="crossval-theta-fraction-hard",
+            ),
+            pytest.param(
+                "simulate",
+                {"sim": {"planted": [{"groups": [0, 1], "lead": [5, 15], "magnitude": math.inf}]}},
+                "sim.planted magnitude must be finite and >= 0, got inf",
+                id="simulate-magnitude-inf",
+            ),
+            pytest.param(
+                "simulate",
+                {"sim": {"planted": [{"groups": [0, 1], "lead": [5, 15], "magnitude": math.nan}]}},
+                "sim.planted magnitude must be finite and >= 0, got nan",
+                id="simulate-magnitude-nan",
+            ),
+            pytest.param(
+                "simulate",
+                {"sim": {"event_rate": math.inf}},
+                "sim.event_rate must be finite and >= 0, got inf",
+                id="simulate-event-rate-inf",
+            ),
+            pytest.param(
+                "simulate",
+                {"sim": {"event_rate": math.nan}},
+                "sim.event_rate must be finite and >= 0, got nan",
+                id="simulate-event-rate-nan",
+            ),
         ],
     )
     def test_unknown_measure_rejected_before_reading(

@@ -5,17 +5,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_labels, brute_force_match, welch_reference_p
+from oracles import (
+    _label_flights,
+    _unit_events,
+    brute_force_labels,
+    brute_force_match,
+    welch_reference_p,
+)
 from support import alarm_series
 from fleetwarn.core import (
     EventRecord,
     FiringKind,
     FleetAxis,
     MatchParams,
-    NoTargetEventsError,
     write_json,
 )
 from fleetwarn.matching import (
+    _FALSE,
+    _IRRELEVANT,
+    _TRUE,
     MatchStats,
     classify_firings,
     gate_ttest,
@@ -36,95 +44,187 @@ def base_layout(window=5, horizon=0, delay=0):
     return layout_periods(events, params, {"u": (1, 30)})
 
 
+def fleet_of(events, params, ranges, firings=None):
+    """A ``random_fleets`` draw of the (unit, onset, end) ``events``."""
+    records = [EventRecord(u, onset, end, f"E{k}") for k, (u, onset, end) in enumerate(events)]
+    return events, records, params, ranges, firings or {}
+
+
+@st.composite
+def random_fleets(draw):
+    """Multi-unit fleets with overlapping, clipped and unknown-unit events.
+
+    Returns (event tuples for the oracle, EventRecords, params, ranges,
+    firings); every alarm flight lies in its unit's range, and the first
+    and last flight of a unit are drawn on purpose.
+    """
+    ranges = {}
+    events = []
+    for u in range(draw(st.integers(1, 4))):
+        unit = f"u{u}"
+        first = draw(st.integers(0, 5))
+        last = first + draw(st.integers(0, 40))
+        ranges[unit] = (first, last)
+        for _ in range(draw(st.integers(0, 4))):
+            onset = draw(st.integers(first - 12, last + 12))
+            events.append((unit, onset, onset + draw(st.integers(1, 5))))
+    for _ in range(draw(st.integers(0, 2))):
+        onset = draw(st.integers(-5, 50))
+        events.append(("ghost", onset, onset + draw(st.integers(1, 5))))
+    params = MatchParams(
+        window=draw(st.integers(1, 10)),
+        horizon=draw(st.integers(0, 5)),
+        delay=draw(st.integers(0, 5)),
+    )
+    firings = {}
+    if draw(st.booleans()):
+        for unit, (first, last) in ranges.items():
+            fires = set(draw(st.lists(st.integers(first, last), max_size=15)))
+            if draw(st.booleans()):
+                fires.add(first)
+            if draw(st.booleans()):
+                fires.add(last)
+            firings[unit] = fires
+    return fleet_of(events, params, ranges, firings)
+
+
+_KINDS = {"F": _FALSE, "I": _IRRELEVANT, "T": _TRUE}
+
+
+def assert_regions(layout, runs, windows):
+    """A one-unit ``layout`` holds exactly the flight ``runs`` and ``windows``.
+
+    ``runs`` are (kind, lo, hi, id) over the unit's whole range, half-open in
+    flights; ``id`` is the owning window of a "T" run and the false segment
+    of an "F" run.  ``windows`` are the window bounds, in flights.
+    """
+    shift = layout.axis.shift(layout.axis.units[0])
+    kind, owner, segment = (np.full(layout.kind.size, -1) for _ in range(3))
+    for k, lo, hi, i in runs:
+        kind[lo + shift : hi + shift] = _KINDS[k]
+        if k != "I":
+            (owner if k == "T" else segment)[lo + shift : hi + shift] = i
+    assert layout.kind.tolist() == kind.tolist()
+    assert layout.owner.tolist() == owner.tolist()
+    assert layout.segment.tolist() == segment.tolist()
+    assert layout.n_false_segments == len({i for k, _, _, i in runs if k == "F"})
+    bounds = list(zip(layout.window_lo.tolist(), layout.window_hi.tolist()))
+    assert bounds == [(lo + shift, hi + shift) for lo, hi in windows]
+
+
 class TestLayout:
     def test_base_regions(self):
-        ul = base_layout().units["u"]
-        assert ul.true_windows == ((15, 20, 0),)
-        assert ul.irrelevant_zones == ((20, 22, 0),)
-        assert ul.false_segments == ((1, 15), (22, 31))
-        assert ul.window_events == (0,)
+        layout = base_layout()
+        assert_regions(
+            layout,
+            [("F", 1, 15, 0), ("T", 15, 20, 0), ("I", 20, 22, None), ("F", 22, 31, 1)],
+            [(15, 20)],
+        )
+        assert layout.events == {"u": (EventRecord("u", 20, 22, "E1"),)}
+        assert layout.dropped == ()
 
     def test_horizon_shifts_window_back(self):
-        ul = base_layout(horizon=2).units["u"]
-        assert ul.true_windows == ((13, 18, 0),)
-        assert ul.irrelevant_zones == ((18, 22, 0),)
-        assert ul.false_segments == ((1, 13), (22, 31))
+        assert_regions(
+            base_layout(horizon=2),
+            [("F", 1, 13, 0), ("T", 13, 18, 0), ("I", 18, 22, None), ("F", 22, 31, 1)],
+            [(13, 18)],
+        )
 
     def test_delay_extends_zone(self):
-        ul = base_layout(delay=3).units["u"]
-        assert ul.irrelevant_zones == ((20, 25, 0),)
-        assert ul.false_segments == ((1, 15), (25, 31))
+        assert_regions(
+            base_layout(delay=3),
+            [("F", 1, 15, 0), ("T", 15, 20, 0), ("I", 20, 25, None), ("F", 25, 31, 1)],
+            [(15, 20)],
+        )
 
     def test_window_clipped_at_range_start(self):
         layout = layout_periods(
             [EventRecord("u", 3, 4, "E")], MatchParams(window=5), {"u": (1, 30)}
         )
-        ul = layout.units["u"]
-        assert ul.true_windows == ((1, 3, 0),)
-        assert ul.window_events == (0,)
+        assert_regions(layout, [("T", 1, 3, 0), ("I", 3, 4, None), ("F", 4, 31, 0)], [(1, 3)])
 
     def test_window_fully_clipped_event_kept(self):
         # onset at the very first flight: no room for a window, zone remains
         layout = layout_periods(
             [EventRecord("u", 1, 3, "E")], MatchParams(window=5), {"u": (1, 30)}
         )
-        ul = layout.units["u"]
-        assert ul.true_windows == ()
-        assert ul.window_events == ()
-        assert ul.irrelevant_zones == ((1, 3, 0),)
+        assert_regions(layout, [("I", 1, 3, None), ("F", 3, 31, 0)], [])
+        assert layout.events == {"u": (EventRecord("u", 1, 3, "E"),)}
         assert layout.dropped == ()
 
     def test_event_after_range_dropped(self):
         layout = layout_periods(
             [EventRecord("u", 20, 21, "E")], MatchParams(window=5), {"u": (1, 10)}
         )
-        assert len(layout.dropped) == 1
-        assert layout.units["u"].false_segments == ((1, 11),)
+        assert layout.dropped == (EventRecord("u", 20, 21, "E"),)
+        assert layout.events == {"u": ()}
+        assert_regions(layout, [("F", 1, 11, 0)], [])
 
     def test_event_before_range_dropped(self):
         layout = layout_periods(
             [EventRecord("u", 4, 5, "E")], MatchParams(window=2), {"u": (10, 20)}
         )
-        assert len(layout.dropped) == 1
+        assert layout.dropped == (EventRecord("u", 4, 5, "E"),)
+        assert layout.events == {"u": ()}
 
     def test_event_on_unknown_unit_dropped(self):
         layout = layout_periods(
             [EventRecord("ghost", 5, 6, "E")], MatchParams(), {"u": (1, 10)}
         )
         assert layout.dropped == (EventRecord("ghost", 5, 6, "E"),)
+        assert layout.events == {"u": ()}
 
-    def test_regions_partition_range(self):
-        import random
+    @settings(max_examples=300, deadline=None)
+    @given(random_fleets())
+    @example(
+        fleet_of(
+            # u0: windows clipped at the range start, overlapping, and an event
+            # dropped before the range; u1: a window clipped at both ends and
+            # an event dropped after the range; a ghost unit's event dropped
+            [("u0", 3, 5), ("u0", 12, 13), ("u0", 15, 17), ("u0", -20, -18), ("u1", 7, 8),
+             ("u1", 40, 41), ("ghost", 4, 6)],
+            MatchParams(window=6, horizon=1, delay=2),
+            {"u0": (0, 30), "u1": (2, 4)},
+        )
+    )
+    def test_regions_partition_range(self, fleet):
+        """Every flight's kind, owner and segment are those of the brute-force labels."""
+        events, records, params, ranges, _ = fleet
+        layout = layout_periods(records, params, ranges)
+        w, h, m = params.window, params.horizon, params.delay
 
-        rng = random.Random(77)
-        for _ in range(50):
-            first = rng.randint(0, 5)
-            last = first + rng.randint(0, 40)
-            events = []
-            for i in range(rng.randint(0, 3)):
-                onset = rng.randint(first - 5, last + 5)
-                events.append(EventRecord("u", onset, onset + rng.randint(1, 4), f"E{i}"))
-            params = MatchParams(
-                window=rng.randint(1, 8),
-                horizon=rng.randint(0, 3),
-                delay=rng.randint(0, 3),
-            )
-            ul = layout_periods(events, params, {"u": (first, last)}).units["u"]
-            counts = {t: 0 for t in range(first, last + 1)}
-            for lo, hi, _ in ul.true_windows:
-                for t in range(lo, hi):
-                    counts[t] += 1
-            seen_true = {t for t, c in counts.items() if c}
-            seen_irr = set()
-            for lo, hi, _ in ul.irrelevant_zones:
-                seen_irr.update(range(lo, hi))
-            seen_false = set()
-            for lo, hi in ul.false_segments:
-                seen_false.update(range(lo, hi))
-            assert seen_false == set(range(first, last + 1)) - seen_true - seen_irr
-            # false segments are maximal: no two adjacent
-            for (a_lo, a_hi), (b_lo, b_hi) in zip(ul.false_segments, ul.false_segments[1:]):
-                assert a_hi < b_lo
+        def reaches(unit, onset, end):
+            first, last = ranges.get(unit, (0, -1))
+            return any(onset - h - w <= t < end + m for t in range(first, last + 1))
+
+        assert layout.dropped == tuple(r for r in records if not reaches(r.unit_id, r.onset, r.end))
+        windows, n_segments = [], 0
+        for unit, base in zip(layout.axis.units, layout.axis.starts):
+            first, last = ranges[unit]
+            evs = _unit_events(events, unit)
+            labels, owners, segments = _label_flights(evs, params, first, last)
+            kept = [(onset, end) for _, onset, end in evs if reaches(unit, onset, end)]
+            assert [(ev.onset, ev.end) for ev in layout.events[unit]] == kept
+            # each event's window as the axis bounds of the true flights it owns
+            window_of = {}
+            for k in range(len(evs)):
+                owned = [t for t in range(first, last + 1) if labels[t] == "T" and k in owners[t]]
+                if owned:
+                    window_of[k] = (base + owned[0] - first, base + owned[-1] + 1 - first)
+            windows.extend(window_of.values())
+            segment_of = {t: n_segments + i for i, run in enumerate(segments) for t in run}
+            n_segments += len(segments)
+            for t in range(first, last + 1):
+                p = base + t - first
+                assert layout.kind[p] == _KINDS[labels[t]]
+                o = int(layout.owner[p])
+                if labels[t] == "T":
+                    assert (layout.window_lo[o], layout.window_hi[o]) == window_of[min(owners[t])]
+                else:
+                    assert o == -1
+                assert layout.segment[p] == segment_of.get(t, -1)
+        assert list(zip(layout.window_lo.tolist(), layout.window_hi.tolist())) == windows
+        assert layout.n_false_segments == n_segments
 
     def test_bad_range_raises(self):
         with pytest.raises(ValueError, match="bad observation range"):
@@ -291,15 +391,10 @@ class TestMatchStats:
         assert st.covered_events == 1
         assert st.coverage == 0.5
 
-    def test_no_events_strict(self):
-        layout = layout_periods([], MatchParams(), {"u": (1, 10)})
-        with pytest.raises(NoTargetEventsError, match="no target events"):
-            match_stats(alarm_series("a", {}, layout.axis), layout)
-
     def test_no_events_lenient(self):
         layout = layout_periods([], MatchParams(), {"u": (1, 10)})
         alarm = alarm_series("a", {"u": frozenset({5})}, layout.axis)
-        st = match_stats(alarm, layout, require_events=False)
+        st = match_stats(alarm, layout)
         assert math.isnan(st.coverage)
         assert math.isnan(st.false_alarm_rate)
         assert math.isinf(st.false_to_covered)
@@ -399,45 +494,6 @@ class TestMatchStats:
             )
 
 
-@st.composite
-def random_fleets(draw):
-    """Multi-unit fleets with overlapping, clipped and unknown-unit events.
-
-    Returns (event tuples for the oracle, EventRecords, params, ranges,
-    firings); every alarm flight lies in its unit's range, and the first
-    and last flight of a unit are drawn on purpose.
-    """
-    ranges = {}
-    events = []
-    for u in range(draw(st.integers(1, 4))):
-        unit = f"u{u}"
-        first = draw(st.integers(0, 5))
-        last = first + draw(st.integers(0, 40))
-        ranges[unit] = (first, last)
-        for _ in range(draw(st.integers(0, 4))):
-            onset = draw(st.integers(first - 12, last + 12))
-            events.append((unit, onset, onset + draw(st.integers(1, 5))))
-    for _ in range(draw(st.integers(0, 2))):
-        onset = draw(st.integers(-5, 50))
-        events.append(("ghost", onset, onset + draw(st.integers(1, 5))))
-    params = MatchParams(
-        window=draw(st.integers(1, 10)),
-        horizon=draw(st.integers(0, 5)),
-        delay=draw(st.integers(0, 5)),
-    )
-    firings = {}
-    if draw(st.booleans()):
-        for unit, (first, last) in ranges.items():
-            fires = set(draw(st.lists(st.integers(first, last), max_size=15)))
-            if draw(st.booleans()):
-                fires.add(first)
-            if draw(st.booleans()):
-                fires.add(last)
-            firings[unit] = fires
-    records = [EventRecord(u, onset, end, f"E{k}") for k, (u, onset, end) in enumerate(events)]
-    return events, records, params, ranges, firings
-
-
 def same_number(a, b):
     return (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b)
 
@@ -448,7 +504,7 @@ class TestOracleProperties:
     def test_match_stats_equals_brute_force(self, fleet):
         events, records, params, ranges, firings = fleet
         layout = layout_periods(records, params, ranges)
-        got = match_stats(alarm_series("a", firings, layout.axis), layout, require_events=False)
+        got = match_stats(alarm_series("a", firings, layout.axis), layout)
         ref = brute_force_match(events, params, ranges, firings)
         for key in (
             "window_events",
@@ -502,7 +558,7 @@ class TestOracleProperties:
         kinds = {FiringKind.TRUE: "T", FiringKind.IRRELEVANT: "I", FiringKind.FALSE: "F"}
         got = []
         for lab in classify_firings(alarm_series("a", firings, layout.axis), layout):
-            evs = layout.units[lab.unit_id].events
+            evs = layout.events[lab.unit_id]
             owners = tuple((evs[i].onset, evs[i].end) for i in lab.events)
             got.append((lab.unit_id, lab.flight, kinds[lab.kind], owners, lab.segment))
         assert got == brute_force_labels(events, params, ranges, firings)

@@ -143,10 +143,10 @@ class TestTrainOnTinyFleet:
 
     def test_layout_holds_targets_only(self):
         model, _, _ = tiny_model()
-        kept = [ev.code for unit in model.layout.units.values() for ev in unit.events]
+        kept = [ev.code for evs in model.layout.events.values() for ev in evs]
         assert kept == ["E100"] * 3
-        assert model.layout.units["u1"].events == ()
-        assert len(model.layout.units["u2"].events) == 2
+        assert model.layout.events["u1"] == ()
+        assert len(model.layout.events["u2"]) == 2
 
     def test_no_panels_rejected(self):
         _, events = tiny_fleet()
