@@ -19,9 +19,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Mapping, get_type_hints
+from typing import Any, Mapping
 
 from fleetwarn.core import (
     MatchParams,
@@ -55,142 +55,117 @@ class ConfigError(ValueError):
     """The config file is malformed or missing required keys."""
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "io": ("telemetry", "events", "outdir", "scores"),
-    "match": ("w", "h", "m"),
-    "detect": ("rank", "quantile", "quantile_overrides", "normal_before", "normal_after"),
-    "grouping": ("measure", "rho"),
-    "filter": ("kind", "alpha", "theta", "max_size"),
-    "target": ("code_prefix",),
-    "eval": ("tolerance",),
-    "sim": (
-        "units",
-        "flights_per_unit",
-        "groups",
-        "planted",
-        "event_rate",
-        "seed",
-        "event_code",
-    ),
-    "curves": ("baseline_param", "baseline_direction"),
+# The config's layout.  Each leaf is the kind of value it holds: int, float
+# or str; [kind], a list of that kind; a tuple of kinds, a list of that
+# length; {str: kind}, an object of any keys; or an object of the listed
+# keys.  A section may leave out any key, which then takes its default;
+# an object inside a list must spell every key.
+_SCHEMA: dict[str, Any] = {
+    "io": {"telemetry": str, "events": str, "outdir": str, "scores": str},
+    "match": {"w": int, "h": int, "m": int},
+    "detect": {"rank": int, "quantile": float, "quantile_overrides": {str: float},
+               "normal_before": int, "normal_after": int},
+    "grouping": {"measure": str, "rho": float},
+    "filter": {"kind": str, "alpha": float, "theta": float, "max_size": int},
+    "target": {"code_prefix": str},
+    "eval": {"tolerance": int},
+    "sim": {"units": int, "flights_per_unit": int, "groups": [(int, float)],
+            "planted": [{"groups": [int], "lead": (int, int), "magnitude": float}],
+            "event_rate": float, "seed": int, "event_code": str},
+    "curves": {"baseline_param": str, "baseline_direction": str},
 }
-
-
-def _check_keys(raw: Mapping[str, Any]) -> None:
-    for section, body in raw.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        for key in body:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-
 
 # Config keys named differently from their dataclass fields.
 _FIELD_NAMES = {"w": "window", "h": "horizon", "m": "delay", "kind": "filter_kind"}
-# What a typed key must hold, as its refusal names it.
+# What a value of each scalar kind must be, as its refusal names it.
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _coerce(key: str, value: Any, kind: type) -> Any:
-    """Config ``key``'s ``value`` as ``kind``: no kind takes a bool, a number
-    takes no string and an int no fraction."""
-    if (
-        isinstance(value, bool)
-        or kind is not str and isinstance(value, str)
-        or kind is int and isinstance(value, float) and value % 1
-    ):
-        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
-    return kind(value)
+def _kind_name(kind: Any) -> str:
+    if isinstance(kind, list):
+        return "a list"
+    if isinstance(kind, tuple):
+        return f"a list of {len(kind)} values"
+    return "an object" if isinstance(kind, dict) else _KIND_NAMES[kind]
 
 
-def _build(cls: type, raw: Mapping[str, Any], *sections: str, **fixed: Any) -> Any:
-    """Dataclass ``cls`` from the keys of the config ``sections`` plus ``fixed``.
+def _typed(path: str, value: Any, kind: Any, whole: bool = False) -> Any:
+    """The config value at key ``path`` checked against ``kind``, with each
+    number as an int or float; a list of fixed length becomes a tuple.
 
-    Keys whose field is an int, float or str are coerced to that type; the
-    rest are left to ``fixed``.  Absent keys are left out, so every default
-    lives only in its dataclass.
+    No kind takes a bool or null, a number takes no string nor a string a
+    number, and an int takes no fraction.  An object of listed keys refuses
+    any other key, and if ``whole``, one of them left out.
     """
-    types = get_type_hints(cls)
-    typed = {}
-    for section in sections:
-        for key, value in raw.get(section, {}).items():
-            name = _FIELD_NAMES.get(key, key)
-            if types.get(name) in (int, float, str):
-                typed[name] = _coerce(f"{section}.{key}", value, types[name])
-    return cls(**typed, **fixed)
+    if isinstance(kind, dict) and isinstance(value, dict):
+        if str in kind:
+            return {key: _typed(f"{path}.{key}", v, kind[str]) for key, v in value.items()}
+        for key in value:
+            if key not in kind:
+                raise ConfigError(f"unknown key {path}.{key}" if path
+                                  else f"unknown config section {key!r}")
+        missing = [key for key in kind if key not in value]
+        if whole and missing:
+            raise ConfigError(f"missing key {path}.{missing[0]}")
+        return {key: _typed(f"{path}.{key}" if path else key, v, kind[key])
+                for key, v in value.items()}
+    if isinstance(kind, list) and isinstance(value, list):
+        return [_typed(f"{path}[{i}]", v, kind[0], whole=True) for i, v in enumerate(value)]
+    if isinstance(kind, tuple) and isinstance(value, list) and len(value) == len(kind):
+        return tuple(_typed(f"{path}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, kind)))
+    if kind is str and isinstance(value, str):
+        return value
+    if kind in (int, float) and type(value) in (int, float) and not (kind is int and value % 1):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the largest float
+            pass
+    raise ConfigError(f"{path} must be {_kind_name(kind)}, got {json.dumps(value)}")
+
+
+def _fields(section: Mapping[str, Any]) -> dict[str, Any]:
+    """A typed config section keyed by its dataclass's field names."""
+    return {_FIELD_NAMES.get(key, key): value for key, value in section.items()}
 
 
 class RunConfig:
     """Typed view of the JSON config; absent keys take their dataclass defaults.
 
-    Relative paths resolve against the config file's directory; ``pipeline``
-    holds every training setting, validated here.
+    Relative paths resolve against the config file's directory.  ``pipeline``
+    holds every training setting and ``sim``, if the config has a ``sim``
+    section, the simulator's; both are validated here.
     """
 
     def __init__(self, raw: Mapping[str, Any], base_dir: Path):
-        _check_keys(raw)
-        self.base_dir = base_dir
-        io = raw.get("io", {})
-        self.telemetry = self._path(io.get("telemetry"))
-        self.events = self._path(io.get("events"))
-        self.outdir = self._path(io.get("outdir"))
-        self.scores = self._path(io.get("scores"))
-        overrides = raw.get("detect", {}).get("quantile_overrides", {})
-        if not isinstance(overrides, dict):
-            raise ConfigError("detect.quantile_overrides must be an object")
-        try:
-            self.pipeline = _build(
-                PipelineConfig, raw, "detect", "grouping", "target",
-                match=_build(MatchParams, raw, "match"),
-                search=_build(SearchConfig, raw, "filter"),
-                quantile_overrides={str(k): float(v) for k, v in overrides.items()},
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        curves = raw.get("curves", {})
-        self.tolerance = _coerce("eval.tolerance", raw.get("eval", {}).get("tolerance", 2), int)
+        config = _typed("", raw, _SCHEMA)
+        io, sim, curves = (config.get(section, {}) for section in ("io", "sim", "curves"))
+        self.telemetry, self.events, self.outdir, self.scores = (
+            (base_dir / io[key]).resolve() if key in io else None for key in _SCHEMA["io"]
+        )
+        self.pipeline = PipelineConfig(
+            match=MatchParams(**_fields(config.get("match", {}))),
+            search=SearchConfig(**_fields(config.get("filter", {}))),
+            **config.get("detect", {}),
+            **config.get("grouping", {}),
+            **config.get("target", {}),
+        )
+        self.tolerance = config.get("eval", {}).get("tolerance", 2)
         if self.tolerance < 0:
             raise ConfigError(f"eval.tolerance must be >= 0, got {self.tolerance}")
         self.baseline_param = curves.get("baseline_param")
-        self.baseline_direction = str(curves.get("baseline_direction", "above"))
+        self.baseline_direction = curves.get("baseline_direction", "above")
         if self.baseline_direction not in ("above", "below"):
             raise ConfigError(
                 f"curves.baseline_direction must be 'above' or 'below', "
                 f"got {self.baseline_direction!r}"
             )
-        self.sim_raw = raw.get("sim")
-
-    def _path(self, value: Any) -> Path | None:
-        if value is None:
-            return None
-        return (self.base_dir / str(value)).resolve()
-
-    def sim_config(self, seed_override: int | None) -> SimConfig:
-        raw = self.sim_raw
-        if raw is None:
-            raise ConfigError("simulate needs a 'sim' config section")
-        try:
-            # Unlike SimConfig(), the CLI plants nothing unless asked to.
-            planted = tuple(
-                PlantedSpec(
-                    groups=tuple(int(g) for g in spec["groups"]),
-                    lead_lo=int(spec["lead"][0]),
-                    lead_hi=int(spec["lead"][1]),
-                    magnitude=float(spec["magnitude"]),
-                )
-                for spec in raw.get("planted", [])
-            )
-            fixed: dict[str, Any] = {"planted": planted}
-            if "groups" in raw:
-                fixed["groups"] = tuple(
-                    GroupSpec(int(size), float(corr)) for size, corr in raw["groups"]
-                )
-            body = raw if seed_override is None else {**raw, "seed": seed_override}
-            return _build(SimConfig, {"sim": body}, "sim", **fixed)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sim config: {exc}") from exc
+        # Unlike SimConfig(), the CLI plants nothing unless asked to.
+        planted = tuple(
+            PlantedSpec(spec["groups"], *spec["lead"], spec["magnitude"])
+            for spec in sim.get("planted", [])
+        )
+        groups = {"groups": tuple(GroupSpec(*g) for g in sim["groups"])} if "groups" in sim else {}
+        self.sim = SimConfig(**{**sim, **groups, "planted": planted}) if "sim" in config else None
 
 
 def load_config(path: str) -> RunConfig:
@@ -214,7 +189,11 @@ def _require(cfg: RunConfig, **paths: Path | None) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, seed: int | None, out: Path) -> int:
-    sim = cfg.sim_config(seed)
+    if cfg.sim is None:
+        raise ConfigError("simulate needs a 'sim' config section")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    sim = cfg.sim if seed is None else replace(cfg.sim, seed=seed)
     panels, events, manifest = generate_fleet(sim)
     out.mkdir(parents=True, exist_ok=True)
     write_telemetry_csv(out / "telemetry.csv", panels)
@@ -265,8 +244,6 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
 
 def cmd_crossval(cfg: RunConfig, out: Path) -> int:
     panels, events = _load_fleet(cfg)
-    if len(panels) < 2:
-        raise ConfigError("crossval needs at least 2 units")
     result = leave_one_unit_out(panels, events, cfg.pipeline)
     out.mkdir(parents=True, exist_ok=True)
     folds_dir = out / "folds"

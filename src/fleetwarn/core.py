@@ -409,13 +409,20 @@ def _csv_rows(path: str | Path, fh: Iterable[str]) -> Iterator[tuple[int, list[s
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _read_csv(path: str | Path, header: Sequence[str], parse: Callable[[list[str]], Any]) -> list:
-    """``parse(row)`` of each non-blank row below ``header``.
+def _text(path: str | Path, data: bytes | None) -> io.TextIOWrapper:
+    """``path``, or its bytes ``data`` if they were read before, as text for csv."""
+    binary = open(path, "rb") if data is None else io.BytesIO(data)
+    return io.TextIOWrapper(binary, encoding="utf-8", newline="")
+
+
+def _read_csv(path: str | Path, header: Sequence[str], parse: Callable[[list[str]], Any],
+              data: bytes | None = None) -> list:
+    """``parse(row)`` of each non-blank row below ``header`` in ``_text(path, data)``.
 
     A row of the wrong width, or one that csv or ``parse`` rejects, fails as
     ``<path>: line N: <reason>``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text(path, data) as fh:
         rows = _csv_rows(path, fh)
         if next(rows, (0, None))[1] != list(header):
             raise ValueError(f"{path}: expected header {','.join(header)}")
@@ -721,8 +728,8 @@ def _range_starts(fh: BinaryIO, start: int, size: int, k: int) -> list[int]:
     return [start, *(c for c in dict.fromkeys(cuts) if c < start + size)]
 
 
-def _plain_rows(path: str | Path) -> tuple[tuple[str, ...], _Rows]:
-    """The columns and rows of a plain telemetry file.
+def _plain_rows(path: str | Path, data: bytes | None = None) -> tuple[tuple[str, ...], _Rows]:
+    """The columns and rows of a plain telemetry file, or of its bytes ``data``.
 
     The rows are cut into byte ranges that start at line starts, one per
     process that ``_read_processes`` allows.  Forked processes parse every
@@ -730,19 +737,19 @@ def _plain_rows(path: str | Path) -> tuple[tuple[str, ...], _Rows]:
     joined in file order.  A range that is not plain or holds an invalid row
     raises a ValueError that names no line.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         header = fh.readline().decode()
         if not _plain(header, csv.field_size_limit()):
             raise ValueError("not plain text")
         columns = _telemetry_columns(path, header.removesuffix("\n").split(","), 1)
         if not columns:
             raise ValueError("no parameter columns")
-        if fh.seekable():
+        if data is None:
             start = fh.tell()
             body = os.fstat(fh.fileno()).st_size - start
             starts = _range_starts(fh, start, body, _read_processes(body))
         else:
-            starts = [0]  # a pipe can neither seek nor tell its size: one range
+            starts = [0]  # bytes read from a pipe: one range
         sizes = [b - a for a, b in zip(starts, starts[1:])] + [None]  # the last runs to the end
         tasks = [partial(_range_bytes, path, len(columns), a, n)
                  for a, n in zip(starts[1:], sizes[1:])]
@@ -755,13 +762,13 @@ def _plain_rows(path: str | Path) -> tuple[tuple[str, ...], _Rows]:
     return columns, _joined(parts)
 
 
-def _checked_rows(path: str | Path) -> tuple[tuple[str, ...], _Rows]:
+def _checked_rows(path: str | Path, data: bytes | None = None) -> tuple[tuple[str, ...], _Rows]:
     """What ``_plain_rows`` returns, parsed one row at a time by ``_read_csv``.
 
     It reads any text ``csv`` reads, and raises the first invalid row as
     ``<path>: line N: <reason>``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text(path, data) as fh:
         line, header = next(_csv_rows(path, fh), (0, None))
         columns = _telemetry_columns(path, header, line)
     previous: dict[str, int] = {}
@@ -778,7 +785,7 @@ def _checked_rows(path: str | Path) -> tuple[tuple[str, ...], _Rows]:
         cells = [_parse_cell(name, c) if c else math.nan for name, c in zip(columns, row[3:])]
         return unit, flight, row[2], cells
 
-    rows = _read_csv(path, header, parse)
+    rows = _read_csv(path, header, parse, data)
     units, flights, phases, cells = zip(*rows) if rows else ((),) * 4
     values = np.array(cells, dtype=np.float64).reshape(len(rows), len(columns))
     flights = np.array(flights, dtype=np.int64)
@@ -812,12 +819,15 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
     may run on.  Quoted cells, CR line ends and every invalid file take the
     row loop, which accepts the same cell text and raises the first invalid
     row as ``<path>: line N: <reason>``.  A forked process that dies raises
-    ``ChildProcessError``.
+    ``ChildProcessError``.  A pipe, which can be read only once, is read
+    into memory first and parsed in one range.
     """
+    with open(path, "rb") as fh:
+        data = None if fh.seekable() else fh.read()
     try:
-        return _panels(*_plain_rows(path))
+        return _panels(*_plain_rows(path, data))
     except (ValueError, OverflowError):  # OverflowError: a flight outside int64
-        return _panels(*_checked_rows(path))
+        return _panels(*_checked_rows(path, data))
 
 
 _EVENTS_HEADER = ("unit_id", "onset", "end", "code")

@@ -83,6 +83,8 @@ class SimConfig:
             raise ValueError("need at least one group")
         if not 0.0 <= self.event_rate < math.inf:
             raise ValueError(f"sim.event_rate must be finite and >= 0, got {self.event_rate}")
+        if self.seed < 0:
+            raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
         for spec in self.planted:
             for g in spec.groups:
                 if not 0 <= g < len(self.groups):

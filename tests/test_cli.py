@@ -1,12 +1,17 @@
+import copy
 import csv
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from fleetwarn.cli import main
+from fleetwarn.cli import _SCHEMA, load_config, main
 from fleetwarn.core import MatchParams, read_events_csv, read_telemetry_csv
 from fleetwarn.matching import layout_periods
+from fleetwarn.pipeline import PipelineConfig
+from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig
+from fleetwarn.synth import SearchConfig
 from support import run_python, write_scores_csv
 
 SIM_SECTION = {
@@ -170,6 +175,75 @@ class TestConfigErrors:
                 "sim.event_rate must be finite and >= 0, got nan",
                 id="simulate-event-rate-nan",
             ),
+            pytest.param(
+                "simulate", {"sim": {"seed": -3}}, "sim.seed must be >= 0, got -3",
+                id="simulate-seed-negative",
+            ),
+            pytest.param(
+                "simulate --seed -1", {"sim": {}}, "--seed must be >= 0, got -1",
+                id="simulate-seed-flag-negative",
+            ),
+            # values the sim section's lists once truncated or coerced without a word;
+            # every command checks the sim section at load
+            pytest.param(
+                "run",
+                {"sim": {"planted": [{"groups": [0, 1.9], "lead": [5, 15], "magnitude": 6}]}},
+                "sim.planted[0].groups[1] must be an integer, got 1.9",
+                id="run-planted-group-fraction",
+            ),
+            pytest.param(
+                "crossval",
+                {"sim": {"planted": [{"groups": [0, 1], "lead": [5.7, 15], "magnitude": 6}]}},
+                "sim.planted[0].lead[0] must be an integer, got 5.7",
+                id="crossval-lead-fraction",
+            ),
+            pytest.param(
+                "simulate",
+                {"sim": {"planted": [{"groups": [0, 1], "lead": [5, 15], "magnitude": True}]}},
+                "sim.planted[0].magnitude must be a number, got true",
+                id="simulate-magnitude-bool",
+            ),
+            pytest.param(
+                "curves", {"sim": {"groups": [[5.5, 0.5]]}},
+                "sim.groups[0][0] must be an integer, got 5.5", id="curves-group-size-fraction",
+            ),
+            pytest.param(
+                "simulate",
+                {"sim": {"planted": [{"groups": [0, 1], "lead": [5, 15, 99], "magnitude": 6}]}},
+                "sim.planted[0].lead must be a list of 2 values, got [5, 15, 99]",
+                id="simulate-lead-triple",
+            ),
+            pytest.param(
+                "simulate",
+                {"sim": {"planted": [{"groups": [0, 1], "lead": [5, 15], "magnitude": 6,
+                                      "shape": "step"}]}},
+                "unknown key sim.planted[0].shape", id="simulate-planted-unknown-key",
+            ),
+            pytest.param(
+                "simulate", {"sim": {"planted": [{"groups": [0, 1], "lead": [5, 15]}]}},
+                "missing key sim.planted[0].magnitude", id="simulate-planted-missing-key",
+            ),
+            pytest.param(
+                "run", {"detect": {"quantile_overrides": {"g0p0": "0.5"}}},
+                'detect.quantile_overrides.g0p0 must be a number, got "0.5"',
+                id="run-quantile-override-string",
+            ),
+            pytest.param(
+                "run", {"io": {"telemetry": 5}}, "io.telemetry must be a string, got 5",
+                id="run-telemetry-number",
+            ),
+            pytest.param(
+                "curves", {"curves": {"baseline_param": 5}},
+                "curves.baseline_param must be a string, got 5", id="curves-baseline-number",
+            ),
+            pytest.param(
+                "run", {"match": {"w": None}}, "match.w must be an integer, got null",
+                id="run-window-null",
+            ),
+            pytest.param(
+                "simulate", {"sim": {"event_rate": 10**400}},
+                "sim.event_rate must be a number, got 1000", id="simulate-event-rate-beyond-float",
+            ),
         ],
     )
     def test_unknown_measure_rejected_before_reading(
@@ -180,7 +254,7 @@ class TestConfigErrors:
             **section,
         }
         cfg = write_config(tmp_path / "c.json", payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
     def test_lag_depth_is_unknown(self, tmp_path, capsys):
@@ -213,6 +287,165 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "filter kind" in capsys.readouterr().err
+
+
+# Every key of the config schema, each with a value that is not its default.
+FULL_CONFIG = {
+    "io": {"telemetry": "t.csv", "events": "e.csv", "outdir": "out", "scores": "s.csv"},
+    "match": {"w": 7, "h": 2, "m": 3},
+    "detect": {
+        "rank": 2, "quantile": 0.99, "quantile_overrides": {"g0p0": 0.9},
+        "normal_before": 40, "normal_after": 20,
+    },
+    "grouping": {"measure": "mutual_info", "rho": 0.6},
+    "filter": {"kind": "soft", "alpha": 0.1, "theta": 1.5, "max_size": 3},
+    "target": {"code_prefix": "E"},
+    "eval": {"tolerance": 4},
+    "sim": {
+        "units": 3, "flights_per_unit": 200, "groups": [[3, 0.8], [2, 0.5]],
+        "planted": [{"groups": [1, 0], "lead": [2, 4], "magnitude": 5.0}],
+        "event_rate": 2.0, "seed": 7, "event_code": "E7",
+    },
+    "curves": {"baseline_param": "g1p0", "baseline_direction": "below"},
+}
+
+
+def schema_nodes(kind, keys=(), path=""):
+    """(keys, key path, kind) of every node of a config schema below ``kind``;
+    a list's entries stand at index 0 and ``{str: kind}``'s at key g0p0."""
+    if keys:
+        yield keys, path, kind
+    if isinstance(kind, dict):
+        for key, sub in ({"g0p0": kind[str]} if str in kind else kind).items():
+            yield from schema_nodes(sub, (*keys, key), f"{path}.{key}" if path else key)
+    elif isinstance(kind, (list, tuple)):
+        for i, sub in enumerate(kind):
+            yield from schema_nodes(sub, (*keys, i), f"{path}[{i}]")
+
+
+def config_leaves(value, path=""):
+    """The key path of every number and string in a config."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from config_leaves(sub, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from config_leaves(sub, f"{path}[{i}]")
+    else:
+        yield path
+
+
+def _kind_name(kind):
+    if isinstance(kind, tuple):
+        return f"a list of {len(kind)} values"
+    if isinstance(kind, (list, dict)):
+        return "a list" if isinstance(kind, list) else "an object"
+    return {int: "an integer", float: "a number", str: "a string"}[kind]
+
+
+def _wrong_values(kind):
+    """(value, label) pairs of the wrong kind for ``kind``: a bool and null for
+    every kind, a string for a number and a number for a string, a fraction
+    for an int, a scalar where a list or object belongs, a list for an
+    object, and lists of the wrong length for a fixed-length one."""
+    wrong = [(True, "bool"), (None, "null")]
+    if kind in (int, float):
+        wrong.append(("7", "string"))
+    if kind is int:
+        wrong.append((2.5, "fraction"))
+    if kind is str:
+        wrong.append((5, "number"))
+    if isinstance(kind, (list, tuple, dict)):
+        wrong.append((5, "scalar"))
+    if isinstance(kind, dict):
+        wrong.append((["x"], "list"))
+    if isinstance(kind, tuple):
+        wrong += [([1] * (len(kind) - 1), "short"), ([1] * (len(kind) + 1), "long")]
+    return wrong
+
+
+def _node(config, keys):
+    """The part of ``config`` that ``keys`` lead to."""
+    for key in keys:
+        config = config[key]
+    return config
+
+
+class TestConfigSchema:
+    """Every key of ``cli._SCHEMA`` is read by the one typed walk: a value of
+    the wrong kind anywhere exits 2 naming its key path, and a valid value
+    lands in its dataclass field."""
+
+    def test_full_config_spells_every_key(self):
+        leaves = {path for _, path, kind in schema_nodes(_SCHEMA) if kind in (int, float, str)}
+        assert leaves <= set(config_leaves(FULL_CONFIG))
+
+    def test_every_value_lands_in_its_field(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json", FULL_CONFIG))
+        assert cfg.pipeline == PipelineConfig(
+            match=MatchParams(window=7, horizon=2, delay=3),
+            rank=2, quantile=0.99, quantile_overrides={"g0p0": 0.9},
+            normal_before=40, normal_after=20, measure="mutual_info", rho=0.6,
+            search=SearchConfig(alpha=0.1, filter_kind="soft", theta=1.5, max_size=3),
+            code_prefix="E",
+        )
+        assert cfg.sim == SimConfig(
+            units=3, flights_per_unit=200, groups=(GroupSpec(3, 0.8), GroupSpec(2, 0.5)),
+            planted=(PlantedSpec(groups=(1, 0), lead_lo=2, lead_hi=4, magnitude=5.0),),
+            event_rate=2.0, seed=7, event_code="E7",
+        )
+        base = tmp_path.resolve()
+        assert (cfg.telemetry, cfg.events, cfg.outdir, cfg.scores) == (
+            base / "t.csv", base / "e.csv", base / "out", base / "s.csv")
+        assert (cfg.tolerance, cfg.baseline_param, cfg.baseline_direction) == (4, "g1p0", "below")
+        for built in (cfg.pipeline, cfg.pipeline.match, cfg.pipeline.search, cfg.sim):
+            default = type(built)()
+            assert [f.name for f in fields(built)
+                    if getattr(built, f.name) == getattr(default, f.name)] == []
+
+    @pytest.mark.parametrize(
+        "keys,path,value,kind",
+        [
+            pytest.param(keys, path, value, kind, id=f"{path}-{label}")
+            for keys, path, kind in schema_nodes(_SCHEMA)
+            for value, label in _wrong_values(kind)
+        ],
+    )
+    def test_wrong_kind_names_its_key_path(self, keys, path, value, kind, tmp_path, capsys):
+        config = copy.deepcopy(FULL_CONFIG)
+        _node(config, keys[:-1])[keys[-1]] = value
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"fleetwarn: {path} must be {_kind_name(kind)}, got {json.dumps(value)}\n")
+
+    @pytest.mark.parametrize(
+        "keys,path",
+        [pytest.param(keys, path, id=path) for keys, path, kind in schema_nodes(_SCHEMA)
+         if isinstance(kind, dict) and str not in kind],
+    )
+    def test_unknown_key_names_its_key_path(self, keys, path, tmp_path, capsys):
+        config = copy.deepcopy(FULL_CONFIG)
+        _node(config, keys)["extra"] = 1
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"fleetwarn: unknown key {path}.extra\n"
+
+    @pytest.mark.parametrize("key", ["groups", "lead", "magnitude"])
+    def test_missing_planted_key_names_its_key_path(self, key, tmp_path, capsys):
+        config = copy.deepcopy(FULL_CONFIG)
+        del config["sim"]["planted"][0][key]
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"fleetwarn: missing key sim.planted[0].{key}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "run", "crossval", "curves"])
+    def test_every_command_checks_the_sim_section_at_load(self, command, tmp_path, capsys):
+        config = {"sim": {"planted": [{"groups": [0, 9], "lead": [5, 15], "magnitude": 6}]}}
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "fleetwarn: planted group id 9 out of range\n"
+        assert not (tmp_path / "o").exists()
 
 
 def _scipy_modules_after(code):

@@ -702,7 +702,7 @@ class TestTelemetryReaderAgainstRowLoop:
         )
         expect = _panel_bytes(read_telemetry_row_loop(path))
 
-        def row_loop(path):
+        def row_loop(path, data=None):
             raise AssertionError("row loop")
 
         monkeypatch.setattr(core, "_checked_rows", row_loop)
@@ -813,17 +813,26 @@ class TestTelemetryReaderProcesses:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_named_pipe_reads_in_one_range(self, tmp_path):
-        text = READ_HEADER + "u1,1,,0.5\nu2,1,cruise,\n\nu1,2,,1"
-        (tmp_path / "t.csv").write_text(text)
-        pipe = tmp_path / "t.pipe"
-        os.mkfifo(pipe)
-        got = []
-        reader = threading.Thread(target=lambda: got.append(_outcome(read_telemetry_csv, pipe)),
-                                  daemon=True)  # a second open of the pipe would wait forever
-        reader.start()
-        pipe.write_text(text)
-        reader.join(timeout=60)
-        assert got == [_outcome(read_telemetry_reference, tmp_path / "t.csv")]
+        # A plain file, a repeated flight and a quoted unit id: the last two take
+        # the row loop, which must parse the bytes read once, not reopen the pipe.
+        for i, rows in enumerate(["u1,1,,0.5\nu2,1,cruise,\n\nu1,2,,1",
+                                  "u1,1,,0.5\nu1,1,,0.7\n", '"u1",1,,0.5\n']):
+            text = READ_HEADER + rows
+            (tmp_path / f"{i}.csv").write_text(text)
+            pipe = tmp_path / f"{i}.pipe"
+            os.mkfifo(pipe)
+            got = []
+            reader = threading.Thread(  # a second open of the pipe would wait forever
+                target=lambda p, g: g.append(_outcome(read_telemetry_csv, p)),
+                args=(pipe, got), daemon=True)
+            reader.start()
+            pipe.write_text(text)
+            reader.join(timeout=20)
+            expect = _outcome(read_telemetry_reference, tmp_path / f"{i}.csv")
+            if i == 1:
+                assert expect == f"{tmp_path / '1.csv'}: line 3: repeated flight 1 of unit 'u1'"
+                expect = f"{pipe}: line 3: repeated flight 1 of unit 'u1'"
+            assert got == [expect], rows
 
     def test_processes_per_cpu_and_range_floor(self, monkeypatch):
         monkeypatch.setattr(core, "_cpus", lambda: 2)

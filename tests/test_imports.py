@@ -1,5 +1,6 @@
 """Source guards for the package: unused imports, file writes outside ``core``,
-processes and threads, and public names without a caller.
+processes and threads, config values converted outside the typed walk, and
+public names without a caller.
 
 No linter is installed, so the checks walk the ``ast`` of each module.
 """
@@ -231,6 +232,50 @@ def test_processes_start_only_in_the_telemetry_writer(path):
     allowed = TELEMETRY_WRITER if path.name == "core.py" else set()
     uses = concurrency_uses(path.read_text(encoding="utf-8"))
     assert [u for u in uses if u.split(":")[0] not in allowed] == []
+
+
+# Every config value reaches a dataclass through ``cli._typed``, the one typed
+# walk of the config schema: the code that loads the config converts no value.
+COERCIONS = {"int", "float", "str", "bool"}
+CONFIG_LOADERS = {"RunConfig", "load_config"}
+
+
+def coercions(source: str, holders: set[str]) -> list[str]:
+    """Calls of ``int``, ``float``, ``str`` or ``bool`` by name inside the named
+    top-level functions and classes, as ``<holder>: line N: <name>``."""
+    found = []
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) in holders:
+            found.extend(
+                f"{top.name}: line {node.lineno}: {node.func.id}" for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in COERCIONS
+            )
+    return sorted(found)
+
+
+def test_guard_flags_coercions():
+    source = (
+        "class RunConfig:\n"
+        "    def __init__(self, raw):\n"
+        "        self.w = int(raw['w']), kind(raw), raw.float()\n"
+        "        self.p = [str(p) for p in raw['io']]\n"
+        "def load_config(path):\n"
+        "    return bool(path)\n"
+        "def _typed(value, kind):\n"
+        "    return float(value)\n"
+    )
+    assert coercions(source, CONFIG_LOADERS) == [
+        "RunConfig: line 3: int",
+        "RunConfig: line 4: str",
+        "load_config: line 6: bool",
+    ]
+
+
+def test_config_values_reach_dataclasses_through_the_typed_walk():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert CONFIG_LOADERS <= {getattr(top, "name", None) for top in ast.parse(source).body}
+    assert coercions(source, CONFIG_LOADERS) == []
 
 
 # Every public function and class has a caller in the package, bar the names
