@@ -128,6 +128,14 @@ def _fields(section: Mapping[str, Any]) -> dict[str, Any]:
     return {_FIELD_NAMES.get(key, key): value for key, value in section.items()}
 
 
+def _group_spec(i: int, spec: tuple[int, float]) -> GroupSpec:
+    """The group of ``sim.groups[i]``; a refusal names its key path."""
+    try:
+        return GroupSpec(*spec)
+    except ValueError as exc:
+        raise ConfigError(f"sim.groups[{i}]: {exc}") from None
+
+
 class RunConfig:
     """Typed view of the JSON config; absent keys take their dataclass defaults.
 
@@ -164,8 +172,9 @@ class RunConfig:
             PlantedSpec(spec["groups"], *spec["lead"], spec["magnitude"])
             for spec in sim.get("planted", [])
         )
-        groups = {"groups": tuple(GroupSpec(*g) for g in sim["groups"])} if "groups" in sim else {}
-        self.sim = SimConfig(**{**sim, **groups, "planted": planted}) if "sim" in config else None
+        if "groups" in sim:
+            sim = {**sim, "groups": tuple(_group_spec(i, g) for i, g in enumerate(sim["groups"]))}
+        self.sim = SimConfig(**{**sim, "planted": planted}) if "sim" in config else None
 
 
 def load_config(path: str) -> RunConfig:

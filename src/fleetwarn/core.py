@@ -7,7 +7,8 @@ confused with a real measurement, and every downstream operation states its
 missing policy explicitly.
 
 All types here are immutable after construction.  The telemetry reader and
-writer split their work over forked processes, which share no objects.
+writer, and leave-one-unit-out's folds, split their work over forked
+processes through ``_forked``; the processes share no objects.
 """
 
 from __future__ import annotations
@@ -20,11 +21,15 @@ import json
 import math
 import os
 import pickle
+import signal
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
+)
 
 import numpy as np
 
@@ -129,9 +134,10 @@ class MatchParams:
 
     def __post_init__(self) -> None:
         if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.horizon < 0 or self.delay < 0:
-            raise ValueError("horizon and delay must be >= 0")
+            raise ValueError(f"match.w must be >= 1, got {self.window}")
+        for key, value in (("h", self.horizon), ("m", self.delay)):
+            if value < 0:
+                raise ValueError(f"match.{key} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -464,56 +470,131 @@ def _telemetry_processes(rows: int, units: int) -> int:
     return max(1, min(_cpus(), -(-rows // CSV_BLOCK_ROWS), units))
 
 
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, ValueError):  # absent or closed
+            stream.flush()
+
+
+def _child(task: Callable[[], bytes], read: int, write: int) -> NoReturn:
+    """The life of a forked child: it sends the task's bytes, their length
+    first, down the pipe and exits 0, or prints the task's traceback and
+    exits 1."""
+    code = 1
+    try:
+        os.close(read)  # so that a write fails, rather than waits, if the parent dies
+        data = task()
+        for part in (len(data).to_bytes(8, "little"), data):
+            view = memoryview(part)
+            while view:
+                view = view[os.write(write, view):]
+        code = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        _flush_std_streams()
+        os._exit(code)
+
+
 @contextlib.contextmanager
-def _forked(path: str | Path, doing: str,
+def _forked(where: str | Path, doing: str | Sequence[str],
             tasks: Sequence[Callable[[], bytes]]) -> Iterator[Iterator[bytes]]:
     """Runs each task in a forked process, and yields the tasks' bytes in order.
 
     A forked child starts at once, with the parent's data already in its
-    memory; a spawned one would import numpy again.  A task calls no BLAS and
-    takes no lock that another thread may hold.  multiprocessing flushes
-    stdout and stderr before the fork and ends the child with ``os._exit``,
-    so the child runs no atexit handler and writes no buffered output twice.
-    A child that exits without sending raises ``ChildProcessError``.  Leaving
-    the block kills every child if the block raised, then joins them all: a
-    child may be blocked writing into a pipe that nobody reads any more.
+    memory; a spawned one would import numpy again.  A task takes no lock
+    that another thread may hold.  A task that calls BLAS runs under
+    ``_one_blas_thread``, entered before the fork: each child inherits the
+    cap, and without it each would start its own OpenBLAS thread pool.
+    stdout and stderr are flushed before each fork, and a child ends with
+    ``os._exit``, so it runs no atexit handler and writes no buffered output
+    twice.  A child that sends nothing or exits non-zero raises
+    ``ChildProcessError``, ``<where>: the process <doing> exited with code N``;
+    ``doing`` tells what every child does, or what each does.  Leaving the
+    block kills every child if the block raised, then reaps them all: a child
+    may be blocked writing into a pipe that nobody reads any more.
     """
-    workers: list[tuple[Any, Any]] = []
+    doings = [doing] * len(tasks) if isinstance(doing, str) else doing
+    children: dict[int, BinaryIO] = {}  # each unreaped child's pid and read end, in task order
+
+    def reap(pid: int) -> int:
+        children.pop(pid).close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
     def results() -> Iterator[bytes]:
-        for process, receiver in workers:
-            try:
-                yield receiver.recv_bytes()
-            except EOFError:
-                process.join()
-                raise ChildProcessError(
-                    f"{path}: the process {doing} its rows exited with code {process.exitcode}"
-                ) from None
+        for pid, what in zip(list(children), doings):
+            head, body = children[pid].read(8), children[pid].read()
+            code = reap(pid)
+            if code or len(head) < 8 or len(body) != int.from_bytes(head, "little"):
+                raise ChildProcessError(f"{where}: the process {what} exited with code {code}")
+            yield body
 
     try:
         for task in tasks:
-            import multiprocessing  # imported only when a child starts
-
-            context = multiprocessing.get_context("fork")
-            receiver, sender = context.Pipe(duplex=False)
-
-            def child() -> None:
-                receiver.close()  # so that a send fails, rather than waits, if the parent dies
-                sender.send_bytes(task())
-
-            process = context.Process(target=child)
-            process.start()  # the fork: the child sees this task and pipe
-            sender.close()
-            workers.append((process, receiver))
+            read, write = os.pipe()
+            _flush_std_streams()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(task, read, write)
+            os.close(write)
+            children[pid] = open(read, "rb")
         yield results()
     except BaseException:
-        for process, _ in workers:
-            process.kill()
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for process, receiver in workers:
-            receiver.close()
-            process.join()
+        for pid in list(children):
+            reap(pid)
+
+
+# The getter and setter of a BLAS library's thread count.
+_BlasThreads = tuple[Callable[[], int], Callable[[int], None]]
+
+
+def _blas_threads() -> _BlasThreads | None:
+    """The getter and setter of the thread count of numpy's OpenBLAS, or None.
+
+    numpy's wheels bundle OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``
+    and export its thread count as ``scipy_openblas_{get,set}_num_threads64_``.
+    The library is opened only if numpy has already loaded it
+    (``RTLD_NOLOAD``); any other BLAS (Accelerate, MKL, a system OpenBLAS)
+    gives None.
+    """
+    import ctypes  # only commands that train folds in processes need it
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(threads: _BlasThreads) -> Iterator[None]:
+    """Caps OpenBLAS at one thread inside the block, given ``_blas_threads()``,
+    and restores the count it had."""
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> None:
@@ -537,7 +618,7 @@ def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> N
     cuts = [0, *(np.searchsorted(ends, ends[-1] * np.arange(1, k) / k) + 1).tolist(), len(panels)]
     chunks = [panels[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
     tasks = [lambda chunk=chunk: _telemetry_text(chunk).encode("utf-8") for chunk in chunks[1:]]
-    with _forked(path, "formatting", tasks) as texts:
+    with _forked(path, "formatting its rows", tasks) as texts:
         _write_text(path, itertools.chain(
             [_csv_text([["unit_id", "flight", "phase", *columns]]), _telemetry_text(chunks[0])],
             (text.decode("utf-8") for text in texts),
@@ -701,9 +782,9 @@ def _joined(parts: Sequence[_Rows]) -> _Rows:
 
 
 # Bytes of telemetry rows below which a range is not worth a process.  On 2
-# vCPUs (Python 3.11.7) a fork plus join of a child that sends back one byte
-# took about 5 ms, and 10-13 ms for a process's first child, whose parent also
-# spent 6-11 ms importing multiprocessing; the bulk parse reads about 37 MB/s.
+# vCPUs (Python 3.11.7) a fork plus reap of a child that sends back one byte
+# took 3-5 ms, and up to 20 ms on a loaded machine; the bulk parse reads
+# about 37 MB/s.
 # A second process thus saves its 20 ms from about 2 x 37 MB/s x 20 ms = 1.5 MB
 # of rows, that is from ranges of about 0.75 MB: 1 MiB leaves a margin.
 READ_RANGE_BYTES = 1 << 20
@@ -753,7 +834,7 @@ def _plain_rows(path: str | Path, data: bytes | None = None) -> tuple[tuple[str,
         sizes = [b - a for a, b in zip(starts, starts[1:])] + [None]  # the last runs to the end
         tasks = [partial(_range_bytes, path, len(columns), a, n)
                  for a, n in zip(starts[1:], sizes[1:])]
-        with _forked(path, "reading", tasks) as results:
+        with _forked(path, "reading its rows", tasks) as results:
             parts = [_bulk_rows(fh, len(columns), sizes[0])]
             for data in results:
                 if not data:

@@ -14,14 +14,18 @@ tolerance, and each threshold yields a confusion row.
 from __future__ import annotations
 
 import math
+import pickle
+import warnings
 from bisect import insort
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from fleetwarn import core  # its process helpers, looked up where tests patch them
 from fleetwarn.core import (
     CSV_BLOCK_ROWS,
     EventRecord,
@@ -75,6 +79,91 @@ def _aggregate(folds: Sequence[FoldResult]) -> MatchStats:
     )
 
 
+def _fold(
+    held: TelemetryPanel,
+    panels: Sequence[TelemetryPanel],
+    events: Sequence[EventRecord],
+    targets: Sequence[EventRecord],
+    cfg: PipelineConfig,
+) -> FoldResult:
+    """Train without ``held``, and grade the pooled signal on it."""
+    train_panels = [p for p in panels if p.unit_id != held.unit_id]
+    train_events = [ev for ev in events if ev.unit_id != held.unit_id]
+    # Built before the fold trains; it drops the targets of other units as out of range.
+    layout = layout_periods(targets, cfg.match, {held.unit_id: held.observation_range()})
+    try:
+        model = train_model(train_panels, train_events, cfg)
+    except NoTargetEventsError:
+        return FoldResult(held_out_unit=held.unit_id, skipped=True)
+    pooled = pooled_on(model, [held])
+    stats = match_stats(pooled, layout)
+    window_counts, segment_counts = significance_samples(pooled, layout)
+    return FoldResult(
+        held_out_unit=held.unit_id,
+        skipped=False,
+        stats=stats,
+        precursors=model.precursors,
+        window_counts=tuple(window_counts),
+        segment_counts=tuple(segment_counts),
+    )
+
+
+# A fold's result or the exception it raised, and the warnings it issued.
+_Outcome = tuple[FoldResult | Exception, list[tuple[Warning, type[Warning], str, int]]]
+
+
+def _recorded(fold: Callable[[TelemetryPanel], FoldResult],
+              share: Sequence[TelemetryPanel]) -> list[_Outcome]:
+    """The outcome of each fold of ``share`` in order, up to the first that raises."""
+    outcomes: list[_Outcome] = []
+    for held in share:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result: FoldResult | Exception = fold(held)
+            except Exception as exc:
+                result = exc
+        outcomes.append((result, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+        if isinstance(result, Exception):
+            break
+    return outcomes
+
+
+def _folds_in_processes(fold: Callable[[TelemetryPanel], FoldResult],
+                        panels: Sequence[TelemetryPanel], k: int) -> list[FoldResult]:
+    """What ``[fold(held) for held in panels]`` returns, trained in k processes.
+
+    Process i trains the interleaved share ``panels[i::k]``, so the cheap
+    skipped folds spread evenly; this process trains share 0, forked ones
+    the others.  Each fold records its warnings and its exception, and both
+    are replayed in unit order, as the loop in one process would issue them:
+    each distinct warning once, and the first fold's exception.
+    """
+    import scipy.special  # for the p-values: loaded once here, not once per process
+
+    shares = [panels[i::k] for i in range(k)]
+    tasks = [lambda share=share: pickle.dumps(_recorded(fold, share)) for share in shares[1:]]
+    doing = [f"training the folds that hold out {', '.join(repr(p.unit_id) for p in share)}"
+             for share in shares[1:]]
+    with core._forked("leave-one-unit-out", doing, tasks) as results:
+        mine = _recorded(fold, shares[0])
+        outcomes = [mine, *map(pickle.loads, results)]
+    by_unit = {held.unit_id: outcome for share, done in zip(shares, outcomes)
+               for held, outcome in zip(share, done)}
+    registries: dict[str, dict] = {}
+    folds = []
+    # A fold after a failed one in its share is missing, but the failure comes first.
+    for held in panels:
+        result, caught = by_unit[held.unit_id]
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=registries.setdefault(filename, {}))
+        if isinstance(result, Exception):
+            raise result
+        folds.append(result)
+    return folds
+
+
 def leave_one_unit_out(
     panels: Sequence[TelemetryPanel],
     events: Sequence[EventRecord],
@@ -83,36 +172,23 @@ def leave_one_unit_out(
     """One fold per unit: train without it, grade the pooled signal on it.
 
     A fold whose training units carry no target event is marked skipped.
+    The folds train in one process per CPU, at most one per unit, each with
+    one OpenBLAS thread; without fork, numpy's bundled OpenBLAS or a second
+    CPU they train one after another here.  Either way the result is the same.
     """
     panels = sorted(panels, key=lambda p: p.unit_id)
     if len(panels) < 2:
         raise ValueError("leave-one-unit-out needs at least 2 units")
 
     targets = [ev for ev in events if ev.code.startswith(cfg.code_prefix)]
-    folds: list[FoldResult] = []
-    for held in panels:
-        train_panels = [p for p in panels if p.unit_id != held.unit_id]
-        train_events = [ev for ev in events if ev.unit_id != held.unit_id]
-        # Built before the fold trains; it drops the targets of other units as out of range.
-        layout = layout_periods(targets, cfg.match, {held.unit_id: held.observation_range()})
-        try:
-            model = train_model(train_panels, train_events, cfg)
-        except NoTargetEventsError:
-            folds.append(FoldResult(held_out_unit=held.unit_id, skipped=True))
-            continue
-        pooled = pooled_on(model, [held])
-        stats = match_stats(pooled, layout)
-        window_counts, segment_counts = significance_samples(pooled, layout)
-        folds.append(
-            FoldResult(
-                held_out_unit=held.unit_id,
-                skipped=False,
-                stats=stats,
-                precursors=model.precursors,
-                window_counts=tuple(window_counts),
-                segment_counts=tuple(segment_counts),
-            )
-        )
+    fold = partial(_fold, panels=panels, events=events, targets=targets, cfg=cfg)
+    k = min(core._cpus(), len(panels))
+    threads = core._blas_threads() if k > 1 else None
+    if threads is None:
+        folds = [fold(held) for held in panels]
+    else:
+        with core._one_blas_thread(threads):
+            folds = _folds_in_processes(fold, panels, k)
     return CrossvalResult(
         folds=tuple(folds),
         aggregate=_aggregate(folds),

@@ -61,18 +61,19 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+            raise ValueError(f"detect.rank must be >= 1, got {self.rank}")
         if not 0.0 < self.quantile < 1.0:
-            raise ValueError("quantile must lie in (0, 1)")
+            raise ValueError(f"detect.quantile must lie in (0, 1), got {self.quantile}")
         for key, q in self.quantile_overrides.items():
             if not 0.0 < q < 1.0:
-                raise ValueError(f"quantile override for {key!r} must lie in (0, 1)")
+                raise ValueError(f"detect.quantile_overrides.{key} must lie in (0, 1), got {q}")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
         if not self.rho > 0.0:  # NaN too
-            raise ValueError("rho must be positive")
-        if self.normal_before < 0 or self.normal_after < 0:
-            raise ValueError("normal_before and normal_after must be >= 0")
+            raise ValueError(f"grouping.rho must be positive, got {self.rho}")
+        for key in ("normal_before", "normal_after"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"detect.{key} must be >= 0, got {getattr(self, key)}")
         object.__setattr__(self, "quantile_overrides", dict(self.quantile_overrides))
 
 

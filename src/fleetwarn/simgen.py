@@ -40,9 +40,10 @@ class GroupSpec:
 
     def __post_init__(self) -> None:
         if self.size < 2:
-            raise ValueError("group size must be >= 2")
+            raise ValueError(f"group size must be >= 2, got {self.size}")
         if not 0.0 <= self.correlation < 1.0:
-            raise ValueError("within-group correlation must lie in [0, 1)")
+            raise ValueError(
+                f"within-group correlation must lie in [0, 1), got {self.correlation}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from fleetwarn import core
 from fleetwarn.cli import _SCHEMA, load_config, main
 from fleetwarn.core import MatchParams, read_events_csv, read_telemetry_csv
 from fleetwarn.matching import layout_periods
@@ -243,6 +244,32 @@ class TestConfigErrors:
             pytest.param(
                 "simulate", {"sim": {"event_rate": 10**400}},
                 "sim.event_rate must be a number, got 1000", id="simulate-event-rate-beyond-float",
+            ),
+            # range refusals name the key path too
+            pytest.param(
+                "run", {"match": {"w": 0}}, "match.w must be >= 1, got 0", id="run-window-zero",
+            ),
+            pytest.param(
+                "crossval", {"match": {"m": -2}}, "match.m must be >= 0, got -2",
+                id="crossval-delay-negative",
+            ),
+            pytest.param(
+                "crossval", {"detect": {"rank": 0}}, "detect.rank must be >= 1, got 0",
+                id="crossval-rank-zero",
+            ),
+            pytest.param(
+                "run", {"detect": {"quantile_overrides": {"g0p0": 1.0}}},
+                "detect.quantile_overrides.g0p0 must lie in (0, 1), got 1.0",
+                id="run-quantile-override-one",
+            ),
+            pytest.param(
+                "simulate", {"sim": {"groups": [[3, 0.5], [1, 0.5]]}},
+                "sim.groups[1]: group size must be >= 2, got 1", id="simulate-group-size-one",
+            ),
+            pytest.param(
+                "curves", {"sim": {"groups": [[3, 1.0]]}},
+                "sim.groups[0]: within-group correlation must lie in [0, 1), got 1.0",
+                id="curves-group-correlation-one",
             ),
         ],
     )
@@ -690,6 +717,56 @@ class TestCrossval:
         )
         assert main(["crossval", "--config", run_cfg, "--out", str(tmp_path / "o")]) == 2
         assert "at least 2 units" in capsys.readouterr().err
+
+    def test_dying_fold_process_exits_2_and_leaves_nothing(self, ws, tmp_path):
+        out = tmp_path / "o"
+        code = (
+            "import os, sys\n"
+            "from fleetwarn import core, evaluation\n"
+            "from fleetwarn.cli import main\n"
+            "parent, fold = os.getpid(), evaluation._fold\n"
+            "def dying(held, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(1)\n"
+            "    return fold(held, **kwargs)\n"
+            "evaluation._fold = dying\n"
+            "core._cpus = lambda: 2\n"
+            "code = main(['crossval', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    print('a child is left')\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_python("-c", code, ws["run_cfg"], str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "no child left\n"
+        assert proc.stderr == (
+            "fleetwarn: leave-one-unit-out: the process training the folds that hold out "
+            "'unit001', 'unit003' exited with code 1\n"
+        )
+        assert not (out / "aggregate.json").exists()
+
+    def test_forking_never_imports_multiprocessing(self, ws, tmp_path):
+        code = (
+            "import sys\n"
+            "from fleetwarn import core\n"
+            "from fleetwarn.cli import main\n"
+            "forked, forking = [], core._forked\n"
+            "def counted(where, doing, tasks):\n"
+            "    forked.append(len(tasks))\n"
+            "    return forking(where, doing, tasks)\n"
+            "core._forked = counted\n"
+            "core._cpus = lambda: 2\n"
+            "core._read_processes = lambda size: 2\n"
+            "assert main(['crossval', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(forked, 'multiprocessing' in sys.modules)\n"
+        )
+        proc = run_python("-c", code, ws["run_cfg"], str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        forks = "[1, 1]" if core._blas_threads() else "[1]"  # the telemetry, then the folds
+        assert proc.stdout == f"{forks} False\n"
 
 
 class TestCurves:

@@ -1,7 +1,10 @@
+import ctypes
 import dataclasses
 import functools
 import math
 import random
+import types
+import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_max_matching, roc_pr_reference
-from fleetwarn import evaluation
+from fleetwarn import core, evaluation
 from fleetwarn.core import (
     EventRecord,
     FleetAxis,
@@ -442,6 +445,7 @@ class TestCrossval:
     def test_fold_whose_search_keeps_nothing_grades_a_silent_pool(self, monkeypatch):
         panels, events = small_fleet()
         pooled, pooled_on = {}, evaluation.pooled_on
+        monkeypatch.setattr(core, "_cpus", lambda: 1)  # pooled_on records in this process
 
         def recording_pooled_on(model, held):
             (panel,) = held
@@ -470,3 +474,106 @@ class TestCrossval:
         assert result.skipped_units == (keeper,)
         for fold in result.folds:
             assert fold.skipped == (fold.held_out_unit == keeper)
+
+
+def crossval_cases():
+    """The small fleet (5 units), its first 4 units, and a fleet whose one
+    skipped fold holds out the only unit with events."""
+    panels, events = small_fleet()
+    keeper = events[0].unit_id
+    four = {p.unit_id for p in panels[:4]}
+    return {
+        "odd": (panels, events),
+        "even": (panels[:4], tuple(ev for ev in events if ev.unit_id in four)),
+        "one-skipped": (panels, tuple(ev for ev in events if ev.unit_id == keeper)),
+    }
+
+
+def crossval_on(monkeypatch, cpus, panels, events):
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    return leave_one_unit_out(list(panels), list(events), SMALL_CFG)
+
+
+class TestCrossvalProcesses:
+    """Folds trained in forked processes give what one process gives."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("case", sorted(crossval_cases()))
+    def test_processes_give_the_serial_result(self, monkeypatch, case, cpus):
+        panels, events = crossval_cases()[case]
+        serial = crossval_on(monkeypatch, 1, panels, events)
+        if case == "one-skipped":
+            assert len(serial.skipped_units) == 1
+        forked, forking = [], core._forked
+
+        def counted(where, doing, tasks):
+            forked.append(doing)
+            return forking(where, doing, tasks)
+
+        monkeypatch.setattr(core, "_forked", counted)
+        if core._blas_threads() is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded: the folds train serially")
+        assert repr(crossval_on(monkeypatch, cpus, panels, events)) == repr(serial)
+        units = [p.unit_id for p in panels]
+        assert forked == [[
+            "training the folds that hold out " + ", ".join(map(repr, units[i::cpus]))
+            for i in range(1, cpus)
+        ]]
+
+    def test_without_the_blas_symbol_the_folds_train_serially(self, monkeypatch):
+        panels, events = crossval_cases()["odd"]
+        serial = crossval_on(monkeypatch, 1, panels, events)
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: types.SimpleNamespace())
+        assert core._blas_threads() is None
+
+        def forking(*args):
+            raise AssertionError("forked without a handle on the BLAS thread count")
+
+        monkeypatch.setattr(core, "_forked", forking)
+        assert repr(crossval_on(monkeypatch, 2, panels, events)) == repr(serial)
+
+    def test_folds_run_on_one_blas_thread_and_the_count_is_restored(self, monkeypatch):
+        threads = core._blas_threads()
+        if threads is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        get, set_ = threads
+        panels, events = crossval_cases()["odd"]
+        serial = crossval_on(monkeypatch, 1, panels, events)
+        fold = evaluation._fold
+
+        def one_thread(held, **kwargs):
+            assert get() == 1, f"fold {held.unit_id} ran on {get()} BLAS threads"
+            return fold(held, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_fold", one_thread)
+        before = get()
+        set_(3)
+        try:
+            assert repr(crossval_on(monkeypatch, 2, panels, events)) == repr(serial)
+            assert get() == 3
+        finally:
+            set_(before)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_failing_fold_raises_and_warnings_keep_the_serial_order(
+        self, monkeypatch, cpus
+    ):
+        panels, events = crossval_cases()["odd"]
+        units = [p.unit_id for p in panels]
+        fold = evaluation._fold
+
+        def noisy(held, **kwargs):
+            warnings.warn("about the config")  # the same text every fold: shown once
+            warnings.warn(f"about fold {held.unit_id}")
+            if held.unit_id in units[3:]:
+                raise ValueError(f"fold {held.unit_id} broke")
+            return fold(held, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_fold", noisy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            with pytest.raises(ValueError, match=f"^fold {units[3]} broke$"):
+                crossval_on(monkeypatch, cpus, panels, events)
+        assert [str(w.message) for w in caught] == [
+            "about the config", *(f"about fold {u}" for u in units[:4])
+        ]

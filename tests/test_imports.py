@@ -160,8 +160,10 @@ def test_core_writes_through_one_json_and_one_csv_writer():
 
 
 
-# Processes and threads start only where core reads or writes telemetry
-# rows, through the one helper that forks.
+# Processes start only in core's one forking helper, ``_forked``, which the
+# telemetry reader and writer and the leave-one-unit-out folds call; no
+# module starts a thread.  ``evaluation.py`` calls ``core._forked`` but
+# touches no process API itself.
 CONCURRENCY = ("os.fork", "multiprocessing", "subprocess", "concurrent.futures", "threading")
 TELEMETRY_WRITER = {"_forked", "read_telemetry_csv", "write_telemetry_csv"}
 
@@ -228,7 +230,8 @@ def test_guard_flags_processes_and_threads():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_processes_start_only_in_the_telemetry_writer(path):
-    """Core's telemetry reader starts processes too, through the writer's ``_forked``."""
+    """Core's telemetry reader and evaluation's folds start processes too,
+    through ``core._forked``."""
     allowed = TELEMETRY_WRITER if path.name == "core.py" else set()
     uses = concurrency_uses(path.read_text(encoding="utf-8"))
     assert [u for u in uses if u.split(":")[0] not in allowed] == []
