@@ -489,7 +489,7 @@ def _child(task: Callable[[], bytes], read: int, write: int) -> NoReturn:
             while view:
                 view = view[os.write(write, view):]
         code = 0
-    except BaseException:
+    except BaseException:  # reported by the exit code: a child never returns into the caller
         import traceback
 
         traceback.print_exc()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import sys
 import warnings
 from bisect import insort
 from dataclasses import dataclass, fields
@@ -151,13 +152,15 @@ def _folds_in_processes(fold: Callable[[TelemetryPanel], FoldResult],
     by_unit = {held.unit_id: outcome for share, done in zip(shares, outcomes)
                for held, outcome in zip(share, done)}
     registries: dict[str, dict] = {}
+    # The module of each warning's file, so that a filter on a module name matches.
+    modules = {getattr(m, "__file__", None): name for name, m in list(sys.modules.items())}
     folds = []
     # A fold after a failed one in its share is missing, but the failure comes first.
     for held in panels:
         result, caught = by_unit[held.unit_id]
         for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno,
-                                   registry=registries.setdefault(filename, {}))
+            warnings.warn_explicit(message, category, filename, lineno, modules.get(filename),
+                                   registries.setdefault(filename, {}))
         if isinstance(result, Exception):
             raise result
         folds.append(result)

@@ -41,9 +41,15 @@ def alarm_series(alarm_id, firings, axis=None):
 
 
 def run_python(*args, timeout=300):
-    """``python *args`` in a fresh interpreter that imports fleetwarn from this tree."""
+    """``python *args`` in a fresh interpreter that imports fleetwarn from this tree.
+
+    Its stdout is a block-buffered pipe even where the caller's environment
+    sets ``PYTHONUNBUFFERED``, so that a test sees output that a forked child
+    would write twice.
+    """
     src = str(Path(fleetwarn.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=timeout)
 

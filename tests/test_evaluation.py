@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import random
+import re
 import types
 import warnings
 from dataclasses import astuple, fields
@@ -577,3 +578,20 @@ class TestCrossvalProcesses:
         assert [str(w.message) for w in caught] == [
             "about the config", *(f"about fold {u}" for u in units[:4])
         ]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_a_filter_on_the_warning_module_applies(self, monkeypatch, cpus):
+        panels, events = crossval_cases()["odd"]
+        fold = evaluation._fold
+
+        def noisy(held, **kwargs):
+            warnings.warn("about the config")
+            warnings.warn(f"about fold {held.unit_id}")
+            return fold(held, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_fold", noisy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            warnings.filterwarnings("ignore", "about the config", module=re.escape(__name__))
+            crossval_on(monkeypatch, cpus, panels, events)
+        assert [str(w.message) for w in caught] == [f"about fold {p.unit_id}" for p in panels]
