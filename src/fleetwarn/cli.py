@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from fleetwarn.core import (
     MatchParams,
@@ -128,12 +128,12 @@ def _fields(section: Mapping[str, Any]) -> dict[str, Any]:
     return {_FIELD_NAMES.get(key, key): value for key, value in section.items()}
 
 
-def _group_spec(i: int, spec: tuple[int, float]) -> GroupSpec:
-    """The group of ``sim.groups[i]``; a refusal names its key path."""
+def _built(path: str, build: Callable[..., Any], *args: Any) -> Any:
+    """``build(*args)`` for the config entry at key ``path``; a refusal names the path."""
     try:
-        return GroupSpec(*spec)
+        return build(*args)
     except ValueError as exc:
-        raise ConfigError(f"sim.groups[{i}]: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 class RunConfig:
@@ -169,11 +169,12 @@ class RunConfig:
             )
         # Unlike SimConfig(), the CLI plants nothing unless asked to.
         planted = tuple(
-            PlantedSpec(spec["groups"], *spec["lead"], spec["magnitude"])
-            for spec in sim.get("planted", [])
+            _built(f"sim.planted[{i}]", PlantedSpec, s["groups"], *s["lead"], s["magnitude"])
+            for i, s in enumerate(sim.get("planted", []))
         )
         if "groups" in sim:
-            sim = {**sim, "groups": tuple(_group_spec(i, g) for i, g in enumerate(sim["groups"]))}
+            sim = {**sim, "groups": tuple(
+                _built(f"sim.groups[{i}]", GroupSpec, *g) for i, g in enumerate(sim["groups"]))}
         self.sim = SimConfig(**{**sim, "planted": planted}) if "sim" in config else None
 
 

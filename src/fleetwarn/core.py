@@ -8,7 +8,8 @@ missing policy explicitly.
 
 All types here are immutable after construction.  The telemetry reader and
 writer, and leave-one-unit-out's folds, split their work over forked
-processes through ``_forked``; the processes share no objects.
+processes through one helper, ``_on_cpus``, with one rule for the process
+count, ``_processes``; the processes share no objects.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class FleetAxis:
 @dataclass(frozen=True, eq=False)
 class AlarmSeries:
     """A named binary signal over the fleet: the sorted, read-only positions on
-    ``axis`` where it fires, which ``firings`` and ``firings_for`` read back as flights."""
+    ``axis`` where it fires; ``axis.locate`` reads them back as flights."""
 
     alarm_id: str
     axis: FleetAxis
@@ -188,17 +189,6 @@ class AlarmSeries:
             raise ValueError("alarm positions must strictly increase within the axis")
         positions.setflags(write=False)
         object.__setattr__(self, "positions", positions)
-
-    @property
-    def firings(self) -> dict[str, frozenset[int]]:
-        return {unit: self.firings_for(unit) for unit in self.axis.units}
-
-    def firings_for(self, unit_id: str) -> frozenset[int]:
-        if unit_id not in self.axis.units:
-            return frozenset()
-        i = self.axis.units.index(unit_id)
-        lo, hi = np.searchsorted(self.positions, self.axis.starts[i : i + 2])
-        return frozenset((self.positions[lo:hi] - self.axis.shift(unit_id)).tolist())
 
     def total_firings(self) -> int:
         return self.positions.size
@@ -457,17 +447,12 @@ def _telemetry_text(panels: Sequence[TelemetryPanel]) -> str:
     return "".join(_csv_blocks(_telemetry_rows(panels)))
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on; 1 where fork or CPU affinity is missing."""
+def _processes(*caps: int) -> int:
+    """One process per CPU this process may run on, at most each of ``caps``
+    and at least one; 1 where fork or CPU affinity is missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _telemetry_processes(rows: int, units: int) -> int:
-    """Processes to format telemetry rows in: one per CPU, at most one per CSV
-    block and one per unit."""
-    return max(1, min(_cpus(), -(-rows // CSV_BLOCK_ROWS), units))
+    return max(1, min(len(os.sched_getaffinity(0)), *caps))
 
 
 def _flush_std_streams() -> None:
@@ -476,18 +461,15 @@ def _flush_std_streams() -> None:
             stream.flush()
 
 
-def _child(task: Callable[[], bytes], read: int, write: int) -> NoReturn:
-    """The life of a forked child: it sends the task's bytes, their length
-    first, down the pipe and exits 0, or prints the task's traceback and
-    exits 1."""
+def _child(fn: Callable[[Any], Any], share: Any, read: int, write: int) -> NoReturn:
+    """The life of a forked child: it sends ``fn(share)`` pickled down the
+    pipe and exits 0, or prints the traceback and exits 1."""
     code = 1
     try:
         os.close(read)  # so that a write fails, rather than waits, if the parent dies
-        data = task()
-        for part in (len(data).to_bytes(8, "little"), data):
-            view = memoryview(part)
-            while view:
-                view = view[os.write(write, view):]
+        view = memoryview(pickle.dumps(fn(share), pickle.HIGHEST_PROTOCOL))
+        while view:
+            view = view[os.write(write, view):]
         code = 0
     except BaseException:  # reported by the exit code: a child never returns into the caller
         import traceback
@@ -498,41 +480,34 @@ def _child(task: Callable[[], bytes], read: int, write: int) -> NoReturn:
         os._exit(code)
 
 
-@contextlib.contextmanager
-def _forked(where: str | Path, doing: str | Sequence[str],
-            tasks: Sequence[Callable[[], bytes]]) -> Iterator[Iterator[bytes]]:
-    """Runs each task in a forked process, and yields the tasks' bytes in order.
+def _on_cpus(where: str | Path, doing: str | Sequence[str], fn: Callable[[Any], Any],
+             shares: Sequence[Any]) -> list:
+    """``[fn(share) for share in shares]``, each share but the first run in a
+    forked process.
 
     A forked child starts at once, with the parent's data already in its
-    memory; a spawned one would import numpy again.  A task takes no lock
-    that another thread may hold.  A task that calls BLAS runs under
-    ``_one_blas_thread``, entered before the fork: each child inherits the
+    memory; a spawned one would import numpy again.  ``fn`` takes no lock
+    that another thread may hold.  An ``fn`` that calls BLAS runs under
+    ``_one_blas_thread``, entered before this call: each child inherits the
     cap, and without it each would start its own OpenBLAS thread pool.
     stdout and stderr are flushed before each fork, and a child ends with
     ``os._exit``, so it runs no atexit handler and writes no buffered output
-    twice.  A child that sends nothing or exits non-zero raises
-    ``ChildProcessError``, ``<where>: the process <doing> exited with code N``;
-    ``doing`` tells what every child does, or what each does.  Leaving the
-    block kills every child if the block raised, then reaps them all: a child
-    may be blocked writing into a pipe that nobody reads any more.
+    twice.  A child that raises, dies or sends less than its whole pickle
+    raises ``ChildProcessError``, ``<where>: the process <doing> exited with
+    code N``; ``doing`` tells what every process does, or what each does,
+    one entry per share.  If this process's share or a child fails, every
+    child is killed, then all are reaped: a child may be blocked writing
+    into a pipe that nobody reads any more.
     """
-    doings = [doing] * len(tasks) if isinstance(doing, str) else doing
-    children: dict[int, BinaryIO] = {}  # each unreaped child's pid and read end, in task order
+    doings = [doing] * len(shares) if isinstance(doing, str) else doing
+    children: dict[int, BinaryIO] = {}  # each unreaped child's pid and read end, in share order
 
     def reap(pid: int) -> int:
         children.pop(pid).close()
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
-    def results() -> Iterator[bytes]:
-        for pid, what in zip(list(children), doings):
-            head, body = children[pid].read(8), children[pid].read()
-            code = reap(pid)
-            if code or len(head) < 8 or len(body) != int.from_bytes(head, "little"):
-                raise ChildProcessError(f"{where}: the process {what} exited with code {code}")
-            yield body
-
     try:
-        for task in tasks:
+        for share in shares[1:]:
             read, write = os.pipe()
             _flush_std_streams()
             try:
@@ -542,10 +517,19 @@ def _forked(where: str | Path, doing: str | Sequence[str],
                 os.close(write)
                 raise
             if pid == 0:
-                _child(task, read, write)
+                _child(fn, share, read, write)
             os.close(write)
             children[pid] = open(read, "rb")
-        yield results()
+        results = [fn(share) for share in shares[:1]]
+        for pid, what in zip(list(children), doings[1:]):
+            data = children[pid].read()
+            code = reap(pid)
+            with contextlib.suppress(pickle.UnpicklingError, EOFError):  # a pickle cut short
+                if code == 0:
+                    results.append(pickle.loads(data))
+                    continue
+            raise ChildProcessError(f"{where}: the process {what} exited with code {code}")
+        return results
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -585,9 +569,12 @@ def _blas_threads() -> _BlasThreads | None:
 
 
 @contextlib.contextmanager
-def _one_blas_thread(threads: _BlasThreads) -> Iterator[None]:
+def _one_blas_thread(threads: _BlasThreads | None) -> Iterator[None]:
     """Caps OpenBLAS at one thread inside the block, given ``_blas_threads()``,
-    and restores the count it had."""
+    and restores the count it had; with None it does nothing."""
+    if threads is None:
+        yield
+        return
     get, set_ = threads
     before = get()
     set_(1)
@@ -601,10 +588,9 @@ def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> N
     """The panels' rows, units in sorted order, under the telemetry header.
 
     The units are cut into contiguous chunks of about equal row counts, one
-    per process that ``_telemetry_processes`` allows.  Forked processes
-    format every chunk but the first, which this process formats; the
-    chunks are written in order.  A failed chunk raises here and leaves no
-    file.
+    per process that ``_processes`` allows, at most one per CSV block and
+    one per unit.  ``_on_cpus`` formats them, and the chunks are written in
+    order.  A failed chunk raises here before the file is opened.
     """
     panels = sorted(panels, key=lambda p: p.unit_id)
     if not panels:
@@ -613,16 +599,12 @@ def write_telemetry_csv(path: str | Path, panels: Sequence[TelemetryPanel]) -> N
     if any(p.columns != columns for p in panels):
         raise ValueError("panels disagree on columns")
     ends = np.cumsum([p.n_flights for p in panels])
-    k = _telemetry_processes(int(ends[-1]), len(panels))
+    k = _processes(-(-int(ends[-1]) // CSV_BLOCK_ROWS), len(panels))
     # Chunk i ends after the unit whose rows reach (i + 1) / k of all rows.
     cuts = [0, *(np.searchsorted(ends, ends[-1] * np.arange(1, k) / k) + 1).tolist(), len(panels)]
     chunks = [panels[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
-    tasks = [lambda chunk=chunk: _telemetry_text(chunk).encode("utf-8") for chunk in chunks[1:]]
-    with _forked(path, "formatting its rows", tasks) as texts:
-        _write_text(path, itertools.chain(
-            [_csv_text([["unit_id", "flight", "phase", *columns]]), _telemetry_text(chunks[0])],
-            (text.decode("utf-8") for text in texts),
-        ))
+    texts = _on_cpus(path, "formatting its rows", _telemetry_text, chunks)
+    _write_text(path, [_csv_text([["unit_id", "flight", "phase", *columns]]), *texts])
 
 
 # "<name>.json" must fit the common 255-byte limit on a file name.
@@ -752,16 +734,18 @@ def _bulk_rows(fh: BinaryIO, width: int, size: int | None) -> _Rows:
                  np.array(phase_codes, dtype=np.intp), values)
 
 
-def _range_bytes(path: str | Path, width: int, start: int, size: int | None) -> bytes:
-    """The pickled ``_bulk_rows`` of the ``size`` bytes of ``path`` from
-    ``start``; no bytes if a row there needs the row loop."""
-    with open(path, "rb") as fh:
+def _range_rows(path: str | Path, data: bytes | None, width: int,
+                span: tuple[int, int | None]) -> _Rows | None:
+    """The ``_bulk_rows`` of the ``size`` bytes from ``start`` of ``path``,
+    or of its bytes ``data``, where ``span`` is ``(start, size)``; None if a
+    row there needs the row loop."""
+    start, size = span
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         fh.seek(start)
         try:
-            rows = _bulk_rows(fh, width, size)
+            return _bulk_rows(fh, width, size)
         except (ValueError, OverflowError):
-            return b""
-    return pickle.dumps(rows, pickle.HIGHEST_PROTOCOL)
+            return None
 
 
 def _joined(parts: Sequence[_Rows]) -> _Rows:
@@ -790,12 +774,6 @@ def _joined(parts: Sequence[_Rows]) -> _Rows:
 READ_RANGE_BYTES = 1 << 20
 
 
-def _read_processes(size: int) -> int:
-    """Processes to parse ``size`` bytes of telemetry rows in: one per CPU,
-    while each gets at least ``READ_RANGE_BYTES``."""
-    return max(1, min(_cpus(), size // READ_RANGE_BYTES))
-
-
 def _range_starts(fh: BinaryIO, start: int, size: int, k: int) -> list[int]:
     """Where k ranges of about equal parts of the ``size`` bytes from
     ``start`` begin, each moved on to the next line start; a range left
@@ -813,8 +791,8 @@ def _plain_rows(path: str | Path, data: bytes | None = None) -> tuple[tuple[str,
     """The columns and rows of a plain telemetry file, or of its bytes ``data``.
 
     The rows are cut into byte ranges that start at line starts, one per
-    process that ``_read_processes`` allows.  Forked processes parse every
-    range but the first, which this process parses, and the ranges are
+    process that ``_processes`` allows while each range holds at least
+    ``READ_RANGE_BYTES``.  ``_on_cpus`` parses them, and the ranges are
     joined in file order.  A range that is not plain or holds an invalid row
     raises a ValueError that names no line.
     """
@@ -825,21 +803,17 @@ def _plain_rows(path: str | Path, data: bytes | None = None) -> tuple[tuple[str,
         columns = _telemetry_columns(path, header.removesuffix("\n").split(","), 1)
         if not columns:
             raise ValueError("no parameter columns")
+        start = fh.tell()
         if data is None:
-            start = fh.tell()
             body = os.fstat(fh.fileno()).st_size - start
-            starts = _range_starts(fh, start, body, _read_processes(body))
+            starts = _range_starts(fh, start, body, _processes(body // READ_RANGE_BYTES))
         else:
-            starts = [0]  # bytes read from a pipe: one range
-        sizes = [b - a for a, b in zip(starts, starts[1:])] + [None]  # the last runs to the end
-        tasks = [partial(_range_bytes, path, len(columns), a, n)
-                 for a, n in zip(starts[1:], sizes[1:])]
-        with _forked(path, "reading its rows", tasks) as results:
-            parts = [_bulk_rows(fh, len(columns), sizes[0])]
-            for data in results:
-                if not data:
-                    raise ValueError("not plain text")
-                parts.append(pickle.loads(data))
+            starts = [start]  # bytes read from a pipe: one range
+    sizes = [b - a for a, b in zip(starts, starts[1:])] + [None]  # the last runs to the end
+    parts = _on_cpus(path, "reading its rows", partial(_range_rows, path, data, len(columns)),
+                     list(zip(starts, sizes)))
+    if None in parts:
+        raise ValueError("not plain text")
     return columns, _joined(parts)
 
 
@@ -899,7 +873,7 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
     A plain file is parsed in bulk, in byte ranges on every CPU the process
     may run on.  Quoted cells, CR line ends and every invalid file take the
     row loop, which accepts the same cell text and raises the first invalid
-    row as ``<path>: line N: <reason>``.  A forked process that dies raises
+    row as ``<path>: line N: <reason>``.  A forked process that fails raises
     ``ChildProcessError``.  A pipe, which can be read only once, is read
     into memory first and parsed in one range.
     """

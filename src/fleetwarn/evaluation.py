@@ -14,7 +14,6 @@ tolerance, and each threshold yields a confusion row.
 from __future__ import annotations
 
 import math
-import pickle
 import sys
 import warnings
 from bisect import insort
@@ -130,25 +129,37 @@ def _recorded(fold: Callable[[TelemetryPanel], FoldResult],
     return outcomes
 
 
-def _folds_in_processes(fold: Callable[[TelemetryPanel], FoldResult],
-                        panels: Sequence[TelemetryPanel], k: int) -> list[FoldResult]:
-    """What ``[fold(held) for held in panels]`` returns, trained in k processes.
+def leave_one_unit_out(
+    panels: Sequence[TelemetryPanel],
+    events: Sequence[EventRecord],
+    cfg: PipelineConfig,
+) -> CrossvalResult:
+    """One fold per unit: train without it, grade the pooled signal on it.
 
-    Process i trains the interleaved share ``panels[i::k]``, so the cheap
-    skipped folds spread evenly; this process trains share 0, forked ones
-    the others.  Each fold records its warnings and its exception, and both
-    are replayed in unit order, as the loop in one process would issue them:
-    each distinct warning once, and the first fold's exception.
+    A fold whose training units carry no target event is marked skipped.
+    The folds train in k processes, one per CPU and at most one per unit,
+    each with one OpenBLAS thread; without fork or numpy's bundled OpenBLAS,
+    k is 1.  Process i trains the interleaved share ``panels[i::k]``, so the
+    cheap skipped folds spread evenly.  Each fold records its warnings and
+    its exception, and both are replayed in unit order, as one loop over the
+    folds would issue them: each distinct warning once, and the first
+    fold's exception.  The result does not depend on k.
     """
-    import scipy.special  # for the p-values: loaded once here, not once per process
+    panels = sorted(panels, key=lambda p: p.unit_id)
+    if len(panels) < 2:
+        raise ValueError("leave-one-unit-out needs at least 2 units")
 
-    shares = [panels[i::k] for i in range(k)]
-    tasks = [lambda share=share: pickle.dumps(_recorded(fold, share)) for share in shares[1:]]
+    targets = [ev for ev in events if ev.code.startswith(cfg.code_prefix)]
+    fold = partial(_fold, panels=panels, events=events, targets=targets, cfg=cfg)
+    k = core._processes(len(panels))
+    threads = core._blas_threads() if k > 1 else None
+    shares = [panels[i::k] for i in range(k)] if threads else [panels]
+    if len(shares) > 1:
+        import scipy.special  # for the p-values: loaded once here, not once per process
     doing = [f"training the folds that hold out {', '.join(repr(p.unit_id) for p in share)}"
-             for share in shares[1:]]
-    with core._forked("leave-one-unit-out", doing, tasks) as results:
-        mine = _recorded(fold, shares[0])
-        outcomes = [mine, *map(pickle.loads, results)]
+             for share in shares]
+    with core._one_blas_thread(threads):
+        outcomes = core._on_cpus("leave-one-unit-out", doing, partial(_recorded, fold), shares)
     by_unit = {held.unit_id: outcome for share, done in zip(shares, outcomes)
                for held, outcome in zip(share, done)}
     registries: dict[str, dict] = {}
@@ -164,34 +175,6 @@ def _folds_in_processes(fold: Callable[[TelemetryPanel], FoldResult],
         if isinstance(result, Exception):
             raise result
         folds.append(result)
-    return folds
-
-
-def leave_one_unit_out(
-    panels: Sequence[TelemetryPanel],
-    events: Sequence[EventRecord],
-    cfg: PipelineConfig,
-) -> CrossvalResult:
-    """One fold per unit: train without it, grade the pooled signal on it.
-
-    A fold whose training units carry no target event is marked skipped.
-    The folds train in one process per CPU, at most one per unit, each with
-    one OpenBLAS thread; without fork, numpy's bundled OpenBLAS or a second
-    CPU they train one after another here.  Either way the result is the same.
-    """
-    panels = sorted(panels, key=lambda p: p.unit_id)
-    if len(panels) < 2:
-        raise ValueError("leave-one-unit-out needs at least 2 units")
-
-    targets = [ev for ev in events if ev.code.startswith(cfg.code_prefix)]
-    fold = partial(_fold, panels=panels, events=events, targets=targets, cfg=cfg)
-    k = min(core._cpus(), len(panels))
-    threads = core._blas_threads() if k > 1 else None
-    if threads is None:
-        folds = [fold(held) for held in panels]
-    else:
-        with core._one_blas_thread(threads):
-            folds = _folds_in_processes(fold, panels, k)
     return CrossvalResult(
         folds=tuple(folds),
         aggregate=_aggregate(folds),

@@ -57,13 +57,13 @@ class PlantedSpec:
 
     def __post_init__(self) -> None:
         if not 2 <= len(self.groups) <= 3:
-            raise ValueError("planted precursor must span 2 or 3 groups")
+            raise ValueError(f"groups must list 2 or 3 groups, got {list(self.groups)}")
         if len(set(self.groups)) != len(self.groups):
-            raise ValueError("planted group ids must be distinct")
+            raise ValueError(f"groups must be distinct, got {list(self.groups)}")
         if not 1 <= self.lead_lo <= self.lead_hi:
-            raise ValueError("lead range must satisfy 1 <= lo <= hi")
+            raise ValueError(f"lead must satisfy 1 <= lo <= hi, got {[self.lead_lo, self.lead_hi]}")
         if not 0.0 <= self.magnitude < math.inf:
-            raise ValueError(f"sim.planted magnitude must be finite and >= 0, got {self.magnitude}")
+            raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
         object.__setattr__(self, "groups", tuple(self.groups))
 
 
@@ -78,18 +78,19 @@ class SimConfig:
     event_code: str = "E100"
 
     def __post_init__(self) -> None:
-        if self.units < 1 or self.flights_per_unit < 1:
-            raise ValueError("units and flights_per_unit must be >= 1")
+        for key, value in (("units", self.units), ("flights_per_unit", self.flights_per_unit)):
+            if value < 1:
+                raise ValueError(f"sim.{key} must be >= 1, got {value}")
         if not self.groups:
-            raise ValueError("need at least one group")
+            raise ValueError("sim.groups must list at least one group")
         if not 0.0 <= self.event_rate < math.inf:
             raise ValueError(f"sim.event_rate must be finite and >= 0, got {self.event_rate}")
         if self.seed < 0:
             raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
-        for spec in self.planted:
+        for i, spec in enumerate(self.planted):
             for g in spec.groups:
                 if not 0 <= g < len(self.groups):
-                    raise ValueError(f"planted group id {g} out of range")
+                    raise ValueError(f"sim.planted[{i}]: group {g} is out of range")
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "planted", tuple(self.planted))
 
@@ -253,9 +254,9 @@ def _anomalies_exceed_q95(
         cols = group_cols[g]
         rows = np.vstack([p.subvalues(cols)[m] for p, m in zip(normalized, masks)])
         _, alarm = fit_alarm(fit_subspace_from_rows(rows, cols, rank=1), normalized, masks, q, axis)
-        fired = alarm.firings
-        for anom in anomalies:
-            if g in cfg.planted[anom["spec"]].groups and anom["flight"] not in fired[anom["unit"]]:
-                return False
+        planted = [axis.shift(anom["unit"]) + anom["flight"] for anom in anomalies
+                   if g in cfg.planted[anom["spec"]].groups]
+        if not np.isin(planted, alarm.positions).all():
+            return False
     return True
 

@@ -40,11 +40,11 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if self.filter_kind not in FILTER_KINDS:
-            raise ValueError(f"filter kind must be one of {FILTER_KINDS}")
+            raise ValueError(f"filter.kind must be one of {FILTER_KINDS}, got {self.filter_kind!r}")
         if self.max_size not in (2, 3):
-            raise ValueError("max_size must be 2 or 3")
+            raise ValueError(f"filter.max_size must be 2 or 3, got {self.max_size}")
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ValueError(f"filter.alpha must lie in (0, 1], got {self.alpha}")
         if not self.theta >= 0:
             raise ValueError(f"filter.theta must be >= 0, got {self.theta}")
         if self.filter_kind == "hard" and self.theta % 1:

@@ -31,6 +31,7 @@ from fleetwarn.core import (
     write_csv,
 )
 from fleetwarn.evaluation import CurvePoint, greedy_max_matching
+from support import firings
 
 
 def _label_flights(evs, params, first, last):
@@ -559,7 +560,7 @@ def write_alarms_reference(path, alarms):
     alarm's per-unit flight sets."""
     # Each unit's flights are sorted first, so the final sort merges sorted runs.
     rows = sorted(
-        (u, t, a.alarm_id) for a in alarms for u in a.axis.units for t in sorted(a.firings_for(u))
+        (u, t, a.alarm_id) for a in alarms for u, ts in firings(a).items() for t in sorted(ts)
     )
     write_csv(path, ["unit_id", "flight", "alarm_id"], ([u, str(t), a] for u, t, a in rows))
 

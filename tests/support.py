@@ -40,6 +40,12 @@ def alarm_series(alarm_id, firings, axis=None):
     return AlarmSeries(alarm_id, axis, np.array(sorted(positions), dtype=np.int64))
 
 
+def firings(alarm):
+    """Each unit of the alarm's axis mapped to the flights where the alarm fires."""
+    unit, flight = alarm.axis.locate(alarm.positions)
+    return {u: frozenset(flight[unit == i].tolist()) for i, u in enumerate(alarm.axis.units)}
+
+
 def run_python(*args, timeout=300):
     """``python *args`` in a fresh interpreter that imports fleetwarn from this tree.
 

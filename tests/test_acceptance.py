@@ -33,7 +33,7 @@ from fleetwarn.synth import (
 )
 
 from oracles import brute_force_match, exact_max_matching
-from support import alarm_series, precision_at_recall
+from support import alarm_series, firings, precision_at_recall
 
 COUNTERS = (
     "window_events",
@@ -188,23 +188,23 @@ def test_criterion_5_boolean_algebra_laws():
                 continue
             alarms = []
             for k in range(rng.randint(2, 4)):
-                firings = {
+                fires = {
                     unit: frozenset(
                         rng.sample(range(lo, hi + 1), rng.randint(0, min(14, hi - lo + 1)))
                     )
                     for unit, (lo, hi) in ranges.items()
                 }
-                alarms.append(alarm_series(f"a{k}", firings, layout.axis))
+                alarms.append(alarm_series(f"a{k}", fires, layout.axis))
             for size in (2, 3):
                 for members in subsets(alarms, size):
                     composed = compose_and(members)
                     for member in members:
                         for unit in ranges:
-                            assert composed.firings_for(unit) <= member.firings_for(unit)
+                            assert firings(composed)[unit] <= firings(member)[unit]
             pooled = pool_or(alarms, layout.axis)
             for alarm in alarms:
                 for unit in ranges:
-                    assert pooled.firings_for(unit) >= alarm.firings_for(unit)
+                    assert firings(pooled)[unit] >= firings(alarm)[unit]
             pooled_cf = match_stats(pooled, layout).coverage
             assert pooled_cf >= max(match_stats(a, layout).coverage for a in alarms) - 1e-12
             pools += 1
@@ -270,7 +270,7 @@ def test_criterion_7_conjunction_beats_single_parameter_baseline():
         pooled = model.precursors.pooled_alarm
         pooled_scores = {
             p.unit_id: {
-                int(t): 1.0 if int(t) in pooled.firings_for(p.unit_id) else 0.0
+                int(t): 1.0 if int(t) in firings(pooled)[p.unit_id] else 0.0
                 for t in p.flights
             }
             for p in panels

@@ -90,7 +90,8 @@ class TestConfigErrors:
             for suffix, section, message in (
                 ("", {"grouping": {"measure": "spearman"}}, "unknown measure 'spearman'"),
                 ("-quantile", {"detect": {"quantile": 1.5}}, "quantile must lie in (0, 1)"),
-                ("-filter", {"filter": {"kind": "fuzzy"}}, "filter kind must be one of"),
+                ("-filter", {"filter": {"kind": "fuzzy"}},
+                 "filter.kind must be one of ('hard', 'soft'), got 'fuzzy'"),
             )
             for command in ("run", "crossval")
         ]
@@ -155,13 +156,13 @@ class TestConfigErrors:
             pytest.param(
                 "simulate",
                 {"sim": {"planted": [{"groups": [0, 1], "lead": [5, 15], "magnitude": math.inf}]}},
-                "sim.planted magnitude must be finite and >= 0, got inf",
+                "sim.planted[0]: magnitude must be finite and >= 0, got inf",
                 id="simulate-magnitude-inf",
             ),
             pytest.param(
                 "simulate",
                 {"sim": {"planted": [{"groups": [0, 1], "lead": [5, 15], "magnitude": math.nan}]}},
-                "sim.planted magnitude must be finite and >= 0, got nan",
+                "sim.planted[0]: magnitude must be finite and >= 0, got nan",
                 id="simulate-magnitude-nan",
             ),
             pytest.param(
@@ -271,6 +272,53 @@ class TestConfigErrors:
                 "sim.groups[0]: within-group correlation must lie in [0, 1), got 1.0",
                 id="curves-group-correlation-one",
             ),
+            pytest.param(
+                "run", {"filter": {"max_size": 4}}, "filter.max_size must be 2 or 3, got 4",
+                id="run-max-size-four",
+            ),
+            pytest.param(
+                "crossval", {"filter": {"alpha": 0}}, "filter.alpha must lie in (0, 1], got 0.0",
+                id="crossval-alpha-zero",
+            ),
+            pytest.param(
+                "simulate", {"sim": {"units": 0}}, "sim.units must be >= 1, got 0",
+                id="simulate-units-zero",
+            ),
+            pytest.param(
+                "simulate", {"sim": {"flights_per_unit": -1}},
+                "sim.flights_per_unit must be >= 1, got -1", id="simulate-flights-negative",
+            ),
+            pytest.param(
+                "run", {"sim": {"groups": []}}, "sim.groups must list at least one group",
+                id="run-groups-empty",
+            ),
+            pytest.param(
+                "simulate",
+                {"sim": {"planted": [{"groups": [0, 1], "lead": [5, 15], "magnitude": 6},
+                                     {"groups": [2], "lead": [5, 15], "magnitude": 6}]}},
+                "sim.planted[1]: groups must list 2 or 3 groups, got [2]",
+                id="simulate-planted-one-group",
+            ),
+            pytest.param(
+                "crossval",
+                {"sim": {"planted": [{"groups": [1, 1], "lead": [5, 15], "magnitude": 6}]}},
+                "sim.planted[0]: groups must be distinct, got [1, 1]",
+                id="crossval-planted-repeated-group",
+            ),
+            pytest.param(
+                "simulate",
+                {"sim": {"planted": [{"groups": [0, 1], "lead": [9, 5], "magnitude": 6}]}},
+                "sim.planted[0]: lead must satisfy 1 <= lo <= hi, got [9, 5]",
+                id="simulate-planted-lead-reversed",
+            ),
+            pytest.param(
+                "curves",
+                {"sim": {"groups": [[2, 0.5], [2, 0.5]],
+                         "planted": [{"groups": [0, 1], "lead": [5, 15], "magnitude": 6},
+                                     {"groups": [1, 2], "lead": [5, 15], "magnitude": 6}]}},
+                "sim.planted[1]: group 2 is out of range",
+                id="curves-planted-group-out-of-range",
+            ),
         ],
     )
     def test_unknown_measure_rejected_before_reading(
@@ -313,7 +361,7 @@ class TestConfigErrors:
         }
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "filter kind" in capsys.readouterr().err
+        assert "filter.kind must be one of" in capsys.readouterr().err
 
 
 # Every key of the config schema, each with a value that is not its default.
@@ -471,7 +519,8 @@ class TestConfigSchema:
         config = {"sim": {"planted": [{"groups": [0, 9], "lead": [5, 15], "magnitude": 6}]}}
         cfg = write_config(tmp_path / "c.json", config)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "fleetwarn: planted group id 9 out of range\n"
+        assert capsys.readouterr().err == (
+            "fleetwarn: sim.planted[0]: group 9 is out of range\n")
         assert not (tmp_path / "o").exists()
 
 
@@ -730,7 +779,7 @@ class TestCrossval:
             "        os._exit(1)\n"
             "    return fold(held, **kwargs)\n"
             "evaluation._fold = dying\n"
-            "core._cpus = lambda: 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "code = main(['crossval', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
             "try:\n"
             "    os.waitpid(-1, os.WNOHANG)\n"
@@ -750,22 +799,22 @@ class TestCrossval:
 
     def test_forking_never_imports_multiprocessing(self, ws, tmp_path):
         code = (
-            "import sys\n"
+            "import os, sys\n"
             "from fleetwarn import core\n"
             "from fleetwarn.cli import main\n"
-            "forked, forking = [], core._forked\n"
-            "def counted(where, doing, tasks):\n"
-            "    forked.append(len(tasks))\n"
-            "    return forking(where, doing, tasks)\n"
-            "core._forked = counted\n"
-            "core._cpus = lambda: 2\n"
-            "core._read_processes = lambda size: 2\n"
+            "forked, fork = [], os.fork\n"
+            "def counted():\n"
+            "    pid = fork()\n"
+            "    forked.extend([pid] if pid else [])\n"
+            "    return pid\n"
+            "os.fork = counted\n"
+            "core._processes = lambda *caps: 2\n"
             "assert main(['crossval', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-            "print(forked, 'multiprocessing' in sys.modules)\n"
+            "print(len(forked), 'multiprocessing' in sys.modules)\n"
         )
         proc = run_python("-c", code, ws["run_cfg"], str(tmp_path / "o"))
         assert proc.returncode == 0, proc.stderr
-        forks = "[1, 1]" if core._blas_threads() else "[1]"  # the telemetry, then the folds
+        forks = 2 if core._blas_threads() else 1  # the telemetry, then the folds
         assert proc.stdout == f"{forks} False\n"
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import struct
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -44,7 +45,7 @@ from oracles import (
     write_alarms_reference,
     write_telemetry_reference,
 )
-from support import alarm_series, run_python, write_scores_csv
+from support import alarm_series, firings, run_python, write_scores_csv
 
 
 def make_panel(values, columns=("x",), unit="u1", flights=None):
@@ -519,7 +520,7 @@ class TestCsvRoundTrips:
         write_alarms_csv(path, alarms)
         back = read_alarms_csv(path)
         assert [a.alarm_id for a in back] == ["a", "b"]
-        assert back[0].firings_for("u1") == frozenset({1, 3})
+        assert firings(back[0])["u1"] == frozenset({1, 3})
         assert path.read_text().splitlines()[0] == "unit_id,flight,alarm_id"
 
     @settings(max_examples=200, deadline=None)
@@ -757,7 +758,7 @@ def _reading_in(processes):
     """``read_telemetry_csv`` cuts the rows into ranges for ``processes``
     processes, however few bytes they hold."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_read_processes", lambda size: processes)
+        patch.setattr(core, "_processes", lambda *caps: processes)
         yield
 
 
@@ -834,11 +835,17 @@ class TestTelemetryReaderProcesses:
                 expect = f"{pipe}: line 3: repeated flight 1 of unit 'u1'"
             assert got == [expect], rows
 
-    def test_processes_per_cpu_and_range_floor(self, monkeypatch):
-        monkeypatch.setattr(core, "_cpus", lambda: 2)
+    def test_processes_per_cpu_and_range_floor(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
         floor = core.READ_RANGE_BYTES
-        assert [core._read_processes(n) for n in (-1, 0, 2 * floor - 1, 2 * floor, 9 * floor)] == [
-            1, 1, 1, 2, 2]
+        sizes = (-1, 0, 2 * floor - 1, 2 * floor, 9 * floor)
+        assert [core._processes(n // floor) for n in sizes] == [1, 1, 1, 2, 2]
+        # The reader caps the processes at the bytes of its rows over the floor.
+        body = "".join(f"u1,{i},,0.5\n" for i in range(1, 160_000))
+        assert 2 * floor <= len(body) < 3 * floor
+        path = tmp_path / "t.csv"
+        path.write_text(READ_HEADER + body)
+        assert _processes_asked(monkeypatch, read_telemetry_csv, path) == [((2,), 2)]
 
 
 def _csv_writer_bytes(header, rows):
@@ -944,7 +951,7 @@ class TestTelemetryWriter:
     def test_bytes_of_the_reference(self, tmp_path_factory, processes, panels):
         folder = tmp_path_factory.mktemp("telemetry")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_telemetry_processes", lambda rows, units: processes)
+            patch.setattr(core, "_processes", lambda *caps: processes)
             write_telemetry_csv(folder / "t.csv", panels)
         write_telemetry_reference(folder / "ref.csv", panels)
         assert (folder / "t.csv").read_bytes() == (folder / "ref.csv").read_bytes()
@@ -965,13 +972,36 @@ class TestTelemetryWriter:
         (1, 5, 1), (CSV_BLOCK_ROWS, 5, 1), (CSV_BLOCK_ROWS + 1, 5, 2),
         (10 * CSV_BLOCK_ROWS, 1, 1), (10 * CSV_BLOCK_ROWS, 64, 2),
     ])
-    def test_processes_per_cpu_block_and_unit(self, monkeypatch, rows, units, processes):
+    def test_processes_per_cpu_block_and_unit(self, monkeypatch, tmp_path, rows, units, processes):
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
-        assert core._telemetry_processes(rows, units) == processes
+        assert _writer_processes(monkeypatch, tmp_path, rows, units) == processes
 
-    def test_one_process_without_cpu_affinity(self, monkeypatch):
+    def test_one_process_without_cpu_affinity(self, monkeypatch, tmp_path):
         monkeypatch.delattr(core.os, "sched_getaffinity", raising=False)
-        assert core._telemetry_processes(10 * CSV_BLOCK_ROWS, 64) == 1
+        assert core._processes(10, 64) == 1
+        assert _writer_processes(monkeypatch, tmp_path, 10 * CSV_BLOCK_ROWS, 64) == 1
+
+
+def _processes_asked(monkeypatch, call, *args):
+    """The caps ``call(*args)`` passes to each ``core._processes`` call, with its answer."""
+    asked, processes = [], core._processes
+
+    def recorded(*caps):
+        asked.append((caps, processes(*caps)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(core, "_processes", recorded)
+    call(*args)
+    return asked
+
+
+def _writer_processes(monkeypatch, tmp_path, rows, units):
+    """The processes ``write_telemetry_csv`` asks for ``rows`` rows split over ``units`` units."""
+    panels = [TelemetryPanel(f"u{i}", np.arange(n), ("p0",), np.zeros((n, 1)))
+              for i, n in enumerate(len(part) for part in np.array_split(np.arange(rows), units))]
+    asked = _processes_asked(monkeypatch, write_telemetry_csv, tmp_path / "t.csv", panels)
+    assert [caps for caps, _ in asked] == [(-(-rows // CSV_BLOCK_ROWS), units)]
+    return asked[0][1]
 
 
 class TestTelemetryWorkers:
@@ -982,7 +1012,7 @@ class TestTelemetryWorkers:
             "import atexit, sys\n"
             "import numpy as np\n"
             "from fleetwarn import core\n"
-            "core._telemetry_processes = lambda rows, units: 3\n"
+            "core._processes = lambda *caps: 3\n"
             "atexit.register(print, 'atexit')\n"
             "print('before')\n"  # a pipe is block-buffered: still unflushed at the fork
             "panels = [core.TelemetryPanel(f'u{i}', np.arange(5000), ('x',), np.zeros((5000, 1)))\n"
@@ -1008,7 +1038,7 @@ class TestTelemetryWorkers:
             "        raise RuntimeError('formatter broke')\n"
             "    return rows(panels)\n"
             "core._telemetry_rows = failing\n"
-            "core._telemetry_processes = lambda rows, units: 2\n"
+            "core._processes = lambda *caps: 2\n"
             "sys.exit(main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
         )
         proc = run_python("-c", code, str(config), str(tmp_path / "fleet"))
@@ -1029,14 +1059,15 @@ class TestTelemetryReadWorkers:
         path = tmp_path / "t.csv"
         path.write_text(READ_HEADER + "".join(f"u{i % 3},{i},,{i}\n" for i in range(3000)))
         code = (
-            "import atexit, sys\n"
+            "import atexit, os, sys\n"
             "from fleetwarn import core\n"
-            "core._read_processes = lambda size: 3\n"
-            "forked, forking = [], core._forked\n"
-            "def counted(path, doing, tasks):\n"
-            "    forked.extend(tasks)\n"
-            "    return forking(path, doing, tasks)\n"
-            "core._forked = counted\n"
+            "core._processes = lambda *caps: 3\n"
+            "forked, fork = [], os.fork\n"
+            "def counted():\n"
+            "    pid = fork()\n"
+            "    forked.extend([pid] if pid else [])\n"
+            "    return pid\n"
+            "os.fork = counted\n"
             "atexit.register(print, 'atexit')\n"
             "print('before')\n"  # a pipe is block-buffered: still unflushed at the fork
             "panels = core.read_telemetry_csv(sys.argv[1])\n"
@@ -1063,7 +1094,7 @@ class TestTelemetryReadWorkers:
             "        raise RuntimeError('reader broke')\n"
             "    return rows(*args)\n"
             "core._bulk_rows = failing\n"
-            "core._read_processes = lambda size: 2\n"
+            "core._processes = lambda *caps: 2\n"
             "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
         )
         proc = run_python("-c", code, str(config), str(tmp_path / "out"))
@@ -1073,10 +1104,11 @@ class TestTelemetryReadWorkers:
             f"fleetwarn: {telemetry}: the process reading its rows exited with code 1"
         )
 
-    def test_invalid_first_range_does_not_wait_for_the_others(self, tmp_path):
-        """The parent's own range fails at once, while the other range's
-        process still has megabytes of rows to send into a full pipe: the
-        parent stops it rather than waiting for it."""
+    def test_invalid_first_range_drains_the_others(self, tmp_path):
+        """The parent's own range is not plain, while the other range's
+        process has megabytes of rows to send into a pipe that holds far
+        fewer: the parent reads them all and reaps the process, and the row
+        loop names the invalid line."""
         path = tmp_path / "t.csv"
         rows = "".join(f"u1,{i},,{i}.25\n" for i in range(2, 400_000))
         path.write_text(READ_HEADER + "u1,1,,oops\n" + rows)
@@ -1084,7 +1116,8 @@ class TestTelemetryReadWorkers:
         code = (
             "import sys\n"
             "from fleetwarn import core\n"
-            "core._cpus = lambda: 2\n"  # the file holds over 2 MiB of rows: two ranges
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"  # over 2 MiB of rows: two ranges
             "try:\n"
             "    core.read_telemetry_csv(sys.argv[1])\n"
             "except ValueError as exc:\n"
@@ -1094,3 +1127,66 @@ class TestTelemetryReadWorkers:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{path}: line 2: cannot parse 'oops' in column 'p0'\n"
         assert proc.stderr == ""
+
+
+def _doubled(share):
+    """Each number of ``share`` doubled, or None for an empty share."""
+    return [2 * x for x in share] or None
+
+
+def _sending_nothing(share):
+    if share:
+        os._exit(0)
+    return share
+
+
+def _sending_a_cut_pickle(share):
+    if share:
+        write = os.write  # patched in this child only: the pickle's last byte is never sent
+        core.os.write = lambda fd, data: write(fd, data[:-1]) + 1
+    return list(range(100 * share))  # a framed pickle, which a cut leaves truncated
+
+
+class TestOnCpus:
+    """``core._on_cpus`` returns what a loop in one process returns, runs
+    each share but the first in a child of its own, and leaves no child."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_results_of_one_loop(self, count):
+        shares = [[1, 2], [], [3], [4, 5, 6]][:count]
+        assert core._on_cpus("here", "doubling", _doubled, shares) == list(map(_doubled, shares))
+        pids = core._on_cpus("here", "naming itself", lambda share: os.getpid(), shares)
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == count
+
+    def test_raising_child_prints_its_traceback_and_exits_1(self, capfd):
+        def fn(share):
+            if share == "child":
+                raise RuntimeError("child broke")
+            return share
+
+        with pytest.raises(ChildProcessError,
+                           match=r"^here: the process failing exited with code 1$"):
+            core._on_cpus("here", ["working", "failing"], fn, ["parent", "child"])
+        err = capfd.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: child broke\n")
+
+    @pytest.mark.parametrize("fn", [_sending_nothing, _sending_a_cut_pickle])
+    def test_child_that_sends_less_than_its_pickle(self, fn):
+        with pytest.raises(ChildProcessError,
+                           match=r"^here: the process sending exited with code 0$"):
+            core._on_cpus("here", "sending", fn, [0, 1])
+
+    def test_failing_share_of_this_process_kills_and_reaps_every_child(self):
+        def fn(share):
+            if share == 0:
+                raise ValueError("this process broke")
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="^this process broke$"):
+            core._on_cpus("here", "sleeping", fn, [0, 1, 2, 3])
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import normal_regime_reference
+from support import firings
 from fleetwarn.core import EventRecord, FleetAxis, TelemetryPanel
 from fleetwarn.detect import (
     InsufficientNormalDataError,
@@ -286,17 +287,17 @@ class TestBinarize:
     def test_strictly_above_fires(self):
         det = self.detector(1.0)
         alarm = binarize(det, {"u": (np.array([1, 2, 3]), np.array([0.1, 5.0, 0.2]))}, AXIS)
-        assert alarm.firings_for("u") == frozenset({2})
+        assert firings(alarm)["u"] == frozenset({2})
 
     def test_at_threshold_does_not_fire(self):
         det = self.detector(1.0)
         alarm = binarize(det, {"u": (np.array([1]), np.array([1.0]))}, AXIS)
-        assert alarm.firings_for("u") == frozenset()
+        assert firings(alarm)["u"] == frozenset()
 
     def test_missing_never_fires(self):
         det = self.detector(0.5)
         alarm = binarize(det, {"u": (np.array([1, 2]), np.array([np.nan, 2.0]))}, AXIS)
-        assert alarm.firings_for("u") == frozenset({2})
+        assert firings(alarm)["u"] == frozenset({2})
 
     def test_threshold_required(self):
         det = SubspaceDetector(

@@ -446,7 +446,8 @@ class TestCrossval:
     def test_fold_whose_search_keeps_nothing_grades_a_silent_pool(self, monkeypatch):
         panels, events = small_fleet()
         pooled, pooled_on = {}, evaluation.pooled_on
-        monkeypatch.setattr(core, "_cpus", lambda: 1)  # pooled_on records in this process
+        # One CPU, so that pooled_on records in this process.
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0})
 
         def recording_pooled_on(model, held):
             (panel,) = held
@@ -491,7 +492,7 @@ def crossval_cases():
 
 
 def crossval_on(monkeypatch, cpus, panels, events):
-    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     return leave_one_unit_out(list(panels), list(events), SMALL_CFG)
 
 
@@ -505,20 +506,20 @@ class TestCrossvalProcesses:
         serial = crossval_on(monkeypatch, 1, panels, events)
         if case == "one-skipped":
             assert len(serial.skipped_units) == 1
-        forked, forking = [], core._forked
+        shared, on_cpus = [], core._on_cpus
 
-        def counted(where, doing, tasks):
-            forked.append(doing)
-            return forking(where, doing, tasks)
+        def counted(where, doing, fn, shares):
+            shared.append(doing)
+            return on_cpus(where, doing, fn, shares)
 
-        monkeypatch.setattr(core, "_forked", counted)
+        monkeypatch.setattr(core, "_on_cpus", counted)
         if core._blas_threads() is None:
             pytest.skip("numpy's bundled OpenBLAS is not loaded: the folds train serially")
         assert repr(crossval_on(monkeypatch, cpus, panels, events)) == repr(serial)
         units = [p.unit_id for p in panels]
-        assert forked == [[
+        assert shared == [[
             "training the folds that hold out " + ", ".join(map(repr, units[i::cpus]))
-            for i in range(1, cpus)
+            for i in range(cpus)
         ]]
 
     def test_without_the_blas_symbol_the_folds_train_serially(self, monkeypatch):
@@ -527,10 +528,10 @@ class TestCrossvalProcesses:
         monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: types.SimpleNamespace())
         assert core._blas_threads() is None
 
-        def forking(*args):
+        def forking():
             raise AssertionError("forked without a handle on the BLAS thread count")
 
-        monkeypatch.setattr(core, "_forked", forking)
+        monkeypatch.setattr(core.os, "fork", forking)
         assert repr(crossval_on(monkeypatch, 2, panels, events)) == repr(serial)
 
     def test_folds_run_on_one_blas_thread_and_the_count_is_restored(self, monkeypatch):

@@ -160,12 +160,12 @@ def test_core_writes_through_one_json_and_one_csv_writer():
 
 
 
-# Processes start only in core's one forking helper, ``_forked``, which the
+# Processes start only in core's one forking helper, ``_on_cpus``, which the
 # telemetry reader and writer and the leave-one-unit-out folds call; no
-# module starts a thread.  ``evaluation.py`` calls ``core._forked`` but
-# touches no process API itself.
+# module starts a thread.  No other function of core, and nothing in
+# ``evaluation.py``, which calls ``core._on_cpus``, touches a process API.
 CONCURRENCY = ("os.fork", "multiprocessing", "subprocess", "concurrent.futures", "threading")
-TELEMETRY_WRITER = {"_forked", "read_telemetry_csv", "write_telemetry_csv"}
+FORKING_HELPER = {"_on_cpus"}
 
 
 def concurrency_uses(source: str) -> list[str]:
@@ -230,9 +230,9 @@ def test_guard_flags_processes_and_threads():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_processes_start_only_in_the_telemetry_writer(path):
-    """Core's telemetry reader and evaluation's folds start processes too,
-    through ``core._forked``."""
-    allowed = TELEMETRY_WRITER if path.name == "core.py" else set()
+    """The telemetry reader and writer and evaluation's folds start their
+    processes through ``core._on_cpus``, the one function that may."""
+    allowed = FORKING_HELPER if path.name == "core.py" else set()
     uses = concurrency_uses(path.read_text(encoding="utf-8"))
     assert [u for u in uses if u.split(":")[0] not in allowed] == []
 

@@ -29,6 +29,7 @@ from fleetwarn.pipeline import (
 )
 from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet
 from fleetwarn.synth import SearchConfig
+from support import firings
 
 
 def tiny_fleet():
@@ -245,7 +246,7 @@ def test_alarms_fire_exactly_above_threshold_fitted_on_same_scores(fleet):
         normal = np.concatenate([s[m] for s, m in zip(scores, masks)])
         assert det.threshold == fit_threshold(normal, det.quantile)
         for panel, s, m in zip(normalized, scores, masks):
-            fired = alarm.firings_for(panel.unit_id)
+            fired = firings(alarm)[panel.unit_id]
             assert fired == frozenset(panel.flights[s > det.threshold].tolist())
             assert not fired & frozenset(panel.flights[m & (s == det.threshold)].tolist())
         finite = normal[np.isfinite(normal)]
@@ -319,7 +320,7 @@ class TestTrainOnSimFleet:
         pooled = pooled_on(model, new_panels)
         assert pooled.axis.units == tuple(sorted(p.unit_id for p in new_panels))
         for panel in new_panels:
-            fires = pooled.firings_for(panel.unit_id)
+            fires = firings(pooled)[panel.unit_id]
             assert all(1 <= t <= panel.n_flights for t in fires)
 
 

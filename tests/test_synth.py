@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_search
-from support import alarm_series
+from support import alarm_series, firings
 from fleetwarn.core import EventRecord, FleetAxis, MatchParams
 from fleetwarn.matching import MatchStats, layout_periods, match_stats
 from fleetwarn.synth import (
@@ -54,13 +54,13 @@ class TestCompose:
         composed = compose_and([a, b])
         assert composed.alarm_id == "a&b"
         for u in UNITS:
-            assert composed.firings_for(u) == frozenset({5, 9})
+            assert firings(composed)[u] == frozenset({5, 9})
 
     def test_single_member_identity(self):
         a = same_everywhere("a", {2, 4})
         composed = compose_and([a])
         assert composed.alarm_id == "a"
-        assert composed.firings == a.firings
+        assert firings(composed) == firings(a)
 
     def test_triple(self):
         members = [
@@ -69,7 +69,7 @@ class TestCompose:
             same_everywhere("c", {3, 4, 5, 6}),
         ]
         composed = compose_and(members)
-        assert composed.firings_for("u0") == frozenset({3, 4})
+        assert firings(composed)["u0"] == frozenset({3, 4})
 
     def test_disjoint_members_never_fire(self):
         composed = compose_and([same_everywhere("a", {1}), same_everywhere("b", {2})])
@@ -79,7 +79,7 @@ class TestCompose:
         a = same_everywhere("a", {1, 5})
         b = same_everywhere("b", {5, 7})
         assert compose_and([b, a]).alarm_id == "a&b"
-        assert compose_and([b, a]).firings == compose_and([a, b]).firings
+        assert firings(compose_and([b, a])) == firings(compose_and([a, b]))
 
     def test_unit_universe_must_agree(self):
         a = same_everywhere("a", {1})
@@ -104,7 +104,7 @@ class TestCompose:
             composed = compose_and(members)
             for m in members:
                 for u in UNITS:
-                    assert composed.firings_for(u) <= m.firings_for(u)
+                    assert firings(composed)[u] <= firings(m)[u]
 
 
 class TestPool:
@@ -112,11 +112,11 @@ class TestPool:
         pooled = pool_or([same_everywhere("a", {1, 5}), same_everywhere("b", {5, 9})], AXIS)
         assert pooled.alarm_id == "pooled"
         for u in UNITS:
-            assert pooled.firings_for(u) == frozenset({1, 5, 9})
+            assert firings(pooled)[u] == frozenset({1, 5, 9})
 
     def test_single_combination_identity(self):
         pooled = pool_or([same_everywhere("a", {3, 4})], AXIS)
-        assert pooled.firings_for("u1") == frozenset({3, 4})
+        assert firings(pooled)["u1"] == frozenset({3, 4})
 
     def test_empty_set_never_fires(self):
         pooled = pool_or([], AXIS)
@@ -131,7 +131,7 @@ class TestPool:
         pooled = pool_or(alarms, AXIS)
         for a in alarms:
             for u in UNITS:
-                assert a.firings_for(u) <= pooled.firings_for(u)
+                assert firings(a)[u] <= firings(pooled)[u]
 
 
 @st.composite
@@ -162,20 +162,20 @@ class TestArraysAgainstSets:
     @settings(max_examples=300, deadline=None)
     @given(alarms_on_an_axis())
     def test_compose_pool_and_signature_follow_the_sets(self, drawn):
-        axis, firings = drawn
-        alarms = [alarm_series(f"a{k}", fires, axis) for k, fires in enumerate(firings)]
-        for alarm, fires in zip(alarms, firings):
-            assert alarm.firings == fires
+        axis, sets = drawn
+        alarms = [alarm_series(f"a{k}", fires, axis) for k, fires in enumerate(sets)]
+        for alarm, fires in zip(alarms, sets):
+            assert firings(alarm) == fires
             assert alarm.axis.units == tuple(sorted(fires))
             assert alarm.total_firings() == sum(map(len, fires.values()))
-        assert compose_and(alarms).firings == {
-            u: frozenset.intersection(*(f[u] for f in firings)) for u in axis.units
+        assert firings(compose_and(alarms)) == {
+            u: frozenset.intersection(*(f[u] for f in sets)) for u in axis.units
         }
-        assert pool_or(alarms, axis).firings == {
-            u: frozenset.union(*(f[u] for f in firings)) for u in axis.units
+        assert firings(pool_or(alarms, axis)) == {
+            u: frozenset.union(*(f[u] for f in sets)) for u in axis.units
         }
-        for a, fa in zip(alarms, firings):
-            for b, fb in zip(alarms, firings):
+        for a, fa in zip(alarms, sets):
+            for b, fb in zip(alarms, sets):
                 assert (a.signature() == b.signature()) == (fa == fb)
 
     def test_members_on_other_axes_are_refused(self):
@@ -224,7 +224,7 @@ class TestSearchFixture:
         cfg = SearchConfig(filter_kind="hard", theta=2)
         pset = search_combinations(self.pool(), layout, cfg, target_code="E1")
         for u in UNITS:
-            assert pset.pooled_alarm.firings_for(u) == frozenset({27, 57})
+            assert firings(pset.pooled_alarm)[u] == frozenset({27, 57})
         assert pset.pooled_stats.false_firings == 0
         assert pset.pooled_stats.coverage == 1.0
 
@@ -279,9 +279,9 @@ class TestSearchFixture:
 
 def oracle_search(pool, layout, cfg, events, ranges):
     """Member ids of :func:`brute_force_search` survivors, best first."""
-    firings = {a.alarm_id: {u: a.firings_for(u) for u in a.axis.units} for a in pool}
+    firings_by_id = {a.alarm_id: firings(a) for a in pool}
     ranked = brute_force_search(
-        firings, events, layout.params, ranges,
+        firings_by_id, events, layout.params, ranges,
         cfg.alpha, cfg.filter_kind, cfg.theta, cfg.max_size,
     )
     return [ids for ids, _, _ in ranked]
@@ -350,14 +350,14 @@ class TestSearchProperty:
         assert [c.members for c in pset.combinations] == [ids for ids, _, _ in ranked]
         for combo, (ids, fires, ref) in zip(pset.combinations, ranked):
             assert combo.alarm.alarm_id == "&".join(ids)
-            assert combo.alarm.firings == {u: frozenset(ts) for u, ts in fires.items()}
+            assert firings(combo.alarm) == {u: frozenset(ts) for u, ts in fires.items()}
             for key in MatchStats.COUNTERS:
                 assert getattr(combo.stats, key) == ref[key], key
         pooled = {u: set() for u in ranges}
         for _, fires, _ in ranked:
             for u, ts in fires.items():
                 pooled[u] |= ts
-        assert {u: ts for u, ts in pset.pooled_alarm.firings.items() if ts} == {
+        assert {u: ts for u, ts in firings(pset.pooled_alarm).items() if ts} == {
             u: frozenset(ts) for u, ts in pooled.items() if ts
         }
 
