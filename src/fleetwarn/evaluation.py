@@ -36,6 +36,7 @@ from fleetwarn.core import (
 )
 from fleetwarn.matching import (
     MatchStats,
+    _stdtr,
     layout_periods,
     match_stats,
     significance_samples,
@@ -155,7 +156,7 @@ def leave_one_unit_out(
     threads = core._blas_threads() if k > 1 else None
     shares = [panels[i::k] for i in range(k)] if threads else [panels]
     if len(shares) > 1:
-        import scipy.special  # for the p-values: loaded once here, not once per process
+        _stdtr()  # the p-values' ufunc, loaded once here and not once per process
     doing = [f"training the folds that hold out {', '.join(repr(p.unit_id) for p in share)}"
              for share in shares]
     with core._one_blas_thread(threads):

@@ -20,7 +20,9 @@ comparing per-window and per-segment firing counts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -290,13 +292,43 @@ def significance_test(
     mb = float(b.mean())
     if va == 0.0 and vb == 0.0:
         return 0.0 if ma > mb else 1.0
-    from scipy.special import stdtr  # here, so commands without p-values never load scipy
-
     sa = va / a.size
     sb = vb / b.size
     t = (ma - mb) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
-    return float(stdtr(df, -t))  # Student-t survival function at t
+    return float(_stdtr()(df, -t))  # Student-t survival function at t
+
+
+@cache
+def _stdtr() -> np.ufunc:
+    """scipy's compiled ``stdtr`` ufunc, without running ``scipy/special/__init__.py``.
+
+    ``scipy.special._ufuncs`` loads under a stub package that then leaves
+    ``sys.modules`` again, which skips the package's 0.2 s of array-API
+    imports.  A later ``import scipy.special`` reuses the extension module,
+    so its ``stdtr`` is this ufunc.  Any failure falls back to that import.
+    """
+    if "scipy.special" not in sys.modules:
+        import importlib.util
+        import types
+        before = set(sys.modules)
+        try:
+            import scipy
+            stub = types.ModuleType("scipy.special")
+            stub.__path__ = [f"{scipy.__path__[0]}/special"]
+            sys.modules["scipy.special"] = stub
+            spec = importlib.util.find_spec("scipy.special._ufuncs")
+            ufuncs = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(ufuncs)
+            return ufuncs.stdtr
+        except Exception:  # scipy's private layout moved: fall back to the package import
+            pass
+        finally:
+            for name in set(sys.modules) - before:
+                if name == "scipy.special" or name.startswith("scipy.special."):
+                    del sys.modules[name]
+    from scipy.special import stdtr
+    return stdtr
 
 
 def match_stats(alarm: AlarmSeries, layout: PeriodLayout) -> MatchStats:

@@ -160,8 +160,8 @@ def train_model(
         alarms.append(alarm)
 
     precursors = search_combinations(alarms, layout, cfg.search, target_code=cfg.code_prefix)
-    # Warned after the search, whose first p-value imports scipy.special: that resets the
-    # once-per-location warning registry, so an earlier warning repeats in the next fold.
+    # Warned after the search, so a failing search warns of nothing.  Its p-value ufunc loads
+    # without a warnings filter (matching._stdtr), so the once-per-location registry holds.
     unused = sorted(set(cfg.quantile_overrides) - {group[0] for group in grouping.groups})
     if unused:
         noun, verb = ("key", "leads") if len(unused) == 1 else ("keys", "lead")

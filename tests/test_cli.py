@@ -556,6 +556,75 @@ def test_simulate_and_curves_never_load_scipy(tmp_path):
     assert (tmp_path / "c" / "curves.csv").is_file()
 
 
+def _last_line_of(code):
+    """The last line ``code`` prints in a fresh process, which must exit 0."""
+    proc = run_python("-c", code, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+# After the commands, the modules that scipy.special's package init loads but
+# its compiled ufuncs do not; then the real package, and whether its stdtr is
+# the one the p-values used.
+_PROBE = (
+    "import sys\n"
+    "from fleetwarn import matching\n"
+    "skipped = [m for m in ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py')\n"
+    "           if m in sys.modules]\n"
+    "import scipy.special\n"
+    "from scipy import stats\n"
+    "print(skipped, hasattr(scipy.special, 'gammaln'), scipy.special.stdtr is matching._stdtr(),\n"
+    "      callable(stats.ttest_ind))\n"
+)
+
+
+@pytest.fixture(scope="module")
+def fast_path(ws, tmp_path_factory):
+    """``run`` and ``crossval`` in a fresh process, then ``_PROBE``'s line."""
+    out = tmp_path_factory.mktemp("fast")
+    config = ["--config", ws["run_cfg"]]
+    code = (
+        "from fleetwarn.cli import main\n"
+        f"assert main({['run', *config, '--out', str(out / 'run')]}) == 0\n"
+        f"assert main({['crossval', *config, '--out', str(out / 'cv')]}) == 0\n"
+    )
+    return _last_line_of(code + _PROBE), out
+
+
+def test_p_values_load_only_the_compiled_ufuncs_of_scipy_special(fast_path):
+    # the package init costs 0.2 s a command; a scipy upgrade that breaks the loader
+    # must fail here and not show only as a slower command
+    line, out = fast_path
+    assert line == "[] True True True"
+    assert (out / "cv" / "aggregate.json").is_file()
+
+
+def test_p_values_fall_back_to_the_scipy_special_import(ws, fast_path, tmp_path):
+    code = (
+        "import importlib.util\n"
+        "find_spec = importlib.util.find_spec\n"
+        "def failing(name, package=None):\n"
+        "    if name == 'scipy.special._ufuncs':\n"
+        "        raise ImportError(name)\n"
+        "    return find_spec(name, package)\n"
+        "importlib.util.find_spec = failing\n"
+        "import sys\n"
+        "from fleetwarn import matching\n"
+        "from fleetwarn.cli import main\n"
+        "stdtr = matching._stdtr()\n"
+        "imported = 'scipy.special' in sys.modules\n"
+        "import scipy.special\n"
+        "stubs = [m for m in sys.modules if m.startswith('scipy.special')\n"
+        "         and sys.modules[m].__spec__ is None]\n"
+        f"assert main({['run', '--config', ws['run_cfg'], '--out', str(tmp_path / 'run')]}) == 0\n"
+        "print(imported, stdtr is scipy.special.stdtr, hasattr(scipy.special, 'gammaln'),\n"
+        "      stubs)\n"
+    )
+    assert _last_line_of(code) == "True True True []"
+    for name in ("stats.json", "precursors.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (fast_path[1] / "run" / name).read_bytes()
+
+
 class TestSimulate:
     def test_outputs_exist(self, ws):
         for name in ("telemetry.csv", "events.csv", "manifest.json"):
@@ -1035,10 +1104,12 @@ def test_telemetry_the_reader_cannot_hold_exits_2(ws, tmp_path, capsys, edit, me
     TestInputNamesStayInOutDir().check(tmp_path, capsys, "run", edit, ws, message)
 
 
-def test_crossval_warns_once_of_an_unused_quantile_override(tmp_path):
-    # every fold retrains, but the warning is about the config, so it prints once
-    sim = write_config(tmp_path / "sim.json", {"sim": {**SIM_SECTION, "units": 4}})
-    assert main(["simulate", "--config", sim, "--out", str(tmp_path / "fleet")]) == 0
+def _unused_override_warnings(tmp_path, command, one_cpu):
+    """How often ``command`` warns of a ``quantile_overrides`` key that leads no
+    group, run in a fresh process that is pinned to its first CPU if ``one_cpu``."""
+    if not (tmp_path / "fleet").exists():
+        sim = write_config(tmp_path / "sim.json", {"sim": {**SIM_SECTION, "units": 4}})
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "fleet")]) == 0
     detect = {**PIPELINE_SECTIONS["detect"], "quantile_overrides": {"g0p1": 0.5}}
     run = write_config(
         tmp_path / "run.json",
@@ -1048,13 +1119,30 @@ def test_crossval_warns_once_of_an_unused_quantile_override(tmp_path):
             "detect": detect,
         },
     )
-    proc = run_python("-m", "fleetwarn", "crossval", "--config", run, "--out", str(tmp_path / "o"))
+    out = str(tmp_path / f"{command}-{one_cpu}")
+    code = (
+        "import os, sys\n"
+        + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else "")
+        + "from fleetwarn.cli import main\n"
+        + f"sys.exit(main([{command!r}, '--config', {run!r}, '--out', {out!r}]))\n"
+    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    warned = [
-        line for line in proc.stderr.splitlines()
-        if "UserWarning: detect.quantile_overrides key 'g0p1' leads no group; ignored" in line
-    ]
-    assert len(warned) == 1, proc.stderr
+    return sum(
+        "UserWarning: detect.quantile_overrides key 'g0p1' leads no group; ignored" in line
+        for line in proc.stderr.splitlines()
+    )
+
+
+def test_crossval_warns_once_of_an_unused_quantile_override(tmp_path):
+    # every fold retrains, but the warning is about the config, so it prints once,
+    # whether the folds train in one process per CPU or all in one
+    for one_cpu in (False, True):
+        assert _unused_override_warnings(tmp_path, "crossval", one_cpu) == 1, one_cpu
+
+
+def test_run_warns_once_of_an_unused_quantile_override(tmp_path):
+    assert _unused_override_warnings(tmp_path, "run", one_cpu=False) == 1
 
 
 class TestInputFileErrors:

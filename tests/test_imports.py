@@ -1,6 +1,6 @@
 """Source guards for the package: unused imports, file writes outside ``core``,
-processes and threads, config values converted outside the typed walk, and
-public names without a caller.
+processes and threads, modules loaded by hand, config values converted outside
+the typed walk, and public names without a caller.
 
 No linter is installed, so the checks walk the ``ast`` of each module.
 """
@@ -168,8 +168,8 @@ CONCURRENCY = ("os.fork", "multiprocessing", "subprocess", "concurrent.futures",
 FORKING_HELPER = {"_on_cpus"}
 
 
-def concurrency_uses(source: str) -> list[str]:
-    """Imports of, and attributes read through, a process or thread API.
+def api_uses(source: str, apis: tuple[str, ...]) -> list[str]:
+    """Imports of, and attributes read through, the modules ``apis`` names.
 
     Each is ``<holder>: line N: <name>``, where the holder is the top-level
     function or class it sits in, or ``<module>``; attributes are followed
@@ -191,7 +191,7 @@ def concurrency_uses(source: str) -> list[str]:
                 continue
             found.extend(
                 f"{holder}: line {node.lineno}: {name}" for name in names
-                if any(name == c or name.startswith(c + ".") for c in CONCURRENCY)
+                if any(name == c or name.startswith(c + ".") for c in apis)
             )
     return found
 
@@ -214,7 +214,7 @@ def test_guard_flags_processes_and_threads():
         "import os as o\n"
         "o.fork\n"
     )
-    assert concurrency_uses(source) == [
+    assert api_uses(source, CONCURRENCY) == [
         "<module>: line 3: threading",
         "f: line 5: multiprocessing",
         "f: line 6: multiprocessing.get_context",
@@ -233,7 +233,86 @@ def test_processes_start_only_in_the_telemetry_writer(path):
     """The telemetry reader and writer and evaluation's folds start their
     processes through ``core._on_cpus``, the one function that may."""
     allowed = FORKING_HELPER if path.name == "core.py" else set()
-    uses = concurrency_uses(path.read_text(encoding="utf-8"))
+    uses = api_uses(path.read_text(encoding="utf-8"), CONCURRENCY)
+    assert [u for u in uses if u.split(":")[0] not in allowed] == []
+
+
+# Only ``matching._stdtr`` loads a module by hand, under a stub package that it
+# removes again.  No other code writes ``sys.modules`` or uses ``importlib``,
+# so none can leave a stub or a half-loaded module behind.
+MODULE_LOADER = {"_stdtr"}
+REGISTRY_WRITES = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__",
+                   "__delitem__"}
+
+
+def module_loading(source: str) -> list[str]:
+    """Uses of ``importlib``, then writes to ``sys.modules`` by line, each as
+    ``<holder>: line N: <what>``.
+
+    A write assigns or deletes an item, reads a mutating method, assigns
+    ``sys.modules`` itself or binds it to another name; names follow import
+    aliases.
+    """
+    tree = ast.parse(source)
+    aliases = _import_aliases(tree)
+    writes = []
+    for top in tree.body:
+        holder = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                registry, what = node.value, "sys.modules[...]"
+            elif isinstance(node, ast.Attribute) and node.attr in REGISTRY_WRITES:
+                registry, what = node.value, f"sys.modules.{node.attr}"
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                registry, what = node, "sys.modules assigned"
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+                registry, what = node.value, "sys.modules bound to a name"
+            else:
+                continue
+            if _qualified(registry, aliases) == "sys.modules":
+                writes.append((node.lineno, node.col_offset, holder, what))
+    return api_uses(source, ("importlib",)) + [
+        f"{holder}: line {line}: {what}" for line, _, holder, what in sorted(writes)
+    ]
+
+
+def test_guard_flags_module_loading():
+    source = (
+        "import sys\n"
+        "import importlib\n"
+        "from sys import modules as loaded\n"
+        "def f(name):\n"
+        "    if name in sys.modules:\n"
+        "        return sys.modules[name], list(sys.modules.items()), loaded.get(name)\n"
+        "    sys.modules[name] = None\n"
+        "    del loaded[name]\n"
+        "    importlib.import_module(name)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        from importlib.util import find_spec\n"
+        "        sys.modules.pop('a'); sys.modules.setdefault('b', None)\n"
+        "        registry = sys.modules\n"
+        "        sys.modules |= {}\n"
+        "import os.path\n"
+        "os.path.join(sys.path[0], 'a')\n"
+    )
+    assert module_loading(source) == [
+        "<module>: line 2: importlib",
+        "f: line 9: importlib.import_module",
+        "C: line 12: importlib.util.find_spec",
+        "f: line 7: sys.modules[...]",
+        "f: line 8: sys.modules[...]",
+        "C: line 13: sys.modules.pop",
+        "C: line 13: sys.modules.setdefault",
+        "C: line 14: sys.modules bound to a name",
+        "C: line 15: sys.modules assigned",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_stdtr_loader_loads_modules_by_hand(path):
+    allowed = MODULE_LOADER if path.name == "matching.py" else set()
+    uses = module_loading(path.read_text(encoding="utf-8"))
     assert [u for u in uses if u.split(":")[0] not in allowed] == []
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fleetwarn.matching import (
     _IRRELEVANT,
     _TRUE,
     MatchStats,
+    _stdtr,
     classify_firings,
     gate_ttest,
     hard_filter,
@@ -316,6 +318,36 @@ class TestClassify:
         assert classify_firings(alarm_series("a", {}, layout.axis), layout) == []
 
 
+def _welch_samples():
+    """Firing counts of 0-3 entries or about 130 (numpy's pairwise-summation
+    block is 128), constant ones among them, of counts up to 3 or up to 10**12."""
+    def of(counts):
+        return st.one_of(
+            st.lists(counts, max_size=3),
+            st.lists(counts, min_size=126, max_size=134),
+            st.builds(lambda v, n: [v] * n, counts, st.integers(2, 134)),
+        )
+
+    return st.sampled_from([3, 10**12]).flatmap(lambda top: of(st.integers(0, top)))
+
+
+def welch_stdtr_p(a, b):
+    """``significance_test``'s Welch formula, with ``stdtr`` from the scipy.special package."""
+    import scipy.special
+
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.size < 2 or b.size < 2:
+        return 1.0
+    va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
+    if va == 0.0 and vb == 0.0:
+        return 0.0 if a.mean() > b.mean() else 1.0
+    sa, sb = va / a.size, vb / b.size
+    t = (float(a.mean()) - float(b.mean())) / math.sqrt(sa + sb)
+    df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
+    return float(scipy.special.stdtr(df, -t))
+
+
 class TestSignificance:
     def test_separated_constant_samples(self):
         assert significance_test([1, 1, 1, 1], [0, 0, 0, 0, 0, 0]) == 0.0
@@ -347,6 +379,23 @@ class TestSignificance:
             assert significance_test(a, b) == pytest.approx(
                 welch_reference_p(a, b), rel=1e-9, abs=1e-12
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_welch_samples(), _welch_samples())
+    @example([], [0, 1])
+    @example([5] * 130, [0, 1, 0] * 43)
+    @example([10**12, 0, 10**12], [7] * 3)
+    def test_bits_equal_the_welch_formula_through_scipy_special(self, a, b):
+        p = significance_test(a, b)
+        assert np.float64(p).tobytes() == np.float64(welch_stdtr_p(a, b)).tobytes()
+
+    def test_stdtr_of_an_imported_scipy_special_is_its_own(self):
+        import scipy.special
+
+        modules = dict(sys.modules)
+        _stdtr.cache_clear()
+        assert _stdtr() is scipy.special.stdtr
+        assert sys.modules == modules
 
     def test_samples_from_layout(self):
         # two windows, one shared firing attributed to the earlier event only
