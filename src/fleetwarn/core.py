@@ -248,51 +248,40 @@ class ColumnStats:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
+    def zscore(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``values``, rows over these columns, z-scored into ``out`` or a new array."""
+        no_ref = np.isnan(self.mean)
+        scale = np.where(no_ref | (self.std == 0.0), 1.0, self.std)
+        centered = np.subtract(values, np.where(no_ref, 0.0, self.mean), out=out)
+        return np.divide(centered, scale, out=centered)
 
-def fit_column_stats(
-    panels: Sequence[TelemetryPanel],
-    masks: Sequence[np.ndarray],
-) -> ColumnStats:
-    """Estimate per-column mean and population std over the masked rows.
 
-    All panels must share the same column tuple.  Missing entries are
-    ignored; a column with no observed reference value gets NaN mean.
+def fit_column_stats(rows: np.ndarray, columns: Sequence[str]) -> ColumnStats:
+    """Estimate per-column mean and population std over the reference ``rows``.
+
+    Missing entries are ignored; a column with no observed reference value
+    gets NaN mean.  ``rows`` must be writable; it is left as it was.
     """
-    if not panels:
+    if rows.shape[0] == 0:
         raise ValueError("no reference rows")
-    columns = panels[0].columns
-    rows = []
-    for panel, mask in zip(panels, masks):
-        if panel.columns != columns:
-            raise ValueError("panels disagree on columns")
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (panel.n_flights,):
-            raise ValueError("mask length does not match panel")
-        rows.append(panel.values[mask])
-    stacked = np.vstack(rows) if rows else np.empty((0, len(columns)))
-    if stacked.shape[0] == 0:
-        raise ValueError("no reference rows")
-    # An all-missing column is reduced as zeros, so that no reduction warns,
-    # and then given NaN mean; the other columns' sums do not change.
-    unobserved = np.isnan(stacked).all(axis=0)
-    stacked[:, unobserved] = 0.0  # stacked is a fresh copy
+    # An all-missing column is reduced as zeros, so that no reduction warns, and then
+    # refilled and given NaN mean; the other columns' sums do not change.
+    unobserved = np.isnan(rows).all(axis=0)
+    rows[:, unobserved] = 0.0
     with np.errstate(invalid="ignore"):
-        mean = np.nanmean(stacked, axis=0)
-        std = np.nanstd(stacked, axis=0)  # population (1/N)
+        mean = np.nanmean(rows, axis=0)
+        std = np.nanstd(rows, axis=0)  # population (1/N)
+    rows[:, unobserved] = np.nan
     mean[unobserved] = np.nan
     std = np.where(np.isnan(std), 0.0, std)
-    return ColumnStats(columns=columns, mean=mean, std=std)
+    return ColumnStats(columns=tuple(columns), mean=mean, std=std)
 
 
 def apply_column_stats(panel: TelemetryPanel, stats: ColumnStats) -> TelemetryPanel:
-    """Z-score ``panel`` with precomputed stats; missing stays missing."""
+    """Z-score ``panel`` with precomputed stats (:meth:`ColumnStats.zscore`)."""
     if panel.columns != stats.columns:
         raise ValueError("stats columns do not match panel columns")
-    # A column without reference data passes through; a constant one is only centered.
-    no_ref = np.isnan(stats.mean)
-    m = np.where(no_ref, 0.0, stats.mean)
-    s = np.where(no_ref | (stats.std == 0.0), 1.0, stats.std)
-    return replace(panel, values=(panel.values - m) / s)
+    return replace(panel, values=stats.zscore(panel.values))
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,9 @@ One call to :func:`train_model` performs: target-event selection, normal
 regime masking, fleet-pooled z-score normalization, dependence grouping,
 per-group subspace detectors with quantile thresholds, alarm binarization,
 event matching, and the filtered combination search.  The fitted model can
-then score any fleet (training or held-out) with :func:`pooled_on`.
+then score any fleet (training or held-out) with :func:`pooled_on`.  Training holds
+no z-scored copy of the fleet: the fits read the stacked normal rows, z-scored in
+place, and scoring z-scores one panel at a time.
 """
 
 from __future__ import annotations
@@ -101,23 +103,50 @@ def select_target_events(
     return kept
 
 
-def _scores(
-    det: SubspaceDetector, panels: Sequence[TelemetryPanel]
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    return {p.unit_id: (p.flights, score_reconstruction(det, p)) for p in panels}
+def zscored_normal_rows(
+    panels: Sequence[TelemetryPanel], masks: Sequence[np.ndarray]
+) -> tuple[ColumnStats, np.ndarray]:
+    """The column stats fitted on the panels' masked (normal) rows, and those rows stacked
+    in panel order and z-scored in place: bit for bit the stacked rows of the z-scored
+    panels, since z-scoring is elementwise, without a z-scored copy of any panel."""
+    columns = panels[0].columns
+    rows = np.empty((sum(int(mask.sum()) for mask in masks), len(columns)))
+    start = 0
+    for panel, mask in zip(panels, masks, strict=True):
+        if panel.columns != columns:
+            raise ValueError("panels disagree on columns")
+        stop = start + int(mask.sum())
+        np.compress(mask, panel.values, axis=0, out=rows[start:stop])
+        start = stop
+    stats = fit_column_stats(rows, columns)
+    return stats, stats.zscore(rows, out=rows)
+
+
+def score_panels(
+    detectors: Sequence[SubspaceDetector], panels: Sequence[TelemetryPanel], stats: ColumnStats
+) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Each detector's scores on the panels, unit -> (flights, scores) in panel order: one
+    :func:`score_reconstruction` call per whole panel (regrouping rows would move bits), and
+    one z-scored panel alive at a time."""
+    scores: list[dict[str, tuple[np.ndarray, np.ndarray]]] = [{} for _ in detectors]
+    for panel in panels:
+        normalized = apply_column_stats(panel, stats)
+        for det, by_unit in zip(detectors, scores):
+            by_unit[panel.unit_id] = (panel.flights, score_reconstruction(det, normalized))
+        del normalized
+    return scores
 
 
 def fit_alarm(
     det: SubspaceDetector,
-    panels: Sequence[TelemetryPanel],
+    scores: Mapping[str, tuple[np.ndarray, np.ndarray]],
     masks: Sequence[np.ndarray],
     q: float,
     axis: FleetAxis,
 ) -> tuple[SubspaceDetector, AlarmSeries]:
-    """Threshold ``det`` at the q-quantile of its scores on the masked (normal)
-    flights, and binarize those same scores into its alarm on the panels' ``axis``."""
-    scores = _scores(det, panels)
-    normal = np.concatenate([scores[p.unit_id][1][m] for p, m in zip(panels, masks)])
+    """Threshold ``det`` at the q-quantile of its ``scores`` (from :func:`score_panels`) on
+    the masked (normal) flights, and binarize those same scores into its alarm on ``axis``."""
+    normal = np.concatenate([values[m] for (_, values), m in zip(scores.values(), masks)])
     det = replace(det, quantile=q, threshold=fit_threshold(normal, q))
     return det, binarize(det, scores, axis)
 
@@ -142,22 +171,26 @@ def train_model(
 
     masks = [select_normal_regime(p, target_events, cfg.normal_before, cfg.normal_after)
              for p in panels]
-    stats = fit_column_stats(list(panels), masks)
-    normalized = [apply_column_stats(p, stats) for p in panels]
-    normal_rows = np.vstack([p.values[m] for p, m in zip(normalized, masks)])
-
+    if not any(m.any() for m in masks):
+        raise ValueError(f"every flight lies fewer than {cfg.normal_before} flights before or "
+                         f"{cfg.normal_after} after an event of its unit (detect.normal_before, "
+                         "detect.normal_after): the normal regime is empty")
+    stats, normal_rows = zscored_normal_rows(panels, masks)
     dep = dependence_from_rows(normal_rows, panels[0].columns, cfg.measure)
     grouping = build_groups(dep, cfg.rho)
-
     col_index = {name: i for i, name in enumerate(panels[0].columns)}
-    detectors, alarms = [], []
-    for group in grouping.groups:
-        rows = normal_rows[:, [col_index[n] for n in group]]
-        det = fit_subspace_from_rows(rows, group, min(cfg.rank, len(group)))
-        q = cfg.quantile_overrides.get(group[0], cfg.quantile)
-        det, alarm = fit_alarm(det, normalized, masks, q, layout.axis)
-        detectors.append(det)
-        alarms.append(alarm)
+    detectors = [
+        fit_subspace_from_rows(normal_rows[:, [col_index[n] for n in group]], group,
+                               min(cfg.rank, len(group)))
+        for group in grouping.groups
+    ]
+    del normal_rows
+    fitted = [
+        fit_alarm(det, scores, masks, cfg.quantile_overrides.get(det.group[0], cfg.quantile),
+                  layout.axis)
+        for det, scores in zip(detectors, score_panels(detectors, panels, stats))
+    ]
+    alarms = tuple(alarm for _, alarm in fitted)
 
     precursors = search_combinations(alarms, layout, cfg.search, target_code=cfg.code_prefix)
     # Warned after the search, so a failing search warns of nothing.  Its p-value ufunc loads
@@ -170,8 +203,8 @@ def train_model(
     return TrainedModel(
         column_stats=stats,
         grouping=grouping,
-        detectors=tuple(detectors),
-        alarms=tuple(alarms),
+        detectors=tuple(det for det, _ in fitted),
+        alarms=alarms,
         layout=layout,
         precursors=precursors,
     )
@@ -181,8 +214,8 @@ def elementary_alarms_on(
     model: TrainedModel, panels: Sequence[TelemetryPanel], axis: FleetAxis
 ) -> dict[str, AlarmSeries]:
     """Score new panels with the fitted detectors and thresholds, on the panels' ``axis``."""
-    normalized = [apply_column_stats(p, model.column_stats) for p in panels]
-    return {det.alarm_id: binarize(det, _scores(det, normalized), axis) for det in model.detectors}
+    scores = score_panels(model.detectors, panels, model.column_stats)
+    return {det.alarm_id: binarize(det, s, axis) for det, s in zip(model.detectors, scores)}
 
 
 def pooled_on(model: TrainedModel, panels: Sequence[TelemetryPanel]) -> AlarmSeries:

@@ -22,15 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from fleetwarn.core import (
-    EventRecord,
-    FleetAxis,
-    TelemetryPanel,
-    apply_column_stats,
-    fit_column_stats,
-)
+from fleetwarn.core import EventRecord, FleetAxis, TelemetryPanel
 from fleetwarn.detect import fit_subspace_from_rows, select_normal_regime
-from fleetwarn.pipeline import fit_alarm
+from fleetwarn.pipeline import fit_alarm, score_panels, zscored_normal_rows
 
 
 @dataclass(frozen=True)
@@ -126,14 +120,12 @@ def _place_onsets(rng: np.random.Generator, n: int, lo: int, hi: int, spacing: i
     ]
 
 
-def generate_fleet(
-    cfg: SimConfig, verify: bool = True
-) -> tuple[list[TelemetryPanel], list[EventRecord], dict]:
+def generate_fleet(cfg: SimConfig) -> tuple[list[TelemetryPanel], list[EventRecord], dict]:
     """Generate panels, events, and the ground-truth manifest.
 
-    With ``verify`` the manifest additionally records whether every planted
-    anomaly flight's rank-1 group reconstruction score (normalized fleet,
-    normal-regime fit) exceeds the 95% training quantile.
+    The manifest records, as ``verified_q95``, whether every planted anomaly
+    flight's rank-1 group reconstruction score (normalized fleet, normal-regime
+    fit) exceeds the 95% training quantile.
     """
     columns = cfg.all_columns()
     group_cols = cfg.group_columns()
@@ -216,8 +208,7 @@ def generate_fleet(
         ],
         "anomalies": anomalies,
     }
-    if verify:
-        manifest["verified_q95"] = _anomalies_exceed_q95(cfg, panels, events, anomalies)
+    manifest["verified_q95"] = _anomalies_exceed_q95(cfg, panels, events, anomalies)
     return panels, events, manifest
 
 
@@ -246,17 +237,17 @@ def _anomalies_exceed_q95(
             f"flights before or {after} after an event of its unit, so no flight is left "
             f"in the normal regime the check fits on"
         )
-    stats = fit_column_stats(list(panels), masks)
-    normalized = [apply_column_stats(p, stats) for p in panels]
-    axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
+    stats, rows = zscored_normal_rows(panels, masks)
+    index = {name: j for j, name in enumerate(panels[0].columns)}
     group_cols = cfg.group_columns()
-    for g in planted_groups:
-        cols = group_cols[g]
-        rows = np.vstack([p.subvalues(cols)[m] for p, m in zip(normalized, masks)])
-        _, alarm = fit_alarm(fit_subspace_from_rows(rows, cols, rank=1), normalized, masks, q, axis)
+    detectors = [fit_subspace_from_rows(rows[:, [index[n] for n in group_cols[g]]],
+                                        group_cols[g], rank=1) for g in planted_groups]
+    del rows
+    axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
+    for g, det, scores in zip(planted_groups, detectors, score_panels(detectors, panels, stats)):
+        _, alarm = fit_alarm(det, scores, masks, q, axis)
         planted = [axis.shift(anom["unit"]) + anom["flight"] for anom in anomalies
                    if g in cfg.planted[anom["spec"]].groups]
         if not np.isin(planted, alarm.positions).all():
             return False
     return True
-

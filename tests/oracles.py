@@ -8,6 +8,7 @@ arithmetic so the two sides can disagree.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 import warnings
@@ -27,10 +28,13 @@ from fleetwarn.core import (
     _plain,
     _read_csv,
     _telemetry_columns,
+    FleetAxis,
     csv_float,
     write_csv,
 )
+from fleetwarn.detect import fit_subspace_from_rows, fit_threshold, squared_distance
 from fleetwarn.evaluation import CurvePoint, greedy_max_matching
+from fleetwarn.grouping import build_groups, dependence_from_rows
 from support import firings
 
 
@@ -410,6 +414,52 @@ def apply_column_stats_reference(values, mean, std):
         else:
             values[:, j] = (values[:, j] - m) / s
     return values
+
+
+def train_chain_reference(panels, events, cfg):
+    """Training up to the alarms, the long way: z-score every whole panel, stack
+    the z-scored panels' normal rows, group and fit each detector on that stack,
+    then score every z-scored panel, threshold each detector at its quantile of
+    the normal flights' scores, and binarize.
+
+    Returns the column mean and std, the thresholded detectors, and each alarm's
+    positions on the fleet axis.
+    """
+    panels = sorted(panels, key=lambda p: p.unit_id)
+    targets = [ev for ev in events if ev.code.startswith(cfg.code_prefix)]
+    masks = [normal_regime_reference(p, targets, cfg.normal_before, cfg.normal_after)
+             for p in panels]
+    mean, std = fit_column_stats_reference(np.vstack([p.values[m] for p, m in zip(panels, masks)]))
+    normalized = [apply_column_stats_reference(p.values, mean, std) for p in panels]
+    rows = np.vstack([v[m] for v, m in zip(normalized, masks)])
+    columns = panels[0].columns
+    grouping = build_groups(dependence_from_rows(rows, columns, cfg.measure), cfg.rho)
+    detectors = []
+    for group in grouping.groups:
+        idx = [columns.index(name) for name in group]
+        det = fit_subspace_from_rows(rows[:, idx], group, min(cfg.rank, len(group)))
+        scores = [squared_distance(det, v.take(idx, axis=1)) for v in normalized]
+        q = cfg.quantile_overrides.get(group[0], cfg.quantile)
+        threshold = fit_threshold(np.concatenate([s[m] for s, m in zip(scores, masks)]), q)
+        detectors.append(dataclasses.replace(det, quantile=q, threshold=threshold))
+    return mean, std, detectors, held_out_positions_reference(detectors, mean, std, panels)
+
+
+def held_out_positions_reference(detectors, mean, std, panels):
+    """Each detector's firing positions on the panels' fleet axis, every panel
+    z-scored whole with ``mean`` and ``std``."""
+    panels = sorted(panels, key=lambda p: p.unit_id)
+    axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
+    normalized = [apply_column_stats_reference(p.values, mean, std) for p in panels]
+    positions = []
+    for det in detectors:
+        idx = [panels[0].columns.index(name) for name in det.group]
+        positions.append(np.concatenate([np.empty(0, dtype=np.int64)] + [
+            p.flights[squared_distance(det, v.take(idx, axis=1)) > det.threshold]
+            + axis.shift(p.unit_id)
+            for p, v in zip(panels, normalized)
+        ]))
+    return positions
 
 
 def _first_telemetry_problem(path, columns):

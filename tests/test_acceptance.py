@@ -104,7 +104,7 @@ def test_criterion_1_metric_oracle_equivalence():
 def test_criterion_2_planted_precursor_recovery():
     with verdict("criterion 2: default fleet recovers the planted pair, LOOCV cf>=0.8, in <60s"):
         t0 = time.monotonic()
-        panels, events, _ = generate_fleet(SimConfig(), verify=False)
+        panels, events, _ = generate_fleet(SimConfig())
         cfg = PipelineConfig(
             match=MatchParams(window=20),
             quantile=0.9995,
@@ -260,7 +260,7 @@ def test_criterion_7_conjunction_beats_single_parameter_baseline():
             event_rate=1.2,
             seed=3,
         )
-        panels, events, _ = generate_fleet(sim, verify=False)
+        panels, events, _ = generate_fleet(sim)
         cfg = PipelineConfig(
             match=MatchParams(window=5),
             quantile=0.999,

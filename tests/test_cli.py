@@ -1232,3 +1232,21 @@ def test_a_gap_in_the_flight_counter_exits_2(tmp_path, capsys, monkeypatch, comm
         f"fleetwarn: the fleet axis would hold {flights} flights, more than 2147483647; "
         f"the widest unit, 'u1', spans flights 0 to {10**12}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["run", "crossval"])
+def test_an_empty_normal_regime_exits_2_naming_its_keys(tmp_path, capsys, command):
+    # every flight of each unit lies within 50 flights before or 30 after its event
+    rows = [f"{u},{t},cruise,{t}.5,{2 * t}.25" for u in ("u0", "u1") for t in (1, 2, 3)]
+    (tmp_path / "telemetry.csv").write_text("unit_id,flight,phase,a,b\n" + "\n".join(rows) + "\n")
+    (tmp_path / "events.csv").write_text("unit_id,onset,end,code\nu0,2,3,E1\nu1,2,3,E1\n")
+    cfg = write_config(tmp_path / "c.json", {
+        "io": {"telemetry": "telemetry.csv", "events": "events.csv"},
+    })
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "fleetwarn: every flight lies fewer than 50 flights before or 30 after an event of "
+        "its unit (detect.normal_before, detect.normal_after): the normal regime is empty\n"
+    )
+    assert not out.exists()

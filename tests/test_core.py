@@ -128,7 +128,7 @@ class TestEventRecord:
 
 def zscored(panel, mask):
     """``panel`` z-scored with stats fitted on its ``mask`` rows alone."""
-    return apply_column_stats(panel, fit_column_stats([panel], [mask]))
+    return apply_column_stats(panel, fit_column_stats(panel.values[mask], panel.columns))
 
 
 class TestNormalize:
@@ -170,7 +170,7 @@ class TestNormalize:
     def test_fleet_pooled_stats(self):
         a = make_panel([0.0, 2.0], unit="a")
         b = make_panel([4.0, 6.0], unit="b")
-        stats = fit_column_stats([a, b], [np.ones(2, bool), np.ones(2, bool)])
+        stats = fit_column_stats(np.vstack([a.values, b.values]), a.columns)
         assert stats.mean[0] == pytest.approx(3.0)
         out = apply_column_stats(b, stats)
         assert out.values[1, 0] == pytest.approx((6.0 - 3.0) / stats.std[0])
@@ -211,10 +211,11 @@ class TestNormalize:
             masks.append(rng.random(n_rows) < 0.8)
         if not any(m.any() for m in masks):
             masks[0][0] = True
-        mean, std = fit_column_stats_reference(
-            np.vstack([p.values[m] for p, m in zip(panels, masks)])
-        )
-        got = fit_column_stats(panels, masks)
+        rows = np.vstack([p.values[m] for p, m in zip(panels, masks)])
+        mean, std = fit_column_stats_reference(rows)
+        before = rows.tobytes()
+        got = fit_column_stats(rows, columns)
+        assert rows.tobytes() == before
         assert np.array_equal(np.isnan(got.mean), np.isnan(mean))
         observed = ~np.isnan(mean)
         assert got.mean[observed].tobytes() == mean[observed].tobytes()
@@ -224,7 +225,7 @@ class TestNormalize:
         panel = make_panel([[1.0, np.nan], [3.0, np.nan]], columns=("x", "y"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stats = fit_column_stats([panel], [np.ones(2, dtype=bool)])
+            stats = fit_column_stats(panel.values.copy(), panel.columns)
         assert math.isnan(stats.mean[1]) and stats.std[1] == 0.0
         assert (stats.mean[0], stats.std[0]) == (2.0, 1.0)
 

@@ -377,7 +377,7 @@ SMALL_CFG = PipelineConfig(
 
 @functools.lru_cache(maxsize=None)
 def small_fleet():
-    panels, events, _ = generate_fleet(SMALL_SIM, verify=False)
+    panels, events, _ = generate_fleet(SMALL_SIM)
     return tuple(panels), tuple(events)
 
 

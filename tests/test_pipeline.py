@@ -1,4 +1,7 @@
 import functools
+import re
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from fleetwarn.detect import (
     score_reconstruction,
     select_normal_regime,
 )
+from fleetwarn import pipeline
 from fleetwarn.pipeline import (
     PipelineConfig,
     elementary_alarms_on,
@@ -26,9 +30,11 @@ from fleetwarn.pipeline import (
     pooled_on,
     select_target_events,
     train_model,
+    zscored_normal_rows,
 )
 from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet
 from fleetwarn.synth import SearchConfig
+from oracles import held_out_positions_reference, normal_regime_reference, train_chain_reference
 from support import firings
 
 
@@ -193,9 +199,10 @@ def test_thresholds_bit_equal_to_complete_row_reference():
         panel = TelemetryPanel("u", np.arange(1, len(data) + 1), columns, data)
         everything = np.ones(len(data), dtype=bool)
         for rank in range(1, len(cols) + 1):
+            det = fit_subspace_from_rows(rows, tuple(f"p{c}" for c in cols), rank)
             det, _ = fit_alarm(
-                fit_subspace_from_rows(rows, tuple(f"p{c}" for c in cols), rank),
-                [panel],
+                det,
+                {"u": (panel.flights, score_reconstruction(det, panel))},
                 [everything],
                 0.99,
                 FleetAxis.from_ranges({"u": panel.observation_range()}),
@@ -272,7 +279,7 @@ SIM_CFG = PipelineConfig(
 
 @functools.lru_cache(maxsize=None)
 def sim_model():
-    panels, events, _ = generate_fleet(SIM, verify=False)
+    panels, events, _ = generate_fleet(SIM)
     return train_model(panels, events, SIM_CFG), tuple(panels), tuple(events)
 
 
@@ -314,9 +321,7 @@ class TestTrainOnSimFleet:
         import dataclasses
 
         model, _, _ = sim_model()
-        new_panels, new_events, _ = generate_fleet(
-            dataclasses.replace(SIM, seed=14), verify=False
-        )
+        new_panels, new_events, _ = generate_fleet(dataclasses.replace(SIM, seed=14))
         pooled = pooled_on(model, new_panels)
         assert pooled.axis.units == tuple(sorted(p.unit_id for p in new_panels))
         for panel in new_panels:
@@ -337,7 +342,7 @@ SIM_SMALL = SimConfig(
 def test_override_key_leading_no_group_warns():
     import dataclasses
 
-    panels, events, _ = generate_fleet(SIM_SMALL, verify=False)
+    panels, events, _ = generate_fleet(SIM_SMALL)
     cfg = dataclasses.replace(SIM_CFG, quantile_overrides={"g0p1": 0.5})
     with pytest.warns(UserWarning, match=r"detect.quantile_overrides key 'g0p1' leads no group; ignored"):
         model = train_model(panels, events, cfg)
@@ -345,3 +350,138 @@ def test_override_key_leading_no_group_warns():
     base = train_model(panels, events, SIM_CFG)
     assert [d.threshold for d in model.detectors] == [d.threshold for d in base.detectors]
     assert [d.quantile for d in model.detectors] == [SIM_CFG.quantile] * 2
+
+
+@st.composite
+def odd_fleets(draw):
+    """1-4 small units with NaN cells, -0.0 cells, optionally a constant column
+    and a column missing throughout, a target event on the first unit, and a
+    ``quantile_overrides`` key; plus 1-2 held-out units over the same columns."""
+    n_cols = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = tuple(f"c{j}" for j in range(n_cols))
+    mixing = rng.normal(size=(n_cols, n_cols)) * (rng.random((n_cols, n_cols)) < 0.5)
+    nan_rate = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    constant, missing = (int(j) if rng.random() < share else None
+                         for j, share in zip(rng.integers(n_cols, size=2), (0.3, 0.2)))
+
+    def panel(unit):
+        T = int(rng.integers(6, 30))
+        values = rng.normal(size=(T, n_cols)) @ (np.eye(n_cols) + mixing)
+        values[rng.random(values.shape) < nan_rate] = np.nan
+        values[rng.random(values.shape) < 0.05] = -0.0
+        if constant is not None:
+            values[:, constant] = 2.5
+        if missing is not None:
+            values[:, missing] = np.nan
+        first = int(rng.integers(-5, 6))
+        return TelemetryPanel(unit, np.arange(first, first + T), columns, values)
+
+    panels = [panel(f"u{u}") for u in range(draw(st.integers(1, 4)))]
+    events = []
+    for i, p in enumerate(panels):
+        first, last = p.observation_range()
+        for _ in range(int(rng.integers(1 if i == 0 else 0, 3))):
+            onset = int(rng.integers(first + 3, last + 1))  # its window inside the range
+            code = "E1" if i == 0 or rng.random() < 0.7 else "X2"
+            events.append(EventRecord(p.unit_id, onset, onset + 1, code))
+    cfg = PipelineConfig(
+        match=MatchParams(window=3),
+        rank=draw(st.integers(1, 3)),
+        quantile=draw(st.sampled_from([0.5, 0.9, 0.99])),
+        quantile_overrides={draw(st.sampled_from(columns)): 0.7},
+        normal_before=draw(st.integers(0, 3)),
+        normal_after=draw(st.integers(0, 3)),
+        rho=draw(st.sampled_from([0.3, 0.6])),
+        code_prefix="E",
+    )
+    held = [panel(f"h{u}") for u in range(draw(st.integers(1, 2)))]
+    return panels, events, cfg, held
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_fleets())
+def test_training_equals_the_whole_panel_chain_bit_for_bit(fleet):
+    panels, events, cfg, held = fleet
+    targets = [ev for ev in events if ev.code.startswith(cfg.code_prefix)]
+    if not any(normal_regime_reference(p, targets, cfg.normal_before, cfg.normal_after).any()
+               for p in panels):
+        with pytest.raises(ValueError, match="the normal regime is empty"):
+            train_model(panels, events, cfg)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an override key that leads no group
+        try:
+            mean, std, detectors, positions = train_chain_reference(panels, events, cfg)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                train_model(panels, events, cfg)
+            return
+        model = train_model(panels, events, cfg)
+    assert np.array_equal(np.isnan(model.column_stats.mean), np.isnan(mean))
+    observed = ~np.isnan(mean)
+    assert model.column_stats.mean[observed].tobytes() == mean[observed].tobytes()
+    assert model.column_stats.std.tobytes() == std.tobytes()
+    assert len(model.detectors) == len(detectors)
+    for got, want, alarm, at in zip(model.detectors, detectors, model.alarms, positions):
+        assert got.group == want.group and got.quantile == want.quantile
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.basis.tobytes() == want.basis.tobytes()
+        assert got.threshold == want.threshold
+        assert alarm.positions.tobytes() == at.tobytes()
+    axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in held})
+    alarms = elementary_alarms_on(model, held, axis)
+    for det, at in zip(model.detectors, held_out_positions_reference(detectors, mean, std, held)):
+        assert alarms[det.alarm_id].positions.tobytes() == at.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_fleets(), st.data())
+def test_zscoring_a_stack_equals_stacking_zscored_panels(fleet, data):
+    panels, _, _, held = fleet
+    panels = panels + held
+    masks = [np.array(data.draw(st.lists(st.booleans(), min_size=p.n_flights,
+                                         max_size=p.n_flights)), dtype=bool) for p in panels]
+    if not any(m.any() for m in masks):
+        masks[0][0] = True
+    stats, rows = zscored_normal_rows(panels, masks)
+    expect = np.vstack([apply_column_stats(p, stats).values[m] for p, m in zip(panels, masks)])
+    assert rows.shape == expect.shape and rows.tobytes() == expect.tobytes()
+    assert rows.flags.c_contiguous
+
+
+def test_one_zscored_panel_alive_at_a_time(monkeypatch):
+    panels, events, _ = generate_fleet(SIM_SMALL)
+    returned = []
+
+    def tracked(panel, stats):
+        assert all(ref() is None for ref in returned), "an earlier z-scored panel is alive"
+        normalized = apply_column_stats(panel, stats)
+        returned.append(weakref.ref(normalized))
+        return normalized
+
+    monkeypatch.setattr(pipeline, "apply_column_stats", tracked)
+    model = train_model(panels, events, SIM_CFG)
+    assert len(returned) == len(panels)
+    assert all(ref() is None for ref in returned)
+    returned.clear()
+    pooled_on(model, panels[:3])
+    assert len(returned) == 3
+    assert all(ref() is None for ref in returned)
+
+
+def test_an_empty_normal_regime_names_its_keys():
+    panel = TelemetryPanel("u0", np.arange(1, 4), ("a", "b"), np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ValueError) as exc:
+        train_model([panel], [EventRecord("u0", 2, 3, "E1")], PipelineConfig())
+    assert str(exc.value) == (
+        "every flight lies fewer than 50 flights before or 30 after an event of its unit "
+        "(detect.normal_before, detect.normal_after): the normal regime is empty"
+    )
+
+
+def test_normal_rows_refuse_panels_that_disagree_on_columns():
+    a = TelemetryPanel("a", np.arange(3), ("x", "y"), np.ones((3, 2)))
+    b = TelemetryPanel("b", np.arange(3), ("x", "z"), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="panels disagree on columns"):
+        zscored_normal_rows([a, b], [np.ones(3, dtype=bool)] * 2)

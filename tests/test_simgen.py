@@ -66,8 +66,8 @@ class TestConfigValidation:
 
 class TestDeterminism:
     def test_same_seed_same_fleet(self):
-        p1, e1, m1 = generate_fleet(BUSY, verify=False)
-        p2, e2, m2 = generate_fleet(BUSY, verify=False)
+        p1, e1, m1 = generate_fleet(BUSY)
+        p2, e2, m2 = generate_fleet(BUSY)
         assert e1 == e2
         assert m1 == m2
         for a, b in zip(p1, p2):
@@ -77,21 +77,21 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         import dataclasses
 
-        p1, _, _ = generate_fleet(BUSY, verify=False)
-        p2, _, _ = generate_fleet(dataclasses.replace(BUSY, seed=22), verify=False)
+        p1, _, _ = generate_fleet(BUSY)
+        p2, _, _ = generate_fleet(dataclasses.replace(BUSY, seed=22))
         assert p1[0].values.tobytes() != p2[0].values.tobytes()
 
     def test_unit_streams_independent_of_count(self):
         import dataclasses
 
-        few, _, _ = generate_fleet(dataclasses.replace(QUIET, units=1), verify=False)
-        more, _, _ = generate_fleet(QUIET, verify=False)
+        few, _, _ = generate_fleet(dataclasses.replace(QUIET, units=1))
+        more, _, _ = generate_fleet(QUIET)
         assert few[0].values.tobytes() == more[0].values.tobytes()
 
 
 class TestStatisticalShape:
     def test_within_group_correlation(self):
-        panels, _, _ = generate_fleet(QUIET, verify=False)
+        panels, _, _ = generate_fleet(QUIET)
         cols = QUIET.group_columns()
         for panel in panels:
             for g, spec in enumerate(QUIET.groups):
@@ -101,7 +101,7 @@ class TestStatisticalShape:
                     assert corr[i, j] == pytest.approx(spec.correlation, abs=0.05)
 
     def test_cross_group_correlation_small(self):
-        panels, _, _ = generate_fleet(QUIET, verify=False)
+        panels, _, _ = generate_fleet(QUIET)
         cols = QUIET.group_columns()
         for panel in panels:
             a = panel.subvalues([cols[0][0]])[:, 0]
@@ -109,12 +109,12 @@ class TestStatisticalShape:
             assert abs(np.corrcoef(a, b)[0, 1]) < 0.15
 
     def test_unit_variance(self):
-        panels, _, _ = generate_fleet(QUIET, verify=False)
+        panels, _, _ = generate_fleet(QUIET)
         stds = panels[0].values.std(axis=0)
         assert np.all(np.abs(stds - 1.0) < 0.1)
 
     def test_phases_and_flights(self):
-        panels, _, _ = generate_fleet(QUIET, verify=False)
+        panels, _, _ = generate_fleet(QUIET)
         panel = panels[0]
         assert panel.phases == ("cruise",) * QUIET.flights_per_unit
         assert panel.flights[0] == 1
@@ -123,14 +123,14 @@ class TestStatisticalShape:
 
 class TestEvents:
     def test_event_shape(self):
-        _, events, _ = generate_fleet(BUSY, verify=False)
+        _, events, _ = generate_fleet(BUSY)
         assert events
         for ev in events:
             assert ev.end == ev.onset + 1
             assert ev.code == BUSY.event_code
 
     def test_onset_domain_and_spacing(self):
-        _, events, _ = generate_fleet(BUSY, verify=False)
+        _, events, _ = generate_fleet(BUSY)
         lo = BUSY.max_lead() + 1
         by_unit: dict[str, list[int]] = {}
         for ev in events:
@@ -151,7 +151,7 @@ class TestEvents:
             seed=0,
         )
         with pytest.raises(ValueError, match="cannot fit"):
-            generate_fleet(cramped, verify=False)
+            generate_fleet(cramped)
 
     def test_lead_too_long_for_timeline(self):
         with pytest.raises(ValueError, match="too short"):
@@ -163,14 +163,13 @@ class TestEvents:
                     planted=(PlantedSpec((0, 1), 15, 20, 1.0),),
                     event_rate=1.0,
                     seed=0,
-                ),
-                verify=False,
+                )
             )
 
 
 class TestInjection:
     def test_anomaly_bookkeeping(self):
-        _, events, manifest = generate_fleet(BUSY, verify=False)
+        _, events, manifest = generate_fleet(BUSY)
         anomalies = manifest["anomalies"]
         assert len(anomalies) == len(events) * len(BUSY.planted)
         onsets = {(ev.unit_id, ev.onset) for ev in events}
@@ -186,8 +185,8 @@ class TestInjection:
         zero = dataclasses.replace(
             BUSY, planted=(PlantedSpec((0, 1), 5, 15, 0.0),)
         )
-        p0, e0, m0 = generate_fleet(zero, verify=False)
-        p6, e6, m6 = generate_fleet(BUSY, verify=False)
+        p0, e0, m0 = generate_fleet(zero)
+        p6, e6, m6 = generate_fleet(BUSY)
         assert e0 == e6  # magnitude does not perturb the draws
         assert m0["anomalies"] == m6["anomalies"]
 
@@ -217,13 +216,13 @@ class TestInjection:
                 assert nonzero[k] == pytest.approx(v, rel=1e-12)
 
     def test_planted_flights_verified_detectable(self):
-        manifest = generate_fleet(BUSY, verify=True)[2]
+        manifest = generate_fleet(BUSY)[2]
         assert manifest["verified_q95"] is True
 
 
 class TestManifest:
     def test_structure(self):
-        _, _, manifest = generate_fleet(BUSY, verify=False)
+        _, _, manifest = generate_fleet(BUSY)
         assert manifest["seed"] == BUSY.seed
         assert manifest["units"] == BUSY.units
         assert manifest["flights_per_unit"] == BUSY.flights_per_unit
@@ -239,7 +238,7 @@ class TestManifest:
         assert len(manifest["events"]) > 0
 
     def test_written_manifest_parses(self, tmp_path):
-        _, _, manifest = generate_fleet(BUSY, verify=False)
+        _, _, manifest = generate_fleet(BUSY)
         path = tmp_path / "manifest.json"
         write_json(path, manifest)
         text = path.read_text()
