@@ -7,6 +7,7 @@ import os
 import struct
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -275,6 +276,19 @@ def alarm_lists(draw):
     return draw(st.permutations(alarms))
 
 
+# Three ids fire at the same flights, one of them twice (a one-member
+# combination repeats its elementary alarm), and every unit and id needs
+# quoting: small blocks cut the rows of one flight apart.
+SEAM_AXIS = FleetAxis.from_ranges({"u,1": (0, 9), 'u"2': (-3, 6)})
+SEAM_ALARMS = [alarm_series(a, {"u,1": {0, 1, 2}, 'u"2': {-3, 6}}, SEAM_AXIS)
+               for a in ('b"', "a,", "c", "a,")]
+# 3,000 firings: three blocks of rows at the real block size.
+LONG_AXIS = FleetAxis.from_ranges({"u,1": (0, 599), "u2": (100, 699)})
+LONG_ALARMS = [alarm_series(a, {"u,1": range(0, 600, step), "u2": range(100, 700, step)},
+                            LONG_AXIS)
+               for a, step in (("a,", 1), ("b", 2), ("a,", 1))]
+
+
 class TestOutputEncodings:
     def test_write_json_golden_bytes(self, tmp_path):
         path = tmp_path / "o.json"
@@ -526,16 +540,50 @@ class TestCsvRoundTrips:
 
     @settings(max_examples=200, deadline=None)
     @given(alarm_lists())
+    @example(LONG_ALARMS)
     def test_alarms_equal_the_sorted_tuple_writer(self, tmp_path_factory, alarms):
         tmp = tmp_path_factory.mktemp("alarms")
         write_alarms_csv(tmp / "got.csv", alarms)
         write_alarms_reference(tmp / "ref.csv", alarms)
         assert (tmp / "got.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+    @settings(max_examples=50, deadline=None)
+    @given(alarm_lists())
+    @example(SEAM_ALARMS)
+    def test_alarms_are_equal_across_block_seams(self, tmp_path_factory, block_rows, alarms):
+        tmp = tmp_path_factory.mktemp("alarms")
+        write_alarms_reference(tmp / "ref.csv", alarms)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "CSV_BLOCK_ROWS", block_rows)
+            write_alarms_csv(tmp / "got.csv", alarms)
+        assert (tmp / "got.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+    def test_alarms_take_few_bytes_a_firing(self, tmp_path):
+        # The writer holds three arrays of 8 B a firing, about 28 B in all at
+        # its peak; lists of every row's cells take about 95 B a firing.
+        axis = FleetAxis.from_ranges({f"u{i}": (0, 49_999) for i in range(4)})
+        rng = np.random.default_rng(0)
+        alarms = [
+            AlarmSeries(f"a{i}", axis, np.sort(rng.choice(axis.starts[-1], 25_000, replace=False)))
+            for i in range(4)
+        ]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_alarms_csv(tmp_path / "a.csv", alarms)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 100_000
+        assert len((tmp_path / "a.csv").read_bytes().splitlines()) == 100_001
+
     def test_alarms_on_two_axes_are_refused(self, tmp_path):
         alarms = [alarm_series("a", {"u1": {1}}), alarm_series("b", {"u2": {1}})]
         with pytest.raises(ValueError, match="disagree on the fleet axis"):
             write_alarms_csv(tmp_path / "a.csv", alarms)
+        assert not (tmp_path / "a.csv").exists()
 
 
 # Cell spellings for the reader properties: reprs of edge values and other

@@ -2,9 +2,11 @@
 
 What the method ignores must leave the trained model untouched, bit for bit:
 shifting every flight, onset and end by one constant (alarm positions are
-relative to each unit's first flight on the fleet axis), and the order in which
-the units' rows and the events arrive.  None of these relations regroups the
-rows or columns of a product or a sum, so they hold exactly.
+relative to each unit's first flight on the fleet axis), the order in which
+the units' rows and the events arrive, a rename of the units that keeps their
+sort order, and events of a code outside the target prefix.  A shift must
+also leave the confusion curve of a score as it is.  None of these relations
+regroups the rows or columns of a product or a sum, so they hold exactly.
 """
 
 import dataclasses
@@ -16,10 +18,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from fleetwarn.cli import main
-from fleetwarn.core import MatchParams, write_events_csv, write_telemetry_csv
-from fleetwarn.evaluation import leave_one_unit_out
+from fleetwarn.core import EventRecord, MatchParams, write_events_csv, write_telemetry_csv
+from fleetwarn.evaluation import Curve, leave_one_unit_out, roc_pr_curves, threshold_baseline
 from fleetwarn.matching import stats_to_jsonable
-from fleetwarn.pipeline import PipelineConfig, train_model
+from fleetwarn.pipeline import PipelineConfig, select_target_events, train_model
 from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet
 from fleetwarn.synth import SearchConfig, precursors_to_jsonable
 
@@ -32,6 +34,8 @@ CFG = PipelineConfig(
     code_prefix="E",
 )
 SHIFTS = (1000, -10**6)
+# Prefixed to every unit id: the sorted order of the units stays the same.
+PREFIX = "ac-"
 
 
 def sim(units, seed):
@@ -68,6 +72,25 @@ def shuffled(panels, events, seed):
     return rng.sample(panels, len(panels)), rng.sample(events, len(events))
 
 
+def renamed(panels, events):
+    return (
+        [dataclasses.replace(p, unit_id=PREFIX + p.unit_id) for p in panels],
+        [dataclasses.replace(ev, unit_id=PREFIX + ev.unit_id) for ev in events],
+    )
+
+
+def with_non_targets(panels, events, seed, count=200):
+    """``events`` followed by ``count`` events of the non-target code ``X9``
+    on random units and flights."""
+    rng = random.Random(seed)
+    extra = []
+    for _ in range(count):
+        panel = rng.choice(panels)
+        onset = int(rng.choice(panel.flights))
+        extra.append(EventRecord(panel.unit_id, onset, onset + rng.randint(1, 5), "X9"))
+    return panels, events + extra
+
+
 def _json(payload):
     return json.dumps(payload, sort_keys=True)
 
@@ -87,19 +110,32 @@ def model_record(model):
     }
 
 
-def folds_record(result):
-    """Every fold result of ``leave_one_unit_out`` and the aggregate."""
+def folds_record(result, unit=str):
+    """Every fold result of ``leave_one_unit_out`` and the aggregate, with
+    each unit id mapped through ``unit``."""
     return _json({
         "folds": [{
-            "unit": f.held_out_unit,
+            "unit": unit(f.held_out_unit),
             "skipped": f.skipped,
             "stats": f.stats and stats_to_jsonable(f.stats),
             "precursors": f.precursors and precursors_to_jsonable(f.precursors),
             "counts": [f.window_counts, f.segment_counts],
         } for f in result.folds],
         "aggregate": stats_to_jsonable(result.aggregate),
-        "skipped": result.skipped_units,
+        "skipped": [unit(u) for u in result.skipped_units],
     })
+
+
+def baseline_scores(panels):
+    """Each unit's flights mapped to its first parameter, as ``curves`` scores
+    a baseline."""
+    return {p.unit_id: dict(zip(p.flights.tolist(),
+                                threshold_baseline(p.values[:, 0], "above").tolist()))
+            for p in panels}
+
+
+def curve_record(curve):
+    return [getattr(curve, f.name).tobytes() for f in dataclasses.fields(Curve)]
 
 
 @settings(max_examples=6, deadline=None)
@@ -129,6 +165,45 @@ def test_folds_ignore_a_shift_and_the_order_of_units_and_events(fleet, by, seed)
     assert folds_record(leave_one_unit_out(*shuffled(panels, events, seed), CFG)) == expect
 
 
+@settings(max_examples=4, deadline=None)
+@given(fleets())
+def test_training_ignores_an_order_preserving_unit_rename(fleet):
+    panels, events = fleet
+    model = train_model(panels, events, CFG)
+    moved = train_model(*renamed(panels, events), CFG)
+    assert model_record(moved) == model_record(model)
+    assert moved.layout.axis.units == tuple(PREFIX + u for u in model.layout.axis.units)
+
+
+@settings(max_examples=4, deadline=None)
+@given(fleets(), st.integers(0, 2**32 - 1))
+def test_training_ignores_non_target_events(fleet, seed):
+    panels, events = fleet
+    assert model_record(train_model(*with_non_targets(panels, events, seed), CFG)) == (
+        model_record(train_model(panels, events, CFG)))
+
+
+@settings(max_examples=2, deadline=None)
+@given(fleets(units=st.integers(2, 3)), st.integers(0, 2**32 - 1))
+def test_folds_ignore_a_unit_rename_and_non_target_events(fleet, seed):
+    panels, events = fleet
+    expect = folds_record(leave_one_unit_out(panels, events, CFG))
+    moved = leave_one_unit_out(*renamed(panels, events), CFG)
+    assert folds_record(moved, unit=lambda u: u.removeprefix(PREFIX)) == expect
+    assert folds_record(leave_one_unit_out(*with_non_targets(panels, events, seed), CFG)) == expect
+
+
+@settings(max_examples=6, deadline=None)
+@given(fleets(), st.sampled_from(SHIFTS), st.integers(0, 5))
+def test_curves_ignore_a_shift_of_every_flight(fleet, by, tolerance):
+    panels, events = fleet
+    targets = select_target_events(events, CFG.code_prefix)
+    curve = roc_pr_curves(baseline_scores(panels), targets, tolerance)
+    panels, targets = shifted(panels, targets, by)
+    assert curve_record(roc_pr_curves(baseline_scores(panels), targets, tolerance)) == (
+        curve_record(curve))
+
+
 def _write(root, panels, events):
     root.mkdir()
     write_telemetry_csv(root / "telemetry.csv", panels)
@@ -139,15 +214,18 @@ def _write(root, panels, events):
         "detect": {"quantile": 0.995, "normal_before": 20, "normal_after": 10},
         "filter": {"kind": "soft", "theta": 1.0},
         "target": {"code_prefix": "E"},
+        "eval": {"tolerance": 3},
+        "curves": {"baseline_param": panels[0].columns[0]},
     }))
     return root
 
 
-def _run(root):
-    """``run`` on the fleet in ``root``: each output file's bytes by relative path."""
-    assert main(["run", "--config", str(root / "run.json"), "--out", str(root / "out")]) == 0
-    return {p.relative_to(root / "out").as_posix(): p.read_bytes()
-            for p in sorted((root / "out").rglob("*")) if p.is_file()}
+def _run(root, command="run"):
+    """``command`` on the fleet in ``root``: each output file's bytes by relative path."""
+    out = root / command
+    assert main([command, "--config", str(root / "run.json"), "--out", str(out)]) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +254,24 @@ def test_cli_run_ignores_interleaved_rows_and_shuffled_events(cli_fleet, tmp_pat
     assert sorted(interleaved) == sorted(rows) != interleaved
     (root / "telemetry.csv").write_text("\n".join([header, *interleaved]) + "\n")
     assert _run(root) == plain
+
+
+def test_cli_run_ignores_an_order_preserving_unit_rename(cli_fleet, tmp_path):
+    panels, events, plain = cli_fleet
+    moved = _run(_write(tmp_path / "fleet", *renamed(panels, events)))
+    header, *rows = moved.pop("alarms.csv").splitlines(keepends=True)
+    assert rows and all(row.startswith(PREFIX.encode()) for row in rows)
+    assert header + b"".join(row[len(PREFIX):] for row in rows) == plain["alarms.csv"]
+    assert moved == {name: data for name, data in plain.items() if name != "alarms.csv"}
+
+
+def test_cli_run_ignores_non_target_events(cli_fleet, tmp_path):
+    panels, events, plain = cli_fleet
+    assert _run(_write(tmp_path / "fleet", *with_non_targets(panels, events, 5))) == plain
+
+
+def test_cli_curves_ignore_a_shift_of_every_flight(cli_fleet, tmp_path):
+    panels, events, _ = cli_fleet
+    plain = _run(_write(tmp_path / "plain", panels, events), "curves")
+    assert len(plain["curves.csv"].splitlines()) > 2
+    assert _run(_write(tmp_path / "moved", *shifted(panels, events, 1000)), "curves") == plain
