@@ -394,20 +394,18 @@ def _csv_rows(path: str | Path, fh: Iterable[str]) -> Iterator[tuple[int, list[s
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _text(path: str | Path, data: bytes | None) -> io.TextIOWrapper:
-    """``path``, or its bytes ``data`` if they were read before, as text for csv."""
-    binary = open(path, "rb") if data is None else io.BytesIO(data)
-    return io.TextIOWrapper(binary, encoding="utf-8", newline="")
+# Opens an input at its start: a file, or a ``BytesIO`` over a pipe's bytes read once.
+_Opener = Callable[[], BinaryIO]
 
 
 def _read_csv(path: str | Path, header: Sequence[str], parse: Callable[[list[str]], Any],
-              data: bytes | None = None) -> list:
-    """``parse(row)`` of each non-blank row below ``header`` in ``_text(path, data)``.
+              opener: _Opener) -> list:
+    """``parse(row)`` of each non-blank row below ``header`` in the input ``opener`` opens.
 
     A row of the wrong width, or one that csv or ``parse`` rejects, fails as
     ``<path>: line N: <reason>``.
     """
-    with _text(path, data) as fh:
+    with io.TextIOWrapper(opener(), encoding="utf-8", newline="") as fh:
         rows = _csv_rows(path, fh)
         if next(rows, (0, None))[1] != list(header):
             raise ValueError(f"{path}: expected header {','.join(header)}")
@@ -668,9 +666,9 @@ def _coded(texts: Iterable[str]) -> tuple[list[str], np.ndarray]:
     return list(index), codes
 
 
-def _bulk_rows(fh: BinaryIO, width: int, size: int | None) -> _Rows:
+def _bulk_rows(fh: BinaryIO, width: int, size: int) -> _Rows:
     """The rows of a plain telemetry file in the next ``size`` bytes of
-    ``fh``, or in all the rest if ``size`` is None; ``fh`` stands at a line start.
+    ``fh``, which stands at a line start.
 
     The lines are read one at a time, and one streaming ``np.loadtxt`` parses
     their numeric cells.  Text that is not plain, or an invalid row, raises a
@@ -685,9 +683,6 @@ def _bulk_rows(fh: BinaryIO, width: int, size: int | None) -> _Rows:
     limit = csv.field_size_limit()
 
     def lines() -> Iterator[bytes]:
-        if size is None:
-            yield from fh
-            return
         left = size
         while left > 0 and (line := fh.readline()):
             left -= len(line)
@@ -723,13 +718,12 @@ def _bulk_rows(fh: BinaryIO, width: int, size: int | None) -> _Rows:
                  np.array(phase_codes, dtype=np.intp), values)
 
 
-def _range_rows(path: str | Path, data: bytes | None, width: int,
-                span: tuple[int, int | None]) -> _Rows | None:
-    """The ``_bulk_rows`` of the ``size`` bytes from ``start`` of ``path``,
-    or of its bytes ``data``, where ``span`` is ``(start, size)``; None if a
+def _range_rows(opener: _Opener, width: int, span: tuple[int, int]) -> _Rows | None:
+    """The ``_bulk_rows`` of the ``size`` bytes from ``start`` of the input
+    that ``opener`` opens, where ``span`` is ``(start, size)``; None if a
     row there needs the row loop."""
     start, size = span
-    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
+    with opener() as fh:
         fh.seek(start)
         try:
             return _bulk_rows(fh, width, size)
@@ -776,16 +770,17 @@ def _range_starts(fh: BinaryIO, start: int, size: int, k: int) -> list[int]:
     return [start, *(c for c in dict.fromkeys(cuts) if c < start + size)]
 
 
-def _plain_rows(path: str | Path, data: bytes | None = None) -> tuple[tuple[str, ...], _Rows]:
-    """The columns and rows of a plain telemetry file, or of its bytes ``data``.
+def _plain_rows(path: str | Path, opener: _Opener) -> tuple[tuple[str, ...], _Rows]:
+    """The columns and rows of the plain telemetry file ``path`` that ``opener`` opens.
 
     The rows are cut into byte ranges that start at line starts, one per
     process that ``_processes`` allows while each range holds at least
-    ``READ_RANGE_BYTES``.  ``_on_cpus`` parses them, and the ranges are
-    joined in file order.  A range that is not plain or holds an invalid row
-    raises a ValueError that names no line.
+    ``READ_RANGE_BYTES``; each range ends where the next starts.
+    ``_on_cpus`` parses them, and the ranges are joined in file order.  A
+    range that is not plain or holds an invalid row raises a ValueError
+    that names no line.
     """
-    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
+    with opener() as fh:
         header = fh.readline().decode()
         if not _plain(header, csv.field_size_limit()):
             raise ValueError("not plain text")
@@ -793,26 +788,22 @@ def _plain_rows(path: str | Path, data: bytes | None = None) -> tuple[tuple[str,
         if not columns:
             raise ValueError("no parameter columns")
         start = fh.tell()
-        if data is None:
-            body = os.fstat(fh.fileno()).st_size - start
-            starts = _range_starts(fh, start, body, _processes(body // READ_RANGE_BYTES))
-        else:
-            starts = [start]  # bytes read from a pipe: one range
-    sizes = [b - a for a, b in zip(starts, starts[1:])] + [None]  # the last runs to the end
-    parts = _on_cpus(path, "reading its rows", partial(_range_rows, path, data, len(columns)),
-                     list(zip(starts, sizes)))
+        body = fh.seek(0, os.SEEK_END) - start
+        starts = _range_starts(fh, start, body, _processes(body // READ_RANGE_BYTES))
+    spans = [(a, b - a) for a, b in zip(starts, [*starts[1:], start + body])]
+    parts = _on_cpus(path, "reading its rows", partial(_range_rows, opener, len(columns)), spans)
     if None in parts:
         raise ValueError("not plain text")
     return columns, _joined(parts)
 
 
-def _checked_rows(path: str | Path, data: bytes | None = None) -> tuple[tuple[str, ...], _Rows]:
+def _checked_rows(path: str | Path, opener: _Opener) -> tuple[tuple[str, ...], _Rows]:
     """What ``_plain_rows`` returns, parsed one row at a time by ``_read_csv``.
 
     It reads any text ``csv`` reads, and raises the first invalid row as
     ``<path>: line N: <reason>``.
     """
-    with _text(path, data) as fh:
+    with io.TextIOWrapper(opener(), encoding="utf-8", newline="") as fh:
         line, header = next(_csv_rows(path, fh), (0, None))
         columns = _telemetry_columns(path, header, line)
     previous: dict[str, int] = {}
@@ -829,7 +820,7 @@ def _checked_rows(path: str | Path, data: bytes | None = None) -> tuple[tuple[st
         cells = [_parse_cell(name, c) if c else math.nan for name, c in zip(columns, row[3:])]
         return unit, flight, row[2], cells
 
-    rows = _read_csv(path, header, parse, data)
+    rows = _read_csv(path, header, parse, opener)
     units, flights, phases, cells = zip(*rows) if rows else ((),) * 4
     values = np.array(cells, dtype=np.float64).reshape(len(rows), len(columns))
     flights = np.array(flights, dtype=np.int64)
@@ -864,14 +855,14 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryPanel]:
     row loop, which accepts the same cell text and raises the first invalid
     row as ``<path>: line N: <reason>``.  A forked process that fails raises
     ``ChildProcessError``.  A pipe, which can be read only once, is read
-    into memory first and parsed in one range.
+    into memory first and then cut into ranges like a file.
     """
     with open(path, "rb") as fh:
-        data = None if fh.seekable() else fh.read()
+        opener = partial(open, path, "rb") if fh.seekable() else partial(io.BytesIO, fh.read())
     try:
-        return _panels(*_plain_rows(path, data))
+        return _panels(*_plain_rows(path, opener))
     except (ValueError, OverflowError):  # OverflowError: a flight outside int64
-        return _panels(*_checked_rows(path, data))
+        return _panels(*_checked_rows(path, opener))
 
 
 _EVENTS_HEADER = ("unit_id", "onset", "end", "code")
@@ -888,7 +879,7 @@ def _parse_event(row: list[str]) -> EventRecord:
 
 
 def read_events_csv(path: str | Path) -> list[EventRecord]:
-    return _read_csv(path, _EVENTS_HEADER, _parse_event)
+    return _read_csv(path, _EVENTS_HEADER, _parse_event, partial(open, path, "rb"))
 
 
 def read_scores_csv(path: str | Path) -> dict[str, dict[int, float]]:
@@ -908,7 +899,7 @@ def read_scores_csv(path: str | Path) -> dict[str, dict[int, float]]:
         if not math.isnan(score):
             out.setdefault(unit, {})[flight] = score
 
-    _read_csv(path, ("unit_id", "flight", "score"), parse)
+    _read_csv(path, ("unit_id", "flight", "score"), parse, partial(open, path, "rb"))
     return out
 
 

@@ -193,10 +193,12 @@ def binarize(
     """
     if det.threshold is None:
         raise ValueError("threshold not set; call fit_threshold first")
-    positions = [np.empty(0, dtype=np.int64)] + [
-        np.asarray(flights)[np.asarray(values) > det.threshold] + axis.shift(unit)
-        for unit, (flights, values) in sorted(scores.items())
-    ]
+    positions = [np.empty(0, dtype=np.int64)]
+    for unit, (flights, values) in sorted(scores.items()):
+        i = axis.units.index(unit)
+        # A flight's offset from its unit's first flight fits in int64; the shift may not.
+        positions.append(np.asarray(flights)[np.asarray(values) > det.threshold]
+                         - axis.first[i] + axis.starts[i])
     return AlarmSeries(det.alarm_id, axis, np.concatenate(positions))
 
 

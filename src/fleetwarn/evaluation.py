@@ -42,7 +42,7 @@ from fleetwarn.matching import (
     significance_samples,
     significance_test,
 )
-from fleetwarn.pipeline import PipelineConfig, pooled_on, train_model
+from fleetwarn.pipeline import PipelineConfig, pooled_on, select_target_events, train_model
 from fleetwarn.synth import PrecursorSet
 
 
@@ -83,17 +83,16 @@ def _aggregate(folds: Sequence[FoldResult]) -> MatchStats:
 def _fold(
     held: TelemetryPanel,
     panels: Sequence[TelemetryPanel],
-    events: Sequence[EventRecord],
     targets: Sequence[EventRecord],
     cfg: PipelineConfig,
 ) -> FoldResult:
     """Train without ``held``, and grade the pooled signal on it."""
     train_panels = [p for p in panels if p.unit_id != held.unit_id]
-    train_events = [ev for ev in events if ev.unit_id != held.unit_id]
+    train_targets = [ev for ev in targets if ev.unit_id != held.unit_id]
     # Built before the fold trains; it drops the targets of other units as out of range.
     layout = layout_periods(targets, cfg.match, {held.unit_id: held.observation_range()})
     try:
-        model = train_model(train_panels, train_events, cfg)
+        model = train_model(train_panels, train_targets, cfg)
     except NoTargetEventsError:
         return FoldResult(held_out_unit=held.unit_id, skipped=True)
     pooled = pooled_on(model, [held])
@@ -137,7 +136,8 @@ def leave_one_unit_out(
 ) -> CrossvalResult:
     """One fold per unit: train without it, grade the pooled signal on it.
 
-    A fold whose training units carry no target event is marked skipped.
+    A fold whose training units carry no target event is marked skipped;
+    no target event at all raises :class:`NoTargetEventsError`.
     The folds train in k processes, one per CPU and at most one per unit,
     each with one OpenBLAS thread; without fork or numpy's bundled OpenBLAS,
     k is 1.  Process i trains the interleaved share ``panels[i::k]``, so the
@@ -150,8 +150,8 @@ def leave_one_unit_out(
     if len(panels) < 2:
         raise ValueError("leave-one-unit-out needs at least 2 units")
 
-    targets = [ev for ev in events if ev.code.startswith(cfg.code_prefix)]
-    fold = partial(_fold, panels=panels, events=events, targets=targets, cfg=cfg)
+    targets = select_target_events(events, cfg.code_prefix)
+    fold = partial(_fold, panels=panels, targets=targets, cfg=cfg)
     k = core._processes(len(panels))
     threads = core._blas_threads() if k > 1 else None
     shares = [panels[i::k] for i in range(k)] if threads else [panels]

@@ -128,30 +128,17 @@ def search_combinations(
 
     gated = [alarm for alarm in ordered if gate_ttest(match_stats(alarm, layout), cfg.alpha)]
 
-    candidates: list[tuple[AlarmSeries, ...]] = []
+    # ``gated`` is sorted by id, so candidates come by size, then in member-id order:
+    # the first survivor of each firing set has the smallest member set.
+    by_signature: dict[bytes, Combination] = {}
     for size in range(1, cfg.max_size + 1):
-        candidates.extend(combinations(gated, size))
-
-    survivors: list[Combination] = []
-    for members in candidates:
-        composed = compose_and(members)
-        stats = match_stats(composed, layout)
-        if _passes(stats, cfg):
-            survivors.append(
-                Combination(
-                    members=tuple(sorted(a.alarm_id for a in members)),
-                    alarm=composed,
-                    stats=stats,
-                    provenance=cfg.filter_kind,
-                )
-            )
-
-    by_signature: dict[tuple, Combination] = {}
-    for combo in survivors:
-        key = combo.alarm.signature()
-        held = by_signature.get(key)
-        if held is None or (len(combo.members), combo.members) < (len(held.members), held.members):
-            by_signature[key] = combo
+        for members in combinations(gated, size):
+            composed = compose_and(members)
+            stats = match_stats(composed, layout)
+            if _passes(stats, cfg):
+                combo = Combination(members=tuple(a.alarm_id for a in members), alarm=composed,
+                                    stats=stats, provenance=cfg.filter_kind)
+                by_signature.setdefault(composed.signature(), combo)
     unique = sorted(
         by_signature.values(),
         key=lambda c: (c.stats.false_to_covered, -c.stats.coverage, c.alarm.alarm_id),

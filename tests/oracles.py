@@ -13,6 +13,7 @@ import itertools
 import math
 import warnings
 from bisect import insort
+from functools import partial
 
 import numpy as np
 from scipy import stats as sstats
@@ -480,7 +481,7 @@ def _first_telemetry_problem(path, columns):
                 _parse_cell(name, cell)
 
     try:
-        _read_csv(path, ("unit_id", "flight", "phase", *columns), check)
+        _read_csv(path, ("unit_id", "flight", "phase", *columns), check, partial(open, path, "rb"))
     except ValueError as exc:
         return exc
     return ValueError(f"{path}: invalid telemetry")

@@ -819,6 +819,19 @@ class TestCrossval:
         agg = json.loads((out / "aggregate.json").read_text())
         assert agg["aggregate"]["coverage"] >= 0.8
 
+    def test_unmatched_prefix_returns_four(self, ws, tmp_path, capsys):
+        payload = {
+            "io": {
+                "telemetry": str(ws["fleet"] / "telemetry.csv"),
+                "events": str(ws["fleet"] / "events.csv"),
+            },
+            "target": {"code_prefix": "Z"},
+        }
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["crossval", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "fleetwarn: no events match code prefix 'Z'\n"
+        assert not (tmp_path / "o" / "aggregate.json").exists()
+
     def test_single_unit_rejected(self, tmp_path, capsys):
         sim_cfg = write_config(
             tmp_path / "sim.json",

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -657,7 +658,8 @@ class TestTelemetryReaderAgainstRowLoop:
         assert isinstance(expect, list)  # every drawn file is valid
         assert _outcome(read_telemetry_csv, path) == expect
         if not any(c in text.partition("\n")[2] for c in '"\r_\u0663'):  # the bulk pass alone
-            assert _panel_bytes(core._panels(*core._plain_rows(path))) == expect
+            opener = partial(open, path, "rb")
+            assert _panel_bytes(core._panels(*core._plain_rows(path, opener))) == expect
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -752,7 +754,7 @@ class TestTelemetryReaderAgainstRowLoop:
         )
         expect = _panel_bytes(read_telemetry_row_loop(path))
 
-        def row_loop(path, data=None):
+        def row_loop(path, opener):
             raise AssertionError("row loop")
 
         monkeypatch.setattr(core, "_checked_rows", row_loop)
@@ -862,27 +864,46 @@ class TestTelemetryReaderProcesses:
             assert _outcome(read_telemetry_csv, path) == _outcome(read_telemetry_reference, path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_named_pipe_reads_in_one_range(self, tmp_path):
-        # A plain file, a repeated flight and a quoted unit id: the last two take
-        # the row loop, which must parse the bytes read once, not reopen the pipe.
-        for i, rows in enumerate(["u1,1,,0.5\nu2,1,cruise,\n\nu1,2,,1",
-                                  "u1,1,,0.5\nu1,1,,0.7\n", '"u1",1,,0.5\n']):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_named_pipe_reads_like_a_file(self, tmp_path, monkeypatch, cpus):
+        """A pipe's bytes, read once, are cut into the ranges of a file of the
+        same bytes and give its panels bit for bit, or its messages with the
+        pipe's path.  A repeated flight and a quoted unit id take the row loop,
+        which must parse the bytes read once: a second open of the pipe would
+        wait forever."""
+        monkeypatch.setattr(core, "READ_RANGE_BYTES", 8)  # a range per 8 bytes of rows
+        monkeypatch.setattr(core, "_processes", lambda *caps: max(1, min(cpus, *caps)))
+        ranges = []
+        on_cpus = core._on_cpus
+
+        def counted(where, doing, fn, shares):
+            ranges.append(len(shares))
+            return on_cpus(where, doing, fn, shares)
+
+        monkeypatch.setattr(core, "_on_cpus", counted)
+        plain = "u1,1,,0.5\nu2,1,cruise,\n\nu1,2,,1\nu2,2,,-0.0\nu1,3,x,2.5\nu2,3,,1e5"
+        for i, rows in enumerate([plain, "u1,1,,0.5\nu2,1,,0.25\nu1,1,,0.7\n",
+                                  '"u1",1,,0.5\nu1,2,,0.25\nu1,3,,1\n']):
             text = READ_HEADER + rows
-            (tmp_path / f"{i}.csv").write_text(text)
+            path = tmp_path / f"{i}.csv"
+            path.write_text(text)
+            expect = _outcome(read_telemetry_csv, path)
+            assert expect == _outcome(read_telemetry_reference, path)
             pipe = tmp_path / f"{i}.pipe"
             os.mkfifo(pipe)
             got = []
-            reader = threading.Thread(  # a second open of the pipe would wait forever
+            reader = threading.Thread(
                 target=lambda p, g: g.append(_outcome(read_telemetry_csv, p)),
                 args=(pipe, got), daemon=True)
             reader.start()
             pipe.write_text(text)
             reader.join(timeout=20)
-            expect = _outcome(read_telemetry_reference, tmp_path / f"{i}.csv")
             if i == 1:
-                assert expect == f"{tmp_path / '1.csv'}: line 3: repeated flight 1 of unit 'u1'"
-                expect = f"{pipe}: line 3: repeated flight 1 of unit 'u1'"
+                assert expect == f"{path}: line 4: repeated flight 1 of unit 'u1'"
+                expect = f"{pipe}: line 4: repeated flight 1 of unit 'u1'"
             assert got == [expect], rows
+            assert ranges[-1] == ranges[-2], rows  # the pipe's ranges are the file's
+        assert ranges[:2] == [cpus, cpus]  # the plain rows, from the file and the pipe
 
     def test_processes_per_cpu_and_range_floor(self, monkeypatch, tmp_path):
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})

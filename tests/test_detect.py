@@ -299,6 +299,20 @@ class TestBinarize:
         alarm = binarize(det, {"u": (np.array([1, 2]), np.array([np.nan, 2.0]))}, AXIS)
         assert firings(alarm)["u"] == frozenset({2})
 
+    def test_flights_at_both_ends_of_int64(self):
+        # Unit "a"'s shift, its start 0 minus its first flight -2^63, is 2^63:
+        # not an int64, though every position and flight is.
+        low, high = -(2**63), 2**63 - 4
+        axis = FleetAxis.from_ranges({"a": (low, low + 3), "b": (high, high + 3)})
+        values = np.array([0.1, 5.0, 0.2, 7.0])
+        alarm = binarize(self.detector(1.0), {
+            "a": (np.array([low, low + 1, low + 2, low + 3]), values),
+            "b": (np.array([high, high + 1, high + 2, high + 3]), values),
+        }, axis)
+        assert alarm.positions.tolist() == [1, 3, 5, 7]
+        assert firings(alarm) == {"a": frozenset({low + 1, low + 3}),
+                                  "b": frozenset({high + 1, 2**63 - 1})}
+
     def test_threshold_required(self):
         det = SubspaceDetector(
             group=("a",), mean=np.zeros(1), basis=np.ones((1, 1)), rank=1, quantile=0.9

@@ -467,6 +467,11 @@ class TestCrossval:
             assert fold.stats.irrelevant_firings == fold.stats.covered_events == 0
             assert fold.stats.false_segments == len(fold.segment_counts) > 0
 
+    def test_no_target_event_raises(self):
+        panels, events = small_fleet()
+        with pytest.raises(NoTargetEventsError, match="prefix 'Z'"):
+            leave_one_unit_out(list(panels), events, dataclasses.replace(SMALL_CFG, code_prefix="Z"))
+
     def test_fold_without_training_events_is_skipped(self):
         panels, events = small_fleet()
         assert events

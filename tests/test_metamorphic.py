@@ -275,3 +275,25 @@ def test_cli_curves_ignore_a_shift_of_every_flight(cli_fleet, tmp_path):
     plain = _run(_write(tmp_path / "plain", panels, events), "curves")
     assert len(plain["curves.csv"].splitlines()) > 2
     assert _run(_write(tmp_path / "moved", *shifted(panels, events, 1000)), "curves") == plain
+
+
+def test_cli_run_and_crossval_with_a_unit_from_flight_minus_2_63(cli_fleet, tmp_path):
+    """One unit's flights moved to start at -2^63, where its shift on the fleet
+    axis, start minus first flight, is no int64: every file is as before, and
+    ``alarms.csv`` names the moved flights."""
+    panels, events, plain = cli_fleet
+    unit, first, low = panels[1].unit_id, int(panels[1].flights[0]), -(2**63)
+    by = low - first  # no int64 itself
+    moved_panels = [dataclasses.replace(p, flights=p.flights - first + low)
+                    if p.unit_id == unit else p for p in panels]
+    moved_events = [dataclasses.replace(ev, onset=ev.onset + by, end=ev.end + by)
+                    if ev.unit_id == unit else ev for ev in events]
+    root = _write(tmp_path / "fleet", moved_panels, moved_events)
+    moved = _run(root)
+    alarms = [line.split(b",") for line in moved.pop("alarms.csv").splitlines()]
+    assert any(u == unit.encode() for u, _, _ in alarms[1:])
+    back = [alarms[0]] + [[u, b"%d" % (int(t) - by) if u == unit.encode() else t, a]
+                          for u, t, a in alarms[1:]]
+    assert b"".join(b",".join(row) + b"\n" for row in back) == plain["alarms.csv"]
+    assert moved == {name: data for name, data in plain.items() if name != "alarms.csv"}
+    assert _run(root, "crossval") == _run(_write(tmp_path / "plain", panels, events), "crossval")
