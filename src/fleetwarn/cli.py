@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -291,8 +290,7 @@ def cmd_curves(cfg: RunConfig, out: Path) -> int:
         for panel in panels:
             column = panel.values[:, panel.column_index(cfg.baseline_param)]
             values = threshold_baseline(column, cfg.baseline_direction).tolist()
-            flights = panel.flights.tolist()
-            scores[panel.unit_id] = {t: s for t, s in zip(flights, values) if not math.isnan(s)}
+            scores[panel.unit_id] = dict(zip(panel.flights.tolist(), values))
     else:
         raise ConfigError("curves needs io.scores or curves.baseline_param")
     curve = roc_pr_curves(scores, events, cfg.tolerance)

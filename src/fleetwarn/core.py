@@ -285,8 +285,8 @@ def apply_column_stats(panel: TelemetryPanel, stats: ColumnStats) -> TelemetryPa
 
 
 # --------------------------------------------------------------------------
-# File formats: every file is written by write_json or _write_text, and every
-# CSV text by _csv_text.  Every CSV float cell comes from csv_float, and every
+# File formats: every file is written by _write_text, and every CSV text by
+# _csv_text.  Every CSV float cell comes from csv_float, and every
 # JSON number that can be NaN or infinite from json_number.
 #
 # Telemetry: header `unit_id,flight,phase,<param>...`; missing = empty cell.
@@ -309,15 +309,14 @@ def json_number(x: float) -> float | str | None:
 
 
 def write_json(path: str | Path, payload: Any) -> None:
-    """``payload`` as JSON with 2-space indent, sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """``payload`` as JSON, 2-space indent, sorted keys, final newline; encoded before opening."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    _write_text(path, [*map("".join, _blocks(chunks)), "\n"])
 
 
-# Rows of a CSV joined, or handed to csv.writer, at a time.  Blocks of 4,096
-# rows were no faster, and raised the traced peak of writing a 106,000-row
-# alarms.csv by 0.9 MB and of a 32,001-row curves.csv by 3.9 MB.
+# Rows of a CSV formatted, or chunks of a JSON text joined, at a time.  Blocks
+# of 4,096 rows were no faster, and raised the traced peak of writing a
+# 106,000-row alarms.csv by 0.9 MB and of a 32,001-row curves.csv by 3.9 MB.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -344,11 +343,11 @@ def _csv_text(rows: Sequence[Sequence[str]]) -> str:
     return text + "\n"
 
 
-def _csv_blocks(rows: Iterable[Sequence[str]]) -> Iterator[str]:
-    """The CSV text of ``rows``, ``CSV_BLOCK_ROWS`` rows at a time."""
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
-        yield _csv_text(block)
+def _blocks(items: Iterable[Any]) -> Iterator[list]:
+    """``items`` in lists of ``CSV_BLOCK_ROWS``, the last one shorter."""
+    items = iter(items)
+    while block := list(itertools.islice(items, CSV_BLOCK_ROWS)):
+        yield block
 
 
 def _write_text(path: str | Path, texts: Iterable[str]) -> None:
@@ -368,7 +367,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
     Every cell is a ``str``; the bytes are those of ``csv.writer``, except
     that a row that holds a CR has every cell quoted.
     """
-    _write_text(path, _csv_blocks(itertools.chain([header], rows)))
+    _write_text(path, map(_csv_text, _blocks(itertools.chain([header], rows))))
 
 
 def _parse_cell(name: str, cell: str, parse: Callable[[str], Any] = float) -> Any:
@@ -431,7 +430,7 @@ def _telemetry_rows(panels: Sequence[TelemetryPanel]) -> Iterator[list[str]]:
 
 
 def _telemetry_text(panels: Sequence[TelemetryPanel]) -> str:
-    return "".join(_csv_blocks(_telemetry_rows(panels)))
+    return "".join(map(_csv_text, _blocks(_telemetry_rows(panels))))
 
 
 def _processes(*caps: int) -> int:
@@ -883,21 +882,20 @@ def read_events_csv(path: str | Path) -> list[EventRecord]:
 
 
 def read_scores_csv(path: str | Path) -> dict[str, dict[int, float]]:
-    """Per-unit flight -> score; NaN scores are missing and left out.
+    """Per-unit flight -> score, for every listed unit; a NaN score is kept as
+    missing, for the curve sweep to leave out.
 
     Infinite scores and a flight listed twice for one unit are rejected.
     """
     out: dict[str, dict[int, float]] = {}
-    seen: set[tuple[str, int]] = set()
 
     def parse(row: list[str]) -> None:
         unit, flight = row[0], _parse_cell("flight", row[1], int)
         score = _parse_cell("score", row[2])
-        if (unit, flight) in seen:
+        series = out.setdefault(unit, {})
+        if flight in series:
             raise ValueError(f"repeated flight {flight} of unit {unit!r}")
-        seen.add((unit, flight))
-        if not math.isnan(score):
-            out.setdefault(unit, {})[flight] = score
+        series[flight] = score
 
     _read_csv(path, ("unit_id", "flight", "score"), parse, partial(open, path, "rb"))
     return out

@@ -19,10 +19,6 @@ import numpy as np
 from fleetwarn.core import AlarmSeries, EventRecord, FleetAxis, TelemetryPanel, write_json
 
 
-class InsufficientNormalDataError(ValueError):
-    """Too few complete training rows to fit the requested rank."""
-
-
 @dataclass(frozen=True)
 class SubspaceDetector:
     """Affine low-rank model of a parameter group's normal regime.
@@ -127,7 +123,7 @@ def fit_subspace_from_rows(rows: np.ndarray, group: Sequence[str], rank: int) ->
         raise ValueError("rows must be N x group size")
     complete = rows[np.isfinite(rows).all(axis=1)]
     if complete.shape[0] < rank + 1:
-        raise InsufficientNormalDataError(
+        raise ValueError(
             f"insufficient normal data: {complete.shape[0]} complete rows "
             f"for rank {rank} on group {tuple(group)}"
         )

@@ -311,7 +311,7 @@ def roc_pr_curves(
     value = np.fromiter(chain.from_iterable(scores[u].values() for u in units),
                         dtype=np.float64, count=total)
     unit = np.repeat(np.arange(len(units)), sizes)
-    scored = ~np.isnan(value)
+    scored = ~np.isnan(value)  # a NaN score is missing: left out here, not by the readers
     flight, value, unit = flight[scored], value[scored], unit[scored]
     # A flag farther than the tolerance from every onset is never matched.
     near = np.zeros(value.size, dtype=bool)

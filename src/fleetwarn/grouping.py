@@ -32,14 +32,11 @@ class DependenceMatrix:
 
     columns: tuple[str, ...]
     values: np.ndarray
-    measure: str
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64, copy=True)
         if values.shape != (len(self.columns), len(self.columns)):
             raise ValueError("dependence matrix shape does not match columns")
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
         with np.errstate(invalid="ignore"):
             asym = np.abs(values - values.T)
         if np.any(asym[np.isfinite(asym)] > 1e-12):
@@ -198,7 +195,7 @@ def dependence_from_rows(
         values = _mutual_info_matrix(data)
     else:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return DependenceMatrix(columns=tuple(columns), values=values, measure=measure)
+    return DependenceMatrix(columns=tuple(columns), values=values)
 
 
 def build_groups(dep: DependenceMatrix, rho: float = 0.7) -> ParameterGrouping:

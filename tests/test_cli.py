@@ -993,6 +993,30 @@ class TestCurves:
             "precision": 1.0, "recall": 0.0, "fpr": 0.0,
         }
 
+    def test_a_unit_without_scores_misses_its_events_from_either_source(self, tmp_path):
+        # u2 has no score: its baseline column is empty, and its scores rows are all nan.
+        values = {"u1": [float(t % 4) for t in range(10)], "u2": [math.nan] * 10}
+        (tmp_path / "telemetry.csv").write_text("unit_id,flight,phase,x\n" + "".join(
+            f"{unit},{t},,{core.csv_float(v)}\n"
+            for unit, column in values.items() for t, v in enumerate(column)
+        ))
+        (tmp_path / "events.csv").write_text("unit_id,onset,end,code\nu1,3,4,E1\nu2,5,6,E1\n")
+        write_scores_csv(tmp_path / "scores.csv",
+                         {unit: dict(enumerate(column)) for unit, column in values.items()})
+        sources = {
+            "baseline": {"io": {"telemetry": "telemetry.csv"}, "curves": {"baseline_param": "x"}},
+            "scores": {"io": {"scores": "scores.csv"}},
+        }
+        for name, payload in sources.items():
+            payload["io"]["events"] = "events.csv"
+            cfg = write_config(tmp_path / f"{name}.json", payload)
+            assert main(["curves", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        for name in ("curves.csv", "operating_point.json"):
+            assert (tmp_path / "scores" / name).read_bytes() == (
+                tmp_path / "baseline" / name).read_bytes()
+        # Every u1 flight flagged matches u1's event; u2's event is a miss.
+        assert read_rows(tmp_path / "scores" / "curves.csv")[-1][1:4] == ["1", "9", "1"]
+
     def test_scores_missing_event_unit(self, ws, tmp_path, capsys):
         scores_path = tmp_path / "scores.csv"
         write_scores_csv(scores_path, {"unitZZZ": {1: 0.5}})

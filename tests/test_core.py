@@ -311,6 +311,34 @@ class TestOutputEncodings:
             b'}\n'
         )
 
+    def test_write_json_refuses_a_payload_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "o.json"
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 1, "b": object()})
+        assert not path.exists()
+        path.write_bytes(b'{"older": true}\n')
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 1, "b": object()})
+        assert path.read_bytes() == b'{"older": true}\n'
+
+    def test_write_json_takes_about_its_text(self, tmp_path):
+        # The text is encoded before the file opens, as joined blocks of the
+        # encoder's chunks: about 1.06 B a byte of text at the peak, where
+        # json.dumps's list of every chunk takes about 8 B.
+        payload = {"rows": [{"unit": f"u{i % 16}", "flight": i, "score": i / 7}
+                            for i in range(20_000)]}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_json(tmp_path / "o.json", payload)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        text = (tmp_path / "o.json").read_bytes()
+        assert text == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert peak < 1.5 * len(text)
+
     def test_write_csv_golden_bytes(self, tmp_path):
         path = tmp_path / "o.csv"
         write_csv(path, ["a", "b"], [["x,y", ""], ["\u00e9", 'q"']])
@@ -519,12 +547,16 @@ class TestCsvRoundTrips:
         assert read_events_csv(path) == events
 
     def test_scores(self, tmp_path):
-        scores = {"u1": {1: 0.5, 2: float("nan")}, "u2": {7: 1.25}}
+        scores = {"u1": {1: 0.5, 2: math.nan}, "u2": {7: 1.25}, "u3": {4: math.nan}}
         path = tmp_path / "s.csv"
         write_scores_csv(path, scores)
         back = read_scores_csv(path)
-        # NaN rows are written empty-safe and dropped on read
-        assert back == {"u1": {1: 0.5}, "u2": {7: 1.25}}
+        # NaN rows come back as NaN, and a unit of NaN rows alone is kept;
+        # the curve sweep is what leaves them out.
+        assert {unit: list(series) for unit, series in back.items()} == {
+            "u1": [1, 2], "u2": [7], "u3": [4]}
+        assert (back["u1"][1], back["u2"][7]) == (0.5, 1.25)
+        assert math.isnan(back["u1"][2]) and math.isnan(back["u3"][4])
 
     def test_alarms(self, tmp_path):
         axis = FleetAxis.from_ranges({"u1": (0, 9), "u2": (0, 9)})

@@ -11,7 +11,6 @@ from oracles import normal_regime_reference
 from support import firings
 from fleetwarn.core import EventRecord, FleetAxis, TelemetryPanel
 from fleetwarn.detect import (
-    InsufficientNormalDataError,
     SubspaceDetector,
     binarize,
     fit_subspace_from_rows,
@@ -168,7 +167,7 @@ class TestFitSubspace:
         assert np.allclose(det_clean.mean, det_dirty.mean)
 
     def test_insufficient_rows(self):
-        with pytest.raises(InsufficientNormalDataError, match="insufficient normal data"):
+        with pytest.raises(ValueError, match="insufficient normal data"):
             fit_subspace_from_rows(np.zeros((2, 3)), ("a", "b", "c"), rank=2)
 
     def test_deterministic_fit(self):

@@ -90,7 +90,6 @@ class TestPearson:
     def test_panel_entry_point(self):
         panel = panel_from([[1, 2], [2, 4], [3, 6]], ("x", "y"))
         dep = dependence_from_rows(panel.values, panel.columns, "pearson")
-        assert dep.measure == "pearson"
         assert dep.values[0, 1] == pytest.approx(1.0)
 
     def test_needs_two_rows(self):
@@ -179,7 +178,7 @@ class TestBuildGroups:
         np.fill_diagonal(values, 1.0)
         for i, j in strong_pairs:
             values[i, j] = values[j, i] = 0.95
-        return DependenceMatrix(columns=tuple(names), values=values, measure="pearson")
+        return DependenceMatrix(columns=tuple(names), values=values)
 
     def test_single_edge(self):
         dep = self.matrix(("a", "b", "c"), [(0, 1)])
@@ -196,12 +195,12 @@ class TestBuildGroups:
 
     def test_negative_correlation_counts_via_abs(self):
         values = np.array([[1.0, -0.9], [-0.9, 1.0]])
-        dep = DependenceMatrix(("a", "b"), values, "pearson")
+        dep = DependenceMatrix(("a", "b"), values)
         assert build_groups(dep, rho=0.7).groups == (("a", "b"),)
 
     def test_missing_entries_are_non_edges(self):
         values = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        dep = DependenceMatrix(("a", "b"), values, "pearson")
+        dep = DependenceMatrix(("a", "b"), values)
         assert build_groups(dep, rho=0.1).groups == (("a",), ("b",))
 
     def test_matches_bfs_oracle_random(self):
@@ -211,7 +210,7 @@ class TestBuildGroups:
             vals = rng.uniform(-1, 1, size=(8, 8))
             vals = (vals + vals.T) / 2
             np.fill_diagonal(vals, 1.0)
-            dep = DependenceMatrix(names, vals, "pearson")
+            dep = DependenceMatrix(names, vals)
             rho = float(rng.uniform(0.2, 0.9))
             got = build_groups(dep, rho).groups
             edges = [
@@ -232,7 +231,7 @@ class TestBuildGroups:
         vals = rng.uniform(0, 1, size=(6, 6))
         vals = (vals + vals.T) / 2
         np.fill_diagonal(vals, 1.0)
-        dep = DependenceMatrix(names, vals, "pearson")
+        dep = DependenceMatrix(names, vals)
         for rho in (0.1, 0.4, 0.8):
             grouping = build_groups(dep, rho)
             assert tuple(sorted(n for g in grouping.groups for n in g)) == tuple(sorted(names))
@@ -243,7 +242,7 @@ class TestBuildGroups:
         vals = rng.uniform(0, 1, size=(7, 7))
         vals = (vals + vals.T) / 2
         np.fill_diagonal(vals, 1.0)
-        dep = DependenceMatrix(names, vals, "pearson")
+        dep = DependenceMatrix(names, vals)
         coarse = build_groups(dep, 0.3).groups
         fine = build_groups(dep, 0.6).groups
         for small in fine:
@@ -295,16 +294,14 @@ class TestBuildGroupsOracle:
     def test_matches_scipy_connected_components(self, graph):
         values, rho = graph
         names = tuple(f"p{7 * i % 41:02d}" for i in range(values.shape[0]))  # out of order
-        got = build_groups(DependenceMatrix(names, values, "pearson"), rho).groups
+        got = build_groups(DependenceMatrix(names, values), rho).groups
         expect = [tuple(sorted(names[i] for i in c)) for c in scipy_components(values, rho)]
         assert got == tuple(sorted(expect))
 
 
 class TestGroupsJson:
     def test_round_trip(self, tmp_path):
-        dep = DependenceMatrix(
-            ("a", "b"), np.array([[1.0, 0.9], [0.9, 1.0]]), "pearson"
-        )
+        dep = DependenceMatrix(("a", "b"), np.array([[1.0, 0.9], [0.9, 1.0]]))
         grouping = build_groups(dep, rho=0.7)
         path = tmp_path / "groups.json"
         write_groups_json(path, grouping, "pearson")

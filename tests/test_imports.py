@@ -54,7 +54,7 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Writing a file is the job of core.write_json and core.write_csv alone.
+# Writing a file is the job of core's one text writer, _write_text, alone.
 WRITERS = {"json.dump", "csv.writer"}
 
 
@@ -153,10 +153,12 @@ def test_only_core_writes_files(path):
 
 
 def test_core_writes_through_one_json_and_one_csv_writer():
-    """``write_json`` and ``write_csv`` hold core's only writes: two opens, one dump, one writer."""
+    """``_write_text`` holds core's only open for writing, through which
+    ``write_json`` and ``write_csv`` write; ``_csv_text`` holds the one
+    ``csv.writer``, which formats into memory."""
     writes = file_writes((SRC / "core.py").read_text(encoding="utf-8"))
     calls = sorted(w.split(": ", 1)[1] for w in writes)
-    assert calls == ["csv.writer", "json.dump", "open", "open"]
+    assert calls == ["csv.writer", "open"]
 
 
 
