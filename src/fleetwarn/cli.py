@@ -211,12 +211,19 @@ def cmd_simulate(cfg: RunConfig, seed: int | None, out: Path) -> int:
     return 0
 
 
-def _load_fleet(cfg: RunConfig):
-    _require(cfg, telemetry=cfg.telemetry, events=cfg.events)
+def _read_panels(cfg: RunConfig):
+    """The panels of ``io.telemetry``; a file without rows is refused."""
+    _require(cfg, telemetry=cfg.telemetry)
     panels = read_telemetry_csv(cfg.telemetry)
-    events = read_events_csv(cfg.events)
     if not panels:
         raise ConfigError(f"{cfg.telemetry}: no telemetry rows")
+    return panels
+
+
+def _load_fleet(cfg: RunConfig):
+    _require(cfg, telemetry=cfg.telemetry, events=cfg.events)
+    panels = _read_panels(cfg)
+    events = read_events_csv(cfg.events)
     for key in cfg.pipeline.quantile_overrides:
         if key not in panels[0].columns:
             raise ConfigError(f"detect.quantile_overrides key {key!r} is not a telemetry column")
@@ -280,15 +287,14 @@ def cmd_curves(cfg: RunConfig, out: Path) -> int:
     if cfg.scores is not None:
         scores = read_scores_csv(cfg.scores)
     elif cfg.baseline_param is not None:
-        _require(cfg, telemetry=cfg.telemetry)
-        panels = read_telemetry_csv(cfg.telemetry)
-        if panels and cfg.baseline_param not in panels[0].columns:
+        panels = _read_panels(cfg)
+        if cfg.baseline_param not in panels[0].columns:
             raise ConfigError(
                 f"curves.baseline_param {cfg.baseline_param!r} is not a telemetry column"
             )
         scores = {}
         for panel in panels:
-            column = panel.values[:, panel.column_index(cfg.baseline_param)]
+            column = panel.values[:, panel.columns.index(cfg.baseline_param)]
             values = threshold_baseline(column, cfg.baseline_direction).tolist()
             scores[panel.unit_id] = dict(zip(panel.flights.tolist(), values))
     else:

@@ -24,7 +24,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -88,21 +88,6 @@ class TelemetryPanel:
         if self.flights.size == 0:
             raise ValueError(f"unit {self.unit_id!r} has no flights")
         return int(self.flights[0]), int(self.flights[-1])
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise KeyError(f"unknown parameter {name!r} on unit {self.unit_id!r}") from None
-
-    def subvalues(self, names: Sequence[str]) -> np.ndarray:
-        """Columns ``names`` as a row-major T x len(names) copy.
-
-        Every score is computed on this layout: BLAS may round a
-        column-major selection differently in the last ulp.
-        """
-        idx = [self.column_index(n) for n in names]
-        return self.values.take(idx, axis=1)
 
 
 @dataclass(frozen=True)
@@ -277,11 +262,11 @@ def fit_column_stats(rows: np.ndarray, columns: Sequence[str]) -> ColumnStats:
     return ColumnStats(columns=tuple(columns), mean=mean, std=std)
 
 
-def apply_column_stats(panel: TelemetryPanel, stats: ColumnStats) -> TelemetryPanel:
-    """Z-score ``panel`` with precomputed stats (:meth:`ColumnStats.zscore`)."""
+def apply_column_stats(panel: TelemetryPanel, stats: ColumnStats) -> np.ndarray:
+    """``panel``'s values z-scored with precomputed stats (:meth:`ColumnStats.zscore`)."""
     if panel.columns != stats.columns:
         raise ValueError("stats columns do not match panel columns")
-    return replace(panel, values=stats.zscore(panel.values))
+    return stats.zscore(panel.values)
 
 
 # --------------------------------------------------------------------------

@@ -142,23 +142,20 @@ def fit_subspace_from_rows(rows: np.ndarray, group: Sequence[str], rank: int) ->
     )
 
 
-def squared_distance(det: SubspaceDetector, rows: np.ndarray) -> np.ndarray:
+def score_reconstruction(det: SubspaceDetector, rows: np.ndarray) -> np.ndarray:
     """Each row's squared distance to the subspace; NaN on incomplete rows.
 
     Exact zeros at the training mean and (up to rounding) everywhere when
-    rank equals the group size.
+    rank equals the group size.  The rows are read row-major whatever their
+    layout: BLAS may round a column-major selection differently in the last ulp.
     """
+    rows = np.ascontiguousarray(rows)
     with np.errstate(invalid="ignore"):  # infinite cells give NaN, masked below
         centered = rows - det.mean
         residual = centered - (centered @ det.basis) @ det.basis.T
         scores = np.einsum("ij,ij->i", residual, residual)
     scores[~np.isfinite(rows).all(axis=1)] = np.nan
     return scores
-
-
-def score_reconstruction(det: SubspaceDetector, panel: TelemetryPanel) -> np.ndarray:
-    """:func:`squared_distance` of the panel's group columns, aligned with flights."""
-    return squared_distance(det, panel.subvalues(det.group))
 
 
 def fit_threshold(scores: np.ndarray, q: float) -> float:
@@ -184,7 +181,7 @@ def binarize(
     """Alarm on ``axis`` that fires where a score strictly exceeds the threshold.
 
     ``scores`` maps unit -> (flights, scores), two aligned arrays as
-    :func:`score_reconstruction` gives them for a panel, with the flights
+    :func:`score_reconstruction` gives them for a panel's rows, with the flights
     inside the unit's range on the axis; missing (NaN) never fires.
     """
     if det.threshold is None:

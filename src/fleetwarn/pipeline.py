@@ -129,10 +129,12 @@ def score_panels(
     :func:`score_reconstruction` call per whole panel (regrouping rows would move bits), and
     one z-scored panel alive at a time."""
     scores: list[dict[str, tuple[np.ndarray, np.ndarray]]] = [{} for _ in detectors]
+    indices = [[stats.columns.index(name) for name in det.group] for det in detectors]
     for panel in panels:
         normalized = apply_column_stats(panel, stats)
-        for det, by_unit in zip(detectors, scores):
-            by_unit[panel.unit_id] = (panel.flights, score_reconstruction(det, normalized))
+        for det, idx, by_unit in zip(detectors, indices, scores):
+            by_unit[panel.unit_id] = (
+                panel.flights, score_reconstruction(det, normalized.take(idx, axis=1)))
         del normalized
     return scores
 
@@ -178,9 +180,8 @@ def train_model(
     stats, normal_rows = zscored_normal_rows(panels, masks)
     dep = dependence_from_rows(normal_rows, panels[0].columns, cfg.measure)
     grouping = build_groups(dep, cfg.rho)
-    col_index = {name: i for i, name in enumerate(panels[0].columns)}
     detectors = [
-        fit_subspace_from_rows(normal_rows[:, [col_index[n] for n in group]], group,
+        fit_subspace_from_rows(normal_rows[:, [stats.columns.index(n) for n in group]], group,
                                min(cfg.rank, len(group)))
         for group in grouping.groups
     ]
@@ -210,17 +211,10 @@ def train_model(
     )
 
 
-def elementary_alarms_on(
-    model: TrainedModel, panels: Sequence[TelemetryPanel], axis: FleetAxis
-) -> dict[str, AlarmSeries]:
-    """Score new panels with the fitted detectors and thresholds, on the panels' ``axis``."""
-    scores = score_panels(model.detectors, panels, model.column_stats)
-    return {det.alarm_id: binarize(det, s, axis) for det, s in zip(model.detectors, scores)}
-
-
 def pooled_on(model: TrainedModel, panels: Sequence[TelemetryPanel]) -> AlarmSeries:
     """The trained warning signal applied to (possibly unseen) panels, on their fleet axis."""
     axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
-    alarms = elementary_alarms_on(model, panels, axis)
+    scores = score_panels(model.detectors, panels, model.column_stats)
+    alarms = {det.alarm_id: binarize(det, s, axis) for det, s in zip(model.detectors, scores)}
     combos = model.precursors.combinations
     return pool_or([compose_and([alarms[mid] for mid in c.members]) for c in combos], axis)

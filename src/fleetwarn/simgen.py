@@ -238,9 +238,8 @@ def _anomalies_exceed_q95(
             f"in the normal regime the check fits on"
         )
     stats, rows = zscored_normal_rows(panels, masks)
-    index = {name: j for j, name in enumerate(panels[0].columns)}
     group_cols = cfg.group_columns()
-    detectors = [fit_subspace_from_rows(rows[:, [index[n] for n in group_cols[g]]],
+    detectors = [fit_subspace_from_rows(rows[:, [stats.columns.index(n) for n in group_cols[g]]],
                                         group_cols[g], rank=1) for g in planted_groups]
     del rows
     axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})

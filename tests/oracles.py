@@ -33,7 +33,7 @@ from fleetwarn.core import (
     csv_float,
     write_csv,
 )
-from fleetwarn.detect import fit_subspace_from_rows, fit_threshold, squared_distance
+from fleetwarn.detect import fit_subspace_from_rows, fit_threshold, score_reconstruction
 from fleetwarn.evaluation import CurvePoint, greedy_max_matching
 from fleetwarn.grouping import build_groups, dependence_from_rows
 from support import firings
@@ -439,7 +439,7 @@ def train_chain_reference(panels, events, cfg):
     for group in grouping.groups:
         idx = [columns.index(name) for name in group]
         det = fit_subspace_from_rows(rows[:, idx], group, min(cfg.rank, len(group)))
-        scores = [squared_distance(det, v.take(idx, axis=1)) for v in normalized]
+        scores = [score_reconstruction(det, v.take(idx, axis=1)) for v in normalized]
         q = cfg.quantile_overrides.get(group[0], cfg.quantile)
         threshold = fit_threshold(np.concatenate([s[m] for s, m in zip(scores, masks)]), q)
         detectors.append(dataclasses.replace(det, quantile=q, threshold=threshold))
@@ -456,7 +456,7 @@ def held_out_positions_reference(detectors, mean, std, panels):
     for det in detectors:
         idx = [panels[0].columns.index(name) for name in det.group]
         positions.append(np.concatenate([np.empty(0, dtype=np.int64)] + [
-            p.flights[squared_distance(det, v.take(idx, axis=1)) > det.threshold]
+            p.flights[score_reconstruction(det, v.take(idx, axis=1)) > det.threshold]
             + axis.shift(p.unit_id)
             for p, v in zip(panels, normalized)
         ]))

@@ -948,7 +948,7 @@ class TestCurves:
         assert main(["curves", "--config", cfg, "--out", str(baseline)]) == 0
         scores = {
             panel.unit_id: dict(zip(panel.flights.tolist(),
-                                    panel.values[:, panel.column_index("g0p0")].tolist()))
+                                    panel.values[:, panel.columns.index("g0p0")].tolist()))
             for panel in read_telemetry_csv(ws["fleet"] / "telemetry.csv")
         }
         scores_path = tmp_path / "scores.csv"
@@ -1285,5 +1285,21 @@ def test_an_empty_normal_regime_exits_2_naming_its_keys(tmp_path, capsys, comman
     assert capsys.readouterr().err == (
         "fleetwarn: every flight lies fewer than 50 flights before or 30 after an event of "
         "its unit (detect.normal_before, detect.normal_after): the normal regime is empty\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "crossval", "curves"])
+def test_a_header_only_telemetry_file_is_refused_by_every_command(tmp_path, capsys, command):
+    (tmp_path / "telemetry.csv").write_text("unit_id,flight,phase,a,b\n")
+    (tmp_path / "events.csv").write_text("unit_id,onset,end,code\nu1,2,3,E1\n")
+    cfg = write_config(tmp_path / "c.json", {
+        "io": {"telemetry": "telemetry.csv", "events": "events.csv"},
+        "curves": {"baseline_param": "nosuch"},
+    })
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"fleetwarn: {(tmp_path / 'telemetry.csv').resolve()}: no telemetry rows\n"
     )
     assert not out.exists()

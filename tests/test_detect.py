@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import normal_regime_reference
 from support import firings
-from fleetwarn.core import EventRecord, FleetAxis, TelemetryPanel
+from fleetwarn.core import ColumnStats, EventRecord, FleetAxis, TelemetryPanel
 from fleetwarn.detect import (
     SubspaceDetector,
     binarize,
@@ -17,9 +17,9 @@ from fleetwarn.detect import (
     fit_threshold,
     score_reconstruction,
     select_normal_regime,
-    squared_distance,
     write_detector_json,
 )
+from fleetwarn.pipeline import score_panels
 
 
 def read_detector_json(path):
@@ -127,8 +127,7 @@ class TestFitSubspace:
             eigvals = np.linalg.eigvalsh(np.cov(rows.T, bias=True))[::-1]
             for rank in (1, 2, 3, 4):
                 det = fit_subspace_from_rows(rows, tuple("abcde"), rank)
-                panel = panel_of(rows, tuple("abcde"))
-                mean_err = float(np.mean(score_reconstruction(det, panel)))
+                mean_err = float(np.mean(score_reconstruction(det, rows)))
                 expect = float(eigvals[rank:].sum())
                 assert mean_err == pytest.approx(expect, rel=1e-6)
 
@@ -136,15 +135,15 @@ class TestFitSubspace:
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(100, 4))
         det = fit_subspace_from_rows(rows, tuple("abcd"), rank=4)
-        scores = score_reconstruction(det, panel_of(rows, tuple("abcd")))
+        scores = score_reconstruction(det, rows)
         assert np.max(scores) <= 1e-9
 
     def test_rank_monotonicity(self):
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(200, 5)) * np.array([3.0, 2.0, 1.5, 1.0, 0.5])
-        panel = panel_of(rows, tuple("abcde"))
         means = [
-            float(np.mean(score_reconstruction(fit_subspace_from_rows(rows, tuple("abcde"), r), panel)))
+            float(np.mean(score_reconstruction(fit_subspace_from_rows(rows, tuple("abcde"), r),
+                                               rows)))
             for r in range(1, 6)
         ]
         assert all(means[i + 1] <= means[i] + 1e-12 for i in range(4))
@@ -186,54 +185,65 @@ class TestScore:
 
     def test_zero_at_mean(self):
         det = self.fitted_line_detector()
-        panel = panel_of([det.mean], ("a", "b"))
-        assert score_reconstruction(det, panel)[0] == pytest.approx(0.0, abs=1e-18)
+        assert score_reconstruction(det, det.mean[None, :])[0] == pytest.approx(0.0, abs=1e-18)
 
     def test_orthogonal_point(self):
         det = self.fitted_line_detector()
-        panel = panel_of([[1.0, -1.0]], ("a", "b"))
-        assert score_reconstruction(det, panel)[0] == pytest.approx(2.0, abs=1e-12)
+        scores = score_reconstruction(det, np.array([[1.0, -1.0]]))
+        assert scores[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_missing_propagates(self):
         det = self.fitted_line_detector()
-        panel = panel_of([[1.0, np.nan], [1.0, 1.0]], ("a", "b"))
-        scores = score_reconstruction(det, panel)
+        scores = score_reconstruction(det, np.array([[1.0, np.nan], [1.0, 1.0]]))
         assert math.isnan(scores[0])
         assert scores[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_rows_helper_behind_panel_scores(self):
         det = self.fitted_line_detector()
         rows = np.array([[1.0, -1.0], [np.nan, 2.0], [3.0, np.inf], [2.0, 2.0]])
-        scores = squared_distance(det, rows)
+        scores = score_reconstruction(det, rows)
         assert scores[0] == pytest.approx(2.0, abs=1e-12)
         assert np.isnan(scores[1:3]).all()
         assert scores[3] == pytest.approx(0.0, abs=1e-12)
-        # the panel entry point picks the group's columns by name
-        panel = panel_of(rows[:, ::-1], ("b", "a"))
-        assert np.array_equal(score_reconstruction(det, panel), scores, equal_nan=True)
 
     def test_scores_nonnegative(self):
         rng = np.random.default_rng(10)
         rows = rng.normal(size=(80, 3))
         det = fit_subspace_from_rows(rows, ("a", "b", "c"), 2)
-        scores = score_reconstruction(det, panel_of(rng.normal(size=(40, 3)), ("a", "b", "c")))
+        scores = score_reconstruction(det, rng.normal(size=(40, 3)))
         assert (scores >= 0).all()
 
-    def test_panel_scores_bit_equal_to_row_major_reference(self):
-        # thresholds and alarms read the same scores, so the panel path may not
-        # round differently from contiguous rows
+    @staticmethod
+    def column_selections():
+        """40 random NaN matrices over 12 columns, each with a sorted column
+        selection and a rank for a detector fitted on it."""
         rng = np.random.default_rng(11)
-        columns = tuple(f"p{j}" for j in range(12))
         for _ in range(40):
             data = rng.standard_normal((int(rng.integers(200, 3000)), 12))
             data = data @ rng.standard_normal((12, 12))
             data[rng.random(data.shape) < 0.02] = np.nan
             cols = sorted(rng.choice(12, int(rng.integers(2, 7)), replace=False).tolist())
+            yield data, cols, int(rng.integers(1, len(cols) + 1))
+
+    def test_column_major_selection_scores_like_row_major_copy(self):
+        # BLAS may round a column-major operand differently in the last ulp
+        for data, cols, rank in self.column_selections():
+            selected = data[:, cols]
+            rows = np.ascontiguousarray(selected)
+            det = fit_subspace_from_rows(rows, [f"p{c}" for c in cols], rank)
+            assert score_reconstruction(det, selected).tobytes() == \
+                score_reconstruction(det, rows).tobytes()
+
+    def test_panel_scores_bit_equal_to_row_major_reference(self):
+        # thresholds and alarms read the same scores, so the panel path may not
+        # round differently from contiguous rows; identity stats keep every bit
+        columns = tuple(f"p{j}" for j in range(12))
+        identity = ColumnStats(columns, np.zeros(12), np.ones(12))
+        for data, cols, rank in self.column_selections():
             rows = np.ascontiguousarray(data[:, cols])
-            rank = int(rng.integers(1, len(cols) + 1))
             det = fit_subspace_from_rows(rows, [columns[c] for c in cols], rank)
-            got = score_reconstruction(det, panel_of(data, columns))
-            assert got.tobytes() == squared_distance(det, rows).tobytes()
+            [got] = score_panels([det], [panel_of(data, columns)], identity)
+            assert got["u"][1].tobytes() == score_reconstruction(det, rows).tobytes()
 
 
 class TestThreshold:

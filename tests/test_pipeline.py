@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetwarn.core import (
+    ColumnStats,
     EventRecord,
     FleetAxis,
     MatchParams,
@@ -17,6 +18,7 @@ from fleetwarn.core import (
     apply_column_stats,
 )
 from fleetwarn.detect import (
+    binarize,
     fit_subspace_from_rows,
     fit_threshold,
     score_reconstruction,
@@ -25,9 +27,9 @@ from fleetwarn.detect import (
 from fleetwarn import pipeline
 from fleetwarn.pipeline import (
     PipelineConfig,
-    elementary_alarms_on,
     fit_alarm,
     pooled_on,
+    score_panels,
     select_target_events,
     train_model,
     zscored_normal_rows,
@@ -202,7 +204,7 @@ def test_thresholds_bit_equal_to_complete_row_reference():
             det = fit_subspace_from_rows(rows, tuple(f"p{c}" for c in cols), rank)
             det, _ = fit_alarm(
                 det,
-                {"u": (panel.flights, score_reconstruction(det, panel))},
+                {"u": (panel.flights, score_reconstruction(det, rows))},
                 [everything],
                 0.99,
                 FleetAxis.from_ranges({"u": panel.observation_range()}),
@@ -249,10 +251,11 @@ def test_alarms_fire_exactly_above_threshold_fitted_on_same_scores(fleet):
     masks = [select_normal_regime(p, events, cfg.normal_before, cfg.normal_after) for p in panels]
     normalized = [apply_column_stats(p, model.column_stats) for p in panels]
     for det, alarm in zip(model.detectors, model.alarms):
-        scores = [score_reconstruction(det, p) for p in normalized]
+        idx = [model.column_stats.columns.index(name) for name in det.group]
+        scores = [score_reconstruction(det, v.take(idx, axis=1)) for v in normalized]
         normal = np.concatenate([s[m] for s, m in zip(scores, masks)])
         assert det.threshold == fit_threshold(normal, det.quantile)
-        for panel, s, m in zip(normalized, scores, masks):
+        for panel, s, m in zip(panels, scores, masks):
             fired = firings(alarm)[panel.unit_id]
             assert fired == frozenset(panel.flights[s > det.threshold].tolist())
             assert not fired & frozenset(panel.flights[m & (s == det.threshold)].tolist())
@@ -304,7 +307,9 @@ class TestTrainOnSimFleet:
 
     def test_scoring_training_panels_reproduces_alarms(self):
         model, panels, _ = sim_model()
-        rescored = elementary_alarms_on(model, list(panels), model.layout.axis)
+        scores = score_panels(model.detectors, list(panels), model.column_stats)
+        rescored = {det.alarm_id: binarize(det, s, model.layout.axis)
+                    for det, s in zip(model.detectors, scores)}
         assert set(rescored) == {a.alarm_id for a in model.alarms}
         for alarm in model.alarms:
             assert rescored[alarm.alarm_id].axis == alarm.axis == model.layout.axis
@@ -430,9 +435,10 @@ def test_training_equals_the_whole_panel_chain_bit_for_bit(fleet):
         assert got.threshold == want.threshold
         assert alarm.positions.tobytes() == at.tobytes()
     axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in held})
-    alarms = elementary_alarms_on(model, held, axis)
-    for det, at in zip(model.detectors, held_out_positions_reference(detectors, mean, std, held)):
-        assert alarms[det.alarm_id].positions.tobytes() == at.tobytes()
+    scores = score_panels(model.detectors, held, model.column_stats)
+    expect = held_out_positions_reference(detectors, mean, std, held)
+    for det, s, at in zip(model.detectors, scores, expect, strict=True):
+        assert binarize(det, s, axis).positions.tobytes() == at.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -445,9 +451,21 @@ def test_zscoring_a_stack_equals_stacking_zscored_panels(fleet, data):
     if not any(m.any() for m in masks):
         masks[0][0] = True
     stats, rows = zscored_normal_rows(panels, masks)
-    expect = np.vstack([apply_column_stats(p, stats).values[m] for p, m in zip(panels, masks)])
+    expect = np.vstack([apply_column_stats(p, stats)[m] for p, m in zip(panels, masks)])
     assert rows.shape == expect.shape and rows.tobytes() == expect.tobytes()
     assert rows.flags.c_contiguous
+
+
+def test_score_panels_picks_group_columns_by_name():
+    t = np.linspace(-3, 3, 101)
+    det = fit_subspace_from_rows(np.column_stack([t, t]), ("a", "b"), 1)
+    rows = np.array([[1.0, -1.0], [np.nan, 2.0], [3.0, np.inf], [2.0, 2.0]])
+    panel = TelemetryPanel("u", np.arange(1, 5), ("c", "b", "a"),
+                           np.column_stack([np.zeros(4), rows[:, ::-1]]))
+    identity = ColumnStats(panel.columns, np.zeros(3), np.ones(3))
+    [scores] = score_panels([det], [panel], identity)
+    assert scores["u"][0].tolist() == [1, 2, 3, 4]
+    assert scores["u"][1].tobytes() == score_reconstruction(det, rows).tobytes()
 
 
 def test_one_zscored_panel_alive_at_a_time(monkeypatch):
@@ -455,7 +473,7 @@ def test_one_zscored_panel_alive_at_a_time(monkeypatch):
     returned = []
 
     def tracked(panel, stats):
-        assert all(ref() is None for ref in returned), "an earlier z-scored panel is alive"
+        assert all(ref() is None for ref in returned), "an earlier z-scored array is alive"
         normalized = apply_column_stats(panel, stats)
         returned.append(weakref.ref(normalized))
         return normalized

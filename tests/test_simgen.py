@@ -95,7 +95,7 @@ class TestStatisticalShape:
         cols = QUIET.group_columns()
         for panel in panels:
             for g, spec in enumerate(QUIET.groups):
-                block = panel.subvalues(cols[g])
+                block = panel.values[:, [panel.columns.index(n) for n in cols[g]]]
                 corr = np.corrcoef(block.T)
                 for i, j in itertools.combinations(range(spec.size), 2):
                     assert corr[i, j] == pytest.approx(spec.correlation, abs=0.05)
@@ -104,8 +104,8 @@ class TestStatisticalShape:
         panels, _, _ = generate_fleet(QUIET)
         cols = QUIET.group_columns()
         for panel in panels:
-            a = panel.subvalues([cols[0][0]])[:, 0]
-            b = panel.subvalues([cols[1][0]])[:, 0]
+            a = panel.values[:, panel.columns.index(cols[0][0])]
+            b = panel.values[:, panel.columns.index(cols[1][0])]
             assert abs(np.corrcoef(a, b)[0, 1]) < 0.15
 
     def test_unit_variance(self):
