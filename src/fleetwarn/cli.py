@@ -36,7 +36,6 @@ from fleetwarn.core import (
 from fleetwarn.core import write_json as _write_json
 from fleetwarn.detect import write_detector_json
 from fleetwarn.evaluation import (
-    CurvePoint,
     leave_one_unit_out,
     operating_point,
     roc_pr_curves,
@@ -282,6 +281,9 @@ def cmd_crossval(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_curves(cfg: RunConfig, out: Path) -> int:
+    if cfg.scores is not None and cfg.baseline_param is not None:
+        raise ConfigError("curves takes one score source: set io.scores or "
+                          "curves.baseline_param, not both")
     _require(cfg, events=cfg.events)
     events = select_target_events(read_events_csv(cfg.events), cfg.pipeline.code_prefix)
     if cfg.scores is not None:
@@ -307,7 +309,7 @@ def cmd_curves(cfg: RunConfig, out: Path) -> int:
         out / "operating_point.json",
         {
             "target_nu": 0.6,
-            **{f.name: json_number(getattr(best, f.name)) for f in fields(CurvePoint)},
+            **{name: json_number(value) for name, value in best._asdict().items()},
         },
     )
     return 0

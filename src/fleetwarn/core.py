@@ -25,7 +25,6 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from pathlib import Path
 from typing import (
@@ -37,6 +36,22 @@ import numpy as np
 
 class NoTargetEventsError(ValueError):
     """Raised when an operation requires target events and none are usable."""
+
+
+def own_fields(obj: Any, **kinds: Any) -> None:
+    """Give the frozen dataclass ``obj`` its own copy of each named field: a
+    tuple for ``tuple`` (None stays None), else a read-only array of that dtype.
+
+    The caller's arrays are copied, so freezing the field leaves them writeable.
+    """
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        if kind is tuple:
+            value = None if value is None else tuple(value)
+        else:
+            value = np.array(value, dtype=kind, copy=True)
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -55,9 +70,8 @@ class TelemetryPanel:
     phases: tuple[str | None, ...] | None = None
 
     def __post_init__(self) -> None:
-        flights = np.array(self.flights, dtype=np.int64, copy=True)
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        columns = tuple(self.columns)
+        own_fields(self, flights=np.int64, values=np.float64, columns=tuple, phases=tuple)
+        flights, values, columns = self.flights, self.values, self.columns
         if flights.ndim != 1:
             raise ValueError("flights must be one-dimensional")
         if values.ndim != 2 or values.shape != (flights.size, len(columns)):
@@ -71,13 +85,6 @@ class TelemetryPanel:
             raise ValueError("column names must be unique")
         if self.phases is not None and len(self.phases) != flights.size:
             raise ValueError("phases length does not match flight count")
-        flights.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "flights", flights)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "columns", columns)
-        if self.phases is not None:
-            object.__setattr__(self, "phases", tuple(self.phases))
 
     @property
     def n_flights(self) -> int:
@@ -160,20 +167,20 @@ class FleetAxis:
 
 @dataclass(frozen=True, eq=False)
 class AlarmSeries:
-    """A named binary signal over the fleet: the sorted, read-only positions on
-    ``axis`` where it fires; ``axis.locate`` reads them back as flights."""
+    """A named binary signal over the fleet: the sorted positions on ``axis``
+    where it fires, held in a read-only copy; ``axis.locate`` reads them back
+    as flights."""
 
     alarm_id: str
     axis: FleetAxis
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=np.int64)
+        own_fields(self, positions=np.int64)
+        positions = self.positions
         if positions.ndim != 1 or (positions[1:] <= positions[:-1]).any() or (
                 positions.size and not 0 <= positions[0] <= positions[-1] < self.axis.starts[-1]):
             raise ValueError("alarm positions must strictly increase within the axis")
-        positions.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
 
     def total_firings(self) -> int:
         return self.positions.size
@@ -181,28 +188,6 @@ class AlarmSeries:
     def signature(self) -> bytes:
         """The positions as bytes: equal for equal firings on one axis, for deduplication."""
         return self.positions.tobytes()
-
-
-class FiringKind(Enum):
-    TRUE = "true"
-    IRRELEVANT = "irrelevant"
-    FALSE = "false"
-
-
-@dataclass(frozen=True)
-class FiringLabel:
-    """Classification of one alarm firing against the event layout.
-
-    True and irrelevant firings credit the owning events (``events`` holds
-    per-unit event indices; a firing inside two overlapping predictive windows
-    credits both).  False firings carry the index of their false segment.
-    """
-
-    unit_id: str
-    flight: int
-    kind: FiringKind
-    events: tuple[int, ...] = ()
-    segment: int | None = None
 
 
 # --------------------------------------------------------------------------
@@ -223,15 +208,9 @@ class ColumnStats:
     std: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=np.float64, copy=True)
-        std = np.array(self.std, dtype=np.float64, copy=True)
-        if mean.shape != (len(self.columns),) or std.shape != (len(self.columns),):
+        own_fields(self, columns=tuple, mean=np.float64, std=np.float64)
+        if self.mean.shape != (len(self.columns),) or self.std.shape != (len(self.columns),):
             raise ValueError("stats shape does not match columns")
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
 
     def zscore(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``values``, rows over these columns, z-scored into ``out`` or a new array."""

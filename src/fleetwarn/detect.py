@@ -16,7 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from fleetwarn.core import AlarmSeries, EventRecord, FleetAxis, TelemetryPanel, write_json
+from fleetwarn.core import (
+    AlarmSeries, EventRecord, FleetAxis, TelemetryPanel, own_fields, write_json,
+)
 
 
 @dataclass(frozen=True)
@@ -24,24 +26,23 @@ class SubspaceDetector:
     """Affine low-rank model of a parameter group's normal regime.
 
     ``basis`` is d x r with orthonormal columns (top principal directions of
-    the training covariance).  ``threshold`` stays None until a quantile is
-    fitted; ``quantile`` records which q produced it.
+    the training covariance); its column count r is the ``rank``.
+    ``threshold`` stays None until a quantile is fitted; ``quantile``
+    records which q produced it.
     """
 
     group: tuple[str, ...]
     mean: np.ndarray
     basis: np.ndarray
-    rank: int
     quantile: float
     threshold: float | None = None
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=np.float64, copy=True)
-        basis = np.array(self.basis, dtype=np.float64, copy=True)
+        own_fields(self, group=tuple, mean=np.float64, basis=np.float64)
         d = len(self.group)
-        if mean.shape != (d,):
+        if self.mean.shape != (d,):
             raise ValueError("mean length does not match group size")
-        if basis.shape != (d, self.rank):
+        if self.basis.ndim != 2 or self.basis.shape[0] != d:
             raise ValueError("basis must be d x rank")
         if not 1 <= self.rank <= d:
             raise ValueError("rank must be in [1, group size]")
@@ -49,14 +50,13 @@ class SubspaceDetector:
             raise ValueError("quantile must lie in (0, 1)")
         if self.threshold is not None and self.threshold < 0.0:
             raise ValueError("threshold must be >= 0")
-        gram_err = np.abs(basis.T @ basis - np.eye(self.rank)).max()
+        gram_err = np.abs(self.basis.T @ self.basis - np.eye(self.rank)).max()
         if gram_err > 1e-9:
             raise ValueError(f"basis columns not orthonormal (err {gram_err:.3e})")
-        mean.setflags(write=False)
-        basis.setflags(write=False)
-        object.__setattr__(self, "group", tuple(self.group))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "basis", basis)
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def alarm_id(self) -> str:
@@ -137,9 +137,7 @@ def fit_subspace_from_rows(rows: np.ndarray, group: Sequence[str], rank: int) ->
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} exceeds 1e-8")
     _, ordered = _order_eigens(eigvals, eigvecs)
     basis = ordered[:, :rank]
-    return SubspaceDetector(
-        group=tuple(group), mean=mean, basis=basis, rank=rank, quantile=0.95
-    )
+    return SubspaceDetector(group=tuple(group), mean=mean, basis=basis, quantile=0.95)
 
 
 def score_reconstruction(det: SubspaceDetector, rows: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import math
 import sys
 import warnings
 from bisect import insort
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
@@ -198,22 +199,10 @@ def threshold_baseline(values: np.ndarray, direction: str) -> np.ndarray:
     raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    nu: float
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: float
-    recall: float
-    fpr: float
-
-
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """A confusion curve, thresholds descending: one array per ``CurvePoint``
-    field, and ``curve[i]`` the i-th point."""
+    """A confusion curve, thresholds descending: one array per column, and
+    ``curve[i]`` the i-th point, a ``CurvePoint`` of the columns' values."""
 
     nu: np.ndarray
     tp: np.ndarray
@@ -228,10 +217,14 @@ class Curve:
         return len(self.nu)
 
     def __getitem__(self, i: int) -> CurvePoint:
-        return CurvePoint(*(getattr(self, f.name)[i].item() for f in fields(CurvePoint)))
+        return CurvePoint(*(getattr(self, name)[i].item() for name in CurvePoint._fields))
 
     def __iter__(self) -> Iterator[CurvePoint]:
         return map(self.__getitem__, range(len(self)))
+
+
+# One point of a curve: a named tuple of Python scalars, one per ``Curve`` column.
+CurvePoint = namedtuple("CurvePoint", [f.name for f in fields(Curve)])
 
 
 def greedy_max_matching(
@@ -365,14 +358,13 @@ def operating_point(curve: Curve, nu: float = 0.6) -> CurvePoint:
 
 
 def write_curves_csv(path: str | Path, curve: Curve) -> None:
-    """One row per point; the columns are the ``CurvePoint`` fields, in order.
+    """One row per point; the columns are the ``Curve`` columns, in order.
 
     The cells are formatted column by column, ``CSV_BLOCK_ROWS`` rows at a
     time: formatting all 32,001 rows of the curves-sweep benchmark at once
     raised its peak RSS from 41 to 57 MB.
     """
-    names = [f.name for f in fields(CurvePoint)]
-    columns = [getattr(curve, name) for name in names]
+    columns = [getattr(curve, name) for name in CurvePoint._fields]
     formats = [csv_float if column.dtype.kind == "f" else str for column in columns]
 
     def rows() -> Iterator[tuple[str, ...]]:
@@ -381,4 +373,4 @@ def write_curves_csv(path: str | Path, curve: Curve) -> None:
             yield from zip(*(list(map(fmt, column[block].tolist()))
                              for column, fmt in zip(columns, formats)))
 
-    write_csv(path, names, rows())
+    write_csv(path, CurvePoint._fields, rows())

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fleetwarn.core import write_json
+from fleetwarn.core import own_fields, write_json
 
 MEASURES = ("pearson", "mutual_info")
 
@@ -34,16 +34,14 @@ class DependenceMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64, copy=True)
+        own_fields(self, columns=tuple, values=np.float64)
+        values = self.values
         if values.shape != (len(self.columns), len(self.columns)):
             raise ValueError("dependence matrix shape does not match columns")
         with np.errstate(invalid="ignore"):
             asym = np.abs(values - values.T)
         if np.any(asym[np.isfinite(asym)] > 1e-12):
             raise ValueError("dependence matrix must be symmetric")
-        values.setflags(write=False)
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)

@@ -22,20 +22,35 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from functools import cache
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from fleetwarn.core import (
-    AlarmSeries,
-    EventRecord,
-    FiringKind,
-    FleetAxis,
-    FiringLabel,
-    MatchParams,
-    json_number,
-)
+from fleetwarn.core import AlarmSeries, EventRecord, FleetAxis, MatchParams, json_number
+
+
+class FiringKind(Enum):
+    TRUE = "true"
+    IRRELEVANT = "irrelevant"
+    FALSE = "false"
+
+
+@dataclass(frozen=True)
+class FiringLabel:
+    """Classification of one alarm firing against the event layout.
+
+    True and irrelevant firings credit the owning events (``events`` holds
+    per-unit event indices; a firing inside two overlapping predictive windows
+    credits both).  False firings carry the index of their false segment.
+    """
+
+    unit_id: str
+    flight: int
+    kind: FiringKind
+    events: tuple[int, ...] = ()
+    segment: int | None = None
 
 
 # Region kind of one flight on the fleet axis, and the kind of a firing there.

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -61,12 +60,9 @@ def run_python(*args, timeout=300):
 
 
 def curve_of(points):
-    """A ``Curve`` holding ``points`` in order."""
-    return Curve(**{
-        f.name: np.array([getattr(p, f.name) for p in points],
-                         dtype=np.float64 if f.type == "float" else np.int64)
-        for f in fields(CurvePoint)
-    })
+    """A ``Curve`` holding ``points`` in order, each column of the dtype numpy gives its values."""
+    columns = list(zip(*points)) or [()] * len(CurvePoint._fields)
+    return Curve(*map(np.array, columns))
 
 
 def write_scores_csv(path, scores):

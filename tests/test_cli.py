@@ -1050,6 +1050,26 @@ class TestCurves:
         assert main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "baseline_param" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inputs", ["present", "absent"])
+    def test_one_score_source_at_a_time(self, ws, tmp_path, capsys, inputs):
+        # Refused before any input is read: absent files would fail otherwise.
+        scores_path = tmp_path / "scores.csv"
+        if inputs == "present":
+            write_scores_csv(scores_path, {"u1": {1: 0.5}})
+        fleet = ws["fleet"] if inputs == "present" else tmp_path / "absent"
+        payload = {
+            "io": {"telemetry": str(fleet / "telemetry.csv"),
+                   "events": str(fleet / "events.csv"), "scores": str(scores_path)},
+            "curves": {"baseline_param": "nosuch"},
+        }
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "fleetwarn: curves takes one score source: set io.scores or "
+            "curves.baseline_param, not both\n"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 class TestInputNamesStayInOutDir:
     """Column names and unit ids become output file names, so a name that
@@ -1231,6 +1251,21 @@ class TestInputFileErrors:
         path = (tmp_path / "scores.csv").resolve()
         assert capsys.readouterr().err == f"fleetwarn: {path}: {message}\n"
 
+    @pytest.mark.parametrize("name, text, header", [
+        ("events.csv", "unit,onset,end,code\nu1,5,6,E1\n", "unit_id,onset,end,code"),
+        ("events.csv", "", "unit_id,onset,end,code"),
+        ("scores.csv", "unit_id,flight\nu1,1\n", "unit_id,flight,score"),
+        ("scores.csv", "unit_id,flight,score,extra\nu1,1,0.5,x\n", "unit_id,flight,score"),
+    ], ids=["events-renamed", "events-empty", "scores-short", "scores-long"])
+    def test_wrong_header(self, tmp_path, capsys, name, text, header):
+        self.curves(tmp_path, "u1,5,6,E1\n", "u1,1,0.5\n")
+        capsys.readouterr()
+        (tmp_path / name).write_text(text)
+        cfg = str(tmp_path / "c.json")
+        assert main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        path = (tmp_path / name).resolve()
+        assert capsys.readouterr().err == f"fleetwarn: {path}: expected header {header}\n"
+
     def test_nan_scores_are_missing(self, tmp_path):
         assert self.curves(tmp_path, "u1,5,6,E1\n", "u1,1,nan\nu1,5,0.5\nu1,6,nan\n") == 0
         rows = read_rows(tmp_path / "o" / "curves.csv")
@@ -1287,6 +1322,21 @@ def test_an_empty_normal_regime_exits_2_naming_its_keys(tmp_path, capsys, comman
         "its unit (detect.normal_before, detect.normal_after): the normal regime is empty\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("run", {"io": {}}, "telemetry"),
+    ("run", {"io": {"telemetry": "telemetry.csv"}}, "events"),
+    ("crossval", {"io": {"events": "events.csv"}}, "telemetry"),
+    ("curves", {"io": {"scores": "scores.csv"}}, "events"),
+    ("curves", {"io": {"events": "events.csv"}, "curves": {"baseline_param": "x"}}, "telemetry"),
+], ids=["run-telemetry", "run-events", "crossval-telemetry", "curves-events", "curves-telemetry"])
+def test_a_missing_input_path_is_named(tmp_path, capsys, command, payload, key):
+    # No telemetry or scores file exists, so each refusal must come before reading them.
+    (tmp_path / "events.csv").write_text("unit_id,onset,end,code\nu1,5,6,E1\n")
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"fleetwarn: config is missing io.{key}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "crossval", "curves"])

@@ -38,6 +38,8 @@ from fleetwarn.core import (
     write_json,
     write_telemetry_csv,
 )
+from fleetwarn.detect import SubspaceDetector
+from fleetwarn.grouping import DependenceMatrix
 from fleetwarn.synth import pool_or
 from oracles import (
     apply_column_stats_reference,
@@ -247,6 +249,34 @@ class TestAlarmSeries:
         alarm = alarm_series("a", {"u": {1, 2}})
         with pytest.raises(ValueError):
             alarm.positions[0] = 0
+
+
+# Each value type with its array fields, built from the caller's writeable arrays.
+OWNED_ARRAYS = {
+    "TelemetryPanel": lambda a, b: TelemetryPanel("u", a, ("x", "y"), np.stack([b, b], axis=1)),
+    "ColumnStats": lambda a, b: ColumnStats(("x", "y", "z"), b, b),
+    "SubspaceDetector": lambda a, b: SubspaceDetector(("x", "y", "z"), b, np.eye(3)[:, :1], 0.9),
+    "DependenceMatrix": lambda a, b: DependenceMatrix(("x", "y", "z"), np.diag(b)),
+    "AlarmSeries": lambda a, b: AlarmSeries("a", FleetAxis.from_ranges({"u": (0, 9)}), a),
+}
+
+
+@pytest.mark.parametrize("build", OWNED_ARRAYS.values(), ids=OWNED_ARRAYS)
+def test_array_fields_are_read_only_copies(build):
+    """Every array field is typed, read-only and the value type's own: the
+    caller's arrays stay writeable, and writing them changes nothing inside."""
+    a, b = np.array([1, 3, 5], dtype=np.int64), np.array([1.0, 2.0, 3.0])
+    value = build(a, b)
+    arrays = {name: v for name, v in vars(value).items() if isinstance(v, np.ndarray)}
+    assert arrays
+    before = {name: v.copy() for name, v in arrays.items()}
+    assert a.flags.writeable and b.flags.writeable
+    a[:] = 0
+    b[:] = 0.0
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
+        assert array.dtype == (np.int64 if array.dtype.kind == "i" else np.float64), name
+        assert np.array_equal(array, before[name]), name
 
 
 @st.composite

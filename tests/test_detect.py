@@ -12,6 +12,7 @@ from support import firings
 from fleetwarn.core import ColumnStats, EventRecord, FleetAxis, TelemetryPanel
 from fleetwarn.detect import (
     SubspaceDetector,
+    _order_eigens,
     binarize,
     fit_subspace_from_rows,
     fit_threshold,
@@ -30,7 +31,6 @@ def read_detector_json(path):
         group=tuple(payload["group"]),
         mean=np.array(payload["mean"], dtype=np.float64),
         basis=np.array(payload["basis"], dtype=np.float64),
-        rank=int(payload["rank"]),
         quantile=float(payload["q"]),
         threshold=payload["threshold"],
     )
@@ -165,6 +165,16 @@ class TestFitSubspace:
         assert np.allclose(det_clean.basis, det_dirty.basis)
         assert np.allclose(det_clean.mean, det_dirty.mean)
 
+    @pytest.mark.parametrize("gap, order", [(5e-11, [2, 1, 0]), (2e-10, [2, 0, 1])],
+                             ids=["tie", "gap"])
+    def test_near_tied_eigenvalues_sort_by_their_vectors(self, gap, order):
+        # The eigensolver may return a run of tied eigenvalues in any order: a run
+        # whose neighbours lie less than 1e-10 apart is sorted by its vectors' entries.
+        eigvals = np.array([1.0 + gap, 1.0, 3.0])
+        vals, vecs = _order_eigens(eigvals, -np.eye(3))
+        assert vals.tolist() == eigvals[order].tolist()
+        assert np.array_equal(vecs, np.eye(3)[:, order])
+
     def test_insufficient_rows(self):
         with pytest.raises(ValueError, match="insufficient normal data"):
             fit_subspace_from_rows(np.zeros((2, 3)), ("a", "b", "c"), rank=2)
@@ -288,7 +298,6 @@ class TestBinarize:
             group=("a", "b"),
             mean=np.zeros(2),
             basis=np.array([[1.0], [0.0]]),
-            rank=1,
             quantile=0.95,
         )
         return replace(det, threshold=float(threshold))
@@ -324,7 +333,7 @@ class TestBinarize:
 
     def test_threshold_required(self):
         det = SubspaceDetector(
-            group=("a",), mean=np.zeros(1), basis=np.ones((1, 1)), rank=1, quantile=0.9
+            group=("a",), mean=np.zeros(1), basis=np.ones((1, 1)), quantile=0.9
         )
         with pytest.raises(ValueError, match="threshold"):
             binarize(det, {"u": (np.array([1]), np.array([1.0]))}, AXIS)
@@ -343,7 +352,7 @@ class TestDetectorJson:
         write_detector_json(path, det)
         back = read_detector_json(path)
         assert back.group == det.group
-        assert back.rank == det.rank
+        assert back.rank == det.rank == json.loads(path.read_text())["rank"] == 2
         assert back.quantile == det.quantile
         assert back.threshold == det.threshold
         assert np.array_equal(back.mean, det.mean)

@@ -6,7 +6,6 @@ import random
 import re
 import types
 import warnings
-from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from fleetwarn.core import (
     csv_float,
 )
 from fleetwarn.evaluation import (
-    Curve,
     CurvePoint,
     greedy_max_matching,
     leave_one_unit_out,
@@ -271,15 +269,12 @@ class TestCurveReference:
 
 
 class TestCurveColumns:
-    def test_fields_are_the_point_fields(self):
-        assert [f.name for f in fields(Curve)] == [f.name for f in fields(CurvePoint)]
-
     def test_points_are_python_scalars(self):
         curve = roc_pr_curves({"u": {1: 0.5, 2: -0.0}}, [EventRecord("u", 2, 3, "E")], 0)
         assert len(curve) == 3
         assert curve[-1] == CurvePoint(-0.0, 1, 1, 0, 0, 0.5, 1.0, 1.0)
         assert list(curve) == [curve[0], curve[1], curve[2]]
-        assert [type(getattr(curve[1], f.name)) for f in fields(CurvePoint)] == [
+        assert list(map(type, curve[1])) == [
             float, int, int, int, int, float, float, float
         ]
 
@@ -291,7 +286,7 @@ class TestCurveColumns:
         monkeypatch.setattr(evaluation, "CSV_BLOCK_ROWS", rows)
         write_curves_csv(tmp_path / "curves.csv", curve)
         expected = ["nu,tp,fp,fn,tn,precision,recall,fpr"] + [
-            ",".join(csv_float(v) if isinstance(v, float) else str(v) for v in astuple(p))
+            ",".join(csv_float(v) if isinstance(v, float) else str(v) for v in p)
             for p in curve
         ]
         assert (tmp_path / "curves.csv").read_text().splitlines() == expected

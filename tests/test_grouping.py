@@ -72,8 +72,11 @@ class TestPearson:
         assert math.isnan(dep.values[0, 1])
 
     def test_constant_column_is_missing(self):
-        # three copies of 0.1 have a nonzero float std around their mean
-        for x, y in (([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([0.1, 0.1, 0.1], [1.0, 2.0, 4.0])):
+        # three copies of 0.1 have a nonzero float std around their mean; x constant
+        # on the pair's rows after an outlying first value cancels the shifted sums,
+        # and the pair's two-pass recomputation finds it constant
+        for x, y in (([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([0.1, 0.1, 0.1], [1.0, 2.0, 4.0]),
+                     ([1e6, 0.1, 0.1, 0.1], [np.nan, 1.0, 2.0, 4.0])):
             dep = dependence_from_rows(np.column_stack([x, y]), ("x", "y"))
             assert math.isnan(dep.values[0, 1])
             assert dep.values[0, 0] == 1.0
@@ -165,6 +168,15 @@ class TestMutualInformation:
         dep = dependence_from_rows(np.column_stack([x, x]), ("x", "y"), "mutual_info")
         # equal-frequency bins on 100 points: 10 bins of 10 -> entropy ln 10
         assert dep.values[0, 0] == pytest.approx(math.log(10))
+
+    @pytest.mark.parametrize("y", [[np.nan] * 4 + [5.0], [np.nan] * 3 + [4.0, 5.0]],
+                             ids=["no-complete-row", "one-complete-row"])
+    def test_pair_with_fewer_than_two_complete_rows_is_missing(self, y):
+        x = [1.0, 2.0, 3.0, 4.0, np.nan]
+        dep = dependence_from_rows(np.column_stack([x, y]), ("x", "y"), "mutual_info")
+        assert math.isnan(dep.values[0, 1]) and math.isnan(dep.values[1, 0])
+        # x's own four values fill two bins of two
+        assert dep.values[0, 0] == pytest.approx(math.log(2))
 
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="measure"):

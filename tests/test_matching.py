@@ -16,7 +16,6 @@ from oracles import (
 from support import alarm_series
 from fleetwarn.core import (
     EventRecord,
-    FiringKind,
     FleetAxis,
     MatchParams,
     write_json,
@@ -25,6 +24,7 @@ from fleetwarn.matching import (
     _FALSE,
     _IRRELEVANT,
     _TRUE,
+    FiringKind,
     MatchStats,
     _stdtr,
     classify_firings,
