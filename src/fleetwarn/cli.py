@@ -284,6 +284,8 @@ def cmd_curves(cfg: RunConfig, out: Path) -> int:
     if cfg.scores is not None and cfg.baseline_param is not None:
         raise ConfigError("curves takes one score source: set io.scores or "
                           "curves.baseline_param, not both")
+    if cfg.baseline_param is not None:
+        _require(cfg, telemetry=cfg.telemetry)  # before the events are read
     _require(cfg, events=cfg.events)
     events = select_target_events(read_events_csv(cfg.events), cfg.pipeline.code_prefix)
     if cfg.scores is not None:

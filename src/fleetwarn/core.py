@@ -24,7 +24,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import (
@@ -212,33 +212,121 @@ class ColumnStats:
         if self.mean.shape != (len(self.columns),) or self.std.shape != (len(self.columns),):
             raise ValueError("stats shape does not match columns")
 
-    def zscore(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``values``, rows over these columns, z-scored into ``out`` or a new array."""
-        no_ref = np.isnan(self.mean)
-        scale = np.where(no_ref | (self.std == 0.0), 1.0, self.std)
-        centered = np.subtract(values, np.where(no_ref, 0.0, self.mean), out=out)
+    def zscore(self, values: np.ndarray, out: np.ndarray | None = None,
+               cols: Sequence[int] | slice = slice(None)) -> np.ndarray:
+        """``values``, rows over these columns (or over the columns ``cols``), z-scored into
+        ``out`` or a new array."""
+        mean, std = self.mean[cols], self.std[cols]
+        no_ref = np.isnan(mean)
+        scale = np.where(no_ref | (std == 0.0), 1.0, std)
+        centered = np.subtract(values, np.where(no_ref, 0.0, mean), out=out)
         return np.divide(centered, scale, out=centered)
 
 
-def fit_column_stats(rows: np.ndarray, columns: Sequence[str]) -> ColumnStats:
+# Rows per block wherever the normal rows are read a block at a time.
+ROW_BLOCK = 1024
+
+
+@dataclass(frozen=True)
+class NormalRows:
+    """The rows of ``panels`` that ``masks`` select, stacked in panel order but never held as
+    one matrix: :meth:`blocks` reads them ``ROW_BLOCK`` rows at a time and :meth:`gather`
+    copies out a few columns.  With ``stats`` both are z-scored, elementwise, so they hold
+    bit for bit the rows of the z-scored stack.  The column stats, the dependence matrix
+    and the detector fits all read the normal-regime rows through it."""
+
+    panels: tuple[TelemetryPanel, ...]
+    masks: InitVar[Sequence[np.ndarray]]
+    stats: ColumnStats | None = None
+    rows: tuple[np.ndarray, ...] = field(init=False)  # each panel's selected row indices
+
+    def __post_init__(self, masks: Sequence[np.ndarray]) -> None:
+        own_fields(self, panels=tuple)
+        if len(masks) != len(self.panels):
+            raise ValueError("one mask per panel")
+        if any(panel.columns != self.columns for panel in self.panels):
+            raise ValueError("panels disagree on columns")
+        if self.stats is not None and self.stats.columns != self.columns:
+            raise ValueError("stats columns do not match panel columns")
+        object.__setattr__(self, "rows", tuple(map(np.flatnonzero, masks)))
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return self.panels[0].columns
+
+    @property
+    def n_rows(self) -> int:
+        return sum(rows.size for rows in self.rows)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The rows ``ROW_BLOCK`` at a time, the last block shorter; every block is written
+        into one buffer, so it holds only until the next is drawn."""
+        buffer = np.empty((ROW_BLOCK, len(self.columns)))
+        filled = 0
+        for panel, rows in zip(self.panels, self.rows):
+            while rows.size:  # a panel's rows may span several blocks
+                taken = min(ROW_BLOCK - filled, rows.size)
+                np.take(panel.values, rows[:taken], axis=0, out=buffer[filled:filled + taken],
+                        mode="clip")
+                filled += taken
+                rows = rows[taken:]
+                if filled == ROW_BLOCK:
+                    yield self._zscored(buffer)
+                    filled = 0
+        if filled:
+            yield self._zscored(buffer[:filled])
+
+    def gather(self, cols: Sequence[int]) -> np.ndarray:
+        """The columns ``cols`` of the rows, an N x len(cols) column-major copy: each
+        column is contiguous, so z-scoring and completeness tests run down whole columns."""
+        cols = list(cols)
+        out = np.empty((len(cols), self.n_rows)).T
+        start = 0
+        for panel, rows in zip(self.panels, self.rows):
+            out[start:start + rows.size] = panel.values.take(cols, axis=1)[rows]
+            start += rows.size
+        return out if self.stats is None else self.stats.zscore(out, out=out, cols=cols)
+
+    def _zscored(self, block: np.ndarray) -> np.ndarray:
+        return block if self.stats is None else self.stats.zscore(block, out=block)
+
+
+def fit_column_stats(rows: NormalRows) -> ColumnStats:
     """Estimate per-column mean and population std over the reference ``rows``.
 
-    Missing entries are ignored; a column with no observed reference value
-    gets NaN mean.  ``rows`` must be writable; it is left as it was.
+    Missing entries are ignored; a column with no observed reference value gets NaN mean and
+    zero std.  The result is bit for bit ``np.nanmean`` and ``np.nanstd`` of the stacked
+    rows, read a block at a time.  numpy sums axis 0 of two or more columns row by row, so
+    each block's sums are added into the first row of the next block's terms; it sums a
+    single column pairwise, so that column is gathered and reduced whole.
     """
-    if rows.shape[0] == 0:
+    if rows.n_rows == 0:
         raise ValueError("no reference rows")
-    # An all-missing column is reduced as zeros, so that no reduction warns, and then
-    # refilled and given NaN mean; the other columns' sums do not change.
-    unobserved = np.isnan(rows).all(axis=0)
-    rows[:, unobserved] = 0.0
+    blocks = rows.blocks if len(rows.columns) > 1 else lambda: iter([rows.gather([0])])
+    observed = np.zeros(len(rows.columns), dtype=np.intp)
+    total = None
+    for block in blocks():
+        missing = np.isnan(block)
+        observed += block.shape[0] - np.count_nonzero(missing, axis=0)
+        total = _carried_sum(np.where(missing, 0.0, block), total)
     with np.errstate(invalid="ignore"):
-        mean = np.nanmean(rows, axis=0)
-        std = np.nanstd(rows, axis=0)  # population (1/N)
-    rows[:, unobserved] = np.nan
-    mean[unobserved] = np.nan
-    std = np.where(np.isnan(std), 0.0, std)
-    return ColumnStats(columns=tuple(columns), mean=mean, std=std)
+        mean = total / observed  # NaN where nothing is observed
+    total = None
+    for block in blocks():
+        deviation = block - mean
+        deviation[np.isnan(block)] = 0.0
+        total = _carried_sum(np.multiply(deviation, deviation, out=deviation), total)
+    with np.errstate(invalid="ignore"):
+        std = np.sqrt(total / observed)  # population (1/N)
+    return ColumnStats(columns=rows.columns, mean=mean, std=np.where(np.isnan(std), 0.0, std))
+
+
+def _carried_sum(terms: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
+    """Column sums of ``terms`` after the sums ``carry`` of the rows before them, which are
+    added into the first row; the first block has no carry."""
+    if carry is not None:
+        terms[0] += carry
+    return terms.sum(axis=0)
 
 
 def apply_column_stats(panel: TelemetryPanel, stats: ColumnStats) -> np.ndarray:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from fleetwarn.core import own_fields, write_json
+from fleetwarn.core import ROW_BLOCK, NormalRows, own_fields, write_json
 
 MEASURES = ("pearson", "mutual_info")
 
@@ -58,12 +57,17 @@ class ParameterGrouping:
         object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
 
 
-# Rows per block of the Gram products: temporaries stay at block x P floats.
-_BLOCK_ROWS = 1024
 # A pair whose shifted sums cancel to below this share of the sum of squares
 # has lost more than two decimal digits of its variance; it is recomputed
 # from its complete rows.
 _CANCELLATION = 1e-2
+
+
+def _complete_pair(rows: NormalRows, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns i and j on the rows where both are finite."""
+    x, y = rows.gather([i, j]).T
+    both = np.isfinite(x) & np.isfinite(y)
+    return x[both], y[both]
 
 
 def _pair_pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -79,7 +83,7 @@ def _pair_pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(dx @ dy) / math.sqrt(sxx * syy)
 
 
-def _pearson_matrix(data: np.ndarray) -> np.ndarray:
+def _pearson_matrix(rows: NormalRows) -> np.ndarray:
     """Signed Pearson correlation, pairwise-complete over missing entries.
 
     Pairs with fewer than two complete rows, or a constant column on the
@@ -87,26 +91,37 @@ def _pearson_matrix(data: np.ndarray) -> np.ndarray:
 
     All pairs come from four Gram products of the finite mask ``M`` and the
     shifted values ``X0`` (NaN -> 0): ``n = M'M``, ``Sx = X0'M``,
-    ``Sxx = (X0*X0)'M`` and ``Sxy = X0'X0``.  Each column is shifted by its
-    first finite value (Chan, Golub & LeVeque 1983), which keeps the sums on
-    the scale of the spread and makes a constant column exactly zero.
+    ``Sxx = (X0*X0)'M`` and ``Sxy = X0'X0``, summed over the row blocks into
+    reused block buffers, so temporaries stay at ``ROW_BLOCK`` x P floats.
+    Each column is shifted by its first finite value (Chan, Golub & LeVeque
+    1983), which keeps the sums on the scale of the spread and makes a
+    constant column exactly zero.
     """
-    n_rows, n_cols = data.shape
-    finite = np.isfinite(data)
-    shift = data[np.argmax(finite, axis=0), np.arange(n_cols)]
-    shift[~finite.any(axis=0)] = 0.0
-    n = np.zeros((n_cols, n_cols))
-    sx = np.zeros((n_cols, n_cols))
-    sxx = np.zeros((n_cols, n_cols))
-    sxy = np.zeros((n_cols, n_cols))
-    for lo in range(0, n_rows, _BLOCK_ROWS):
-        mask = finite[lo : lo + _BLOCK_ROWS]
-        m = mask.astype(np.float64)
-        x0 = np.where(mask, data[lo : lo + _BLOCK_ROWS] - shift, 0.0)
-        n += m.T @ m
-        sx += x0.T @ m
-        sxx += (x0 * x0).T @ m
-        sxy += x0.T @ x0
+    n_cols = len(rows.columns)
+    shift = np.full(n_cols, np.nan)  # finite once found
+    for block in rows.blocks():
+        todo = np.flatnonzero(np.isnan(shift))
+        finite = np.isfinite(block[:, todo])
+        found = finite.any(axis=0)
+        shift[todo[found]] = block[np.argmax(finite, axis=0)[found], todo[found]]
+        if found.all():
+            break
+    shift[np.isnan(shift)] = 0.0
+    n, sx, sxx, sxy = (np.zeros((n_cols, n_cols)) for _ in range(4))
+    finite = np.empty((ROW_BLOCK, n_cols), dtype=bool)
+    m, x0, x0_sq = (np.empty((ROW_BLOCK, n_cols)) for _ in range(3))
+    for block in rows.blocks():
+        k = block.shape[0]
+        mask, mk, xk, qk = finite[:k], m[:k], x0[:k], x0_sq[:k]
+        np.isfinite(block, out=mask)
+        np.copyto(mk, mask)
+        np.subtract(block, shift, out=xk)
+        xk[~mask] = 0.0
+        np.multiply(xk, xk, out=qk)
+        n += mk.T @ mk
+        sx += xk.T @ mk
+        sxx += qk.T @ mk
+        sxy += xk.T @ xk
     # [i, j] holds column i's sums over the rows complete for (i, j).
     with np.errstate(divide="ignore", invalid="ignore"):
         cov = sxy - sx * sx.T / n
@@ -116,8 +131,7 @@ def _pearson_matrix(data: np.ndarray) -> np.ndarray:
     out = np.triu(np.where(computable, r, np.nan), 1)
     cancelled = (n >= 2) & ((var < _CANCELLATION * sxx) | (var.T < _CANCELLATION * sxx.T))
     for i, j in zip(*np.nonzero(np.triu(cancelled, 1))):
-        both = finite[:, i] & finite[:, j]
-        out[i, j] = _pair_pearson(data[both, i], data[both, j])
+        out[i, j] = _pair_pearson(*_complete_pair(rows, i, j))
     out += out.T
     np.fill_diagonal(out, 1.0)
     return out
@@ -145,26 +159,26 @@ def _entropy(x: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _mutual_info_matrix(data: np.ndarray) -> np.ndarray:
+def _mutual_info_matrix(rows: NormalRows) -> np.ndarray:
     """Plug-in mutual information (nats) on equal-frequency binned values.
 
     Bins per variable: ceil(sqrt(N)) over the pair's complete rows.  The
-    diagonal holds each column's own entropy under the same binning.
+    diagonal holds each column's own entropy under the same binning.  Each
+    pair gathers its two columns, so no more than two are held at a time.
     """
-    n_cols = data.shape[1]
+    n_cols = len(rows.columns)
     out = np.full((n_cols, n_cols), np.nan)
-    finite = np.isfinite(data)
     for i in range(n_cols):
-        xi = data[finite[:, i], i]
-        out[i, i] = _entropy(xi)
+        xi = rows.gather([i])[:, 0]
+        out[i, i] = _entropy(xi[np.isfinite(xi)])
         for j in range(i + 1, n_cols):
-            both = finite[:, i] & finite[:, j]
-            n = int(both.sum())
+            x, y = _complete_pair(rows, i, j)
+            n = x.size
             if n < 2:
                 continue
             n_bins = _bin_count(n)
-            bi = _equal_frequency_bins(data[both, i], n_bins)
-            bj = _equal_frequency_bins(data[both, j], n_bins)
+            bi = _equal_frequency_bins(x, n_bins)
+            bj = _equal_frequency_bins(y, n_bins)
             joint = np.zeros((n_bins, n_bins))
             np.add.at(joint, (bi, bj), 1.0)
             joint /= n
@@ -176,24 +190,17 @@ def _mutual_info_matrix(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def dependence_from_rows(
-    data: np.ndarray,
-    columns: Sequence[str],
-    measure: str = "pearson",
-) -> DependenceMatrix:
-    """Dependence over the columns of a raw N x P row matrix."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != len(columns):
-        raise ValueError("data must be N x len(columns)")
-    if data.shape[0] < 2:
+def dependence_from_rows(rows: NormalRows, measure: str = "pearson") -> DependenceMatrix:
+    """Dependence over the columns of the rows of a row source."""
+    if rows.n_rows < 2:
         raise ValueError("need at least 2 rows to estimate dependence")
     if measure == "pearson":
-        values = _pearson_matrix(data)
+        values = _pearson_matrix(rows)
     elif measure == "mutual_info":
-        values = _mutual_info_matrix(data)
+        values = _mutual_info_matrix(rows)
     else:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return DependenceMatrix(columns=tuple(columns), values=values)
+    return DependenceMatrix(columns=rows.columns, values=values)
 
 
 def build_groups(dep: DependenceMatrix, rho: float = 0.7) -> ParameterGrouping:

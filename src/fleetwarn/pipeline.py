@@ -5,8 +5,9 @@ regime masking, fleet-pooled z-score normalization, dependence grouping,
 per-group subspace detectors with quantile thresholds, alarm binarization,
 event matching, and the filtered combination search.  The fitted model can
 then score any fleet (training or held-out) with :func:`pooled_on`.  Training holds
-no z-scored copy of the fleet: the fits read the stacked normal rows, z-scored in
-place, and scoring z-scores one panel at a time.
+no copy of the fleet: the column stats and the dependence matrix read the normal rows
+a block at a time, the fits gather their groups' columns a few groups at a time, and
+scoring z-scores one panel at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fleetwarn.core import (
     EventRecord,
     FleetAxis,
     MatchParams,
+    NormalRows,
     NoTargetEventsError,
     TelemetryPanel,
     apply_column_stats,
@@ -103,23 +105,36 @@ def select_target_events(
     return kept
 
 
-def zscored_normal_rows(
+def normal_rows(
     panels: Sequence[TelemetryPanel], masks: Sequence[np.ndarray]
-) -> tuple[ColumnStats, np.ndarray]:
-    """The column stats fitted on the panels' masked (normal) rows, and those rows stacked
-    in panel order and z-scored in place: bit for bit the stacked rows of the z-scored
-    panels, since z-scoring is elementwise, without a z-scored copy of any panel."""
-    columns = panels[0].columns
-    rows = np.empty((sum(int(mask.sum()) for mask in masks), len(columns)))
-    start = 0
-    for panel, mask in zip(panels, masks, strict=True):
-        if panel.columns != columns:
-            raise ValueError("panels disagree on columns")
-        stop = start + int(mask.sum())
-        np.compress(mask, panel.values, axis=0, out=rows[start:stop])
-        start = stop
-    stats = fit_column_stats(rows, columns)
-    return stats, stats.zscore(rows, out=rows)
+) -> tuple[ColumnStats, NormalRows]:
+    """The column stats fitted on the panels' masked (normal) rows, and those rows as a row
+    source z-scored with them; neither stacks the rows."""
+    stats = fit_column_stats(NormalRows(panels, masks))
+    return stats, NormalRows(panels, masks, stats)
+
+
+def fit_detectors(
+    normal: NormalRows, groups: Sequence[tuple[str, ...]], rank: int
+) -> list[SubspaceDetector]:
+    """Each group's detector at rank min(``rank``, group size), fitted on its columns of the
+    z-scored ``normal`` rows.  Consecutive groups are gathered together, about a quarter of
+    the columns at a time: a gather of few columns costs more per cell, and one of all
+    columns would copy the rows."""
+    detectors: list[SubspaceDetector] = []
+    batch: list[tuple[str, ...]] = []
+    for i, group in enumerate(groups):
+        batch.append(group)
+        if 4 * sum(map(len, batch)) < len(normal.columns) and i + 1 < len(groups):
+            continue
+        rows = normal.gather([normal.columns.index(name) for g in batch for name in g])
+        start = 0
+        for g in batch:
+            detectors.append(fit_subspace_from_rows(rows[:, start:start + len(g)], g,
+                                                    min(rank, len(g))))
+            start += len(g)
+        batch = []
+    return detectors
 
 
 def score_panels(
@@ -177,15 +192,9 @@ def train_model(
         raise ValueError(f"every flight lies fewer than {cfg.normal_before} flights before or "
                          f"{cfg.normal_after} after an event of its unit (detect.normal_before, "
                          "detect.normal_after): the normal regime is empty")
-    stats, normal_rows = zscored_normal_rows(panels, masks)
-    dep = dependence_from_rows(normal_rows, panels[0].columns, cfg.measure)
-    grouping = build_groups(dep, cfg.rho)
-    detectors = [
-        fit_subspace_from_rows(normal_rows[:, [stats.columns.index(n) for n in group]], group,
-                               min(cfg.rank, len(group)))
-        for group in grouping.groups
-    ]
-    del normal_rows
+    stats, normal = normal_rows(panels, masks)
+    grouping = build_groups(dependence_from_rows(normal, cfg.measure), cfg.rho)
+    detectors = fit_detectors(normal, grouping.groups, cfg.rank)
     fitted = [
         fit_alarm(det, scores, masks, cfg.quantile_overrides.get(det.group[0], cfg.quantile),
                   layout.axis)

@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from fleetwarn.core import EventRecord, FleetAxis, TelemetryPanel
-from fleetwarn.detect import fit_subspace_from_rows, select_normal_regime
-from fleetwarn.pipeline import fit_alarm, score_panels, zscored_normal_rows
+from fleetwarn.detect import select_normal_regime
+from fleetwarn.pipeline import fit_alarm, fit_detectors, normal_rows, score_panels
 
 
 @dataclass(frozen=True)
@@ -237,11 +237,9 @@ def _anomalies_exceed_q95(
             f"flights before or {after} after an event of its unit, so no flight is left "
             f"in the normal regime the check fits on"
         )
-    stats, rows = zscored_normal_rows(panels, masks)
+    stats, normal = normal_rows(panels, masks)
     group_cols = cfg.group_columns()
-    detectors = [fit_subspace_from_rows(rows[:, [stats.columns.index(n) for n in group_cols[g]]],
-                                        group_cols[g], rank=1) for g in planted_groups]
-    del rows
+    detectors = fit_detectors(normal, [group_cols[g] for g in planted_groups], rank=1)
     axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
     for g, det, scores in zip(planted_groups, detectors, score_panels(detectors, panels, stats)):
         _, alarm = fit_alarm(det, scores, masks, q, axis)

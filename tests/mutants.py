@@ -134,6 +134,39 @@ MUTANTS = (
               for case in ("no-complete-row", "one-complete-row")),
     ),
     Mutant(
+        "column-stats carry dropped between blocks", "src/fleetwarn/core.py",
+        "    if carry is not None:\n        terms[0] += carry\n",
+        "",
+        ("tests/test_core.py::TestNormalize::test_blocked_fit_bit_equal_to_numpy_on_the_stack",),
+    ),
+    Mutant(
+        "one column summed row by row", "src/fleetwarn/core.py",
+        "blocks = rows.blocks if len(rows.columns) > 1 else lambda: iter([rows.gather([0])])",
+        "blocks = rows.blocks",
+        ("tests/test_core.py::TestNormalize::test_blocked_fit_bit_equal_to_numpy_on_the_stack",),
+    ),
+    Mutant(
+        "Pearson blocks of 1,023 rows", "src/fleetwarn/core.py",
+        "ROW_BLOCK = 1024",
+        "ROW_BLOCK = 1023",
+        ("tests/test_grouping.py::TestPearsonBlocks::test_row_source_equals_the_stacked_matrix",
+         "tests/test_grouping.py::TestPearsonBlocks::test_cancelled_pairs_across_blocks"),
+    ),
+    Mutant(
+        "Pearson shifts read from the first block only", "src/fleetwarn/grouping.py",
+        "        if found.all():\n            break\n",
+        "        break\n",
+        ("tests/test_grouping.py::TestPearsonBlocks::"
+         "test_a_column_first_observed_after_the_first_block",),
+    ),
+    Mutant(
+        "curves reads the events before naming a missing telemetry", "src/fleetwarn/cli.py",
+        "    if cfg.baseline_param is not None:\n        _require(cfg, telemetry=cfg.telemetry)",
+        "    if False:\n        _require(cfg, telemetry=cfg.telemetry)",
+        tuple("tests/test_cli.py::test_curves_refuses_a_missing_telemetry_before_reading_events"
+              f"[{case}]" for case in ("absent", "bad-header", "directory")),
+    ),
+    Mutant(
         "curves takes both score sources", "src/fleetwarn/cli.py",
         "if cfg.scores is not None and cfg.baseline_param is not None:",
         "if False:",

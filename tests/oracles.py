@@ -35,8 +35,8 @@ from fleetwarn.core import (
 )
 from fleetwarn.detect import fit_subspace_from_rows, fit_threshold, score_reconstruction
 from fleetwarn.evaluation import CurvePoint, greedy_max_matching
-from fleetwarn.grouping import build_groups, dependence_from_rows
-from support import firings
+from fleetwarn.grouping import _CANCELLATION, _pair_pearson, build_groups, dependence_from_rows
+from support import firings, rows_of
 
 
 def _label_flights(evs, params, first, last):
@@ -273,6 +273,38 @@ def pearson_reference(data):
     return out
 
 
+def pearson_matrix_reference(data):
+    """``grouping._pearson_matrix`` on one stacked matrix: the four Gram products summed
+    over blocks of 1,024 rows of ``data``, each column shifted by its first finite value,
+    and the cancelled pairs recomputed from their complete rows by ``_pair_pearson``."""
+    n_rows, n_cols = data.shape
+    finite = np.isfinite(data)
+    shift = data[np.argmax(finite, axis=0), np.arange(n_cols)]
+    shift[~finite.any(axis=0)] = 0.0
+    n, sx, sxx, sxy = (np.zeros((n_cols, n_cols)) for _ in range(4))
+    for lo in range(0, n_rows, 1024):
+        mask = finite[lo : lo + 1024]
+        m = mask.astype(np.float64)
+        x0 = np.where(mask, data[lo : lo + 1024] - shift, 0.0)
+        n += m.T @ m
+        sx += x0.T @ m
+        sxx += (x0 * x0).T @ m
+        sxy += x0.T @ x0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cov = sxy - sx * sx.T / n
+        var = sxx - sx * sx / n
+        r = cov / np.sqrt(var * var.T)
+    computable = (n >= 2) & (var > 0.0) & (var.T > 0.0)
+    out = np.triu(np.where(computable, r, np.nan), 1)
+    cancelled = (n >= 2) & ((var < _CANCELLATION * sxx) | (var.T < _CANCELLATION * sxx.T))
+    for i, j in zip(*np.nonzero(np.triu(cancelled, 1))):
+        both = finite[:, i] & finite[:, j]
+        out[i, j] = _pair_pearson(data[both, i], data[both, j])
+    out += out.T
+    np.fill_diagonal(out, 1.0)
+    return out, int(np.triu(cancelled, 1).sum())
+
+
 def exact_max_matching(flags, onsets, tolerance):
     """Maximum bipartite matching size via augmenting paths."""
     flags = sorted(flags)
@@ -434,7 +466,7 @@ def train_chain_reference(panels, events, cfg):
     normalized = [apply_column_stats_reference(p.values, mean, std) for p in panels]
     rows = np.vstack([v[m] for v, m in zip(normalized, masks)])
     columns = panels[0].columns
-    grouping = build_groups(dependence_from_rows(rows, columns, cfg.measure), cfg.rho)
+    grouping = build_groups(dependence_from_rows(rows_of(rows, columns), cfg.measure), cfg.rho)
     detectors = []
     for group in grouping.groups:
         idx = [columns.index(name) for name in group]

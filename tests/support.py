@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import fleetwarn
-from fleetwarn.core import AlarmSeries, FleetAxis, write_csv
+from fleetwarn.core import AlarmSeries, FleetAxis, NormalRows, TelemetryPanel, write_csv
 from fleetwarn.evaluation import Curve, CurvePoint
 
 # The flight range of every unit of a test alarm built without an axis, so
@@ -37,6 +37,33 @@ def alarm_series(alarm_id, firings, axis=None):
                 raise ValueError(f"flight {t} of unit {unit!r} is off the axis")
             positions.append(t + axis.shift(unit))
     return AlarmSeries(alarm_id, axis, np.array(sorted(positions), dtype=np.int64))
+
+
+def rows_of(data, columns=None):
+    """A row source over every row of the matrix ``data``, held as one panel; the
+    columns are named ``p0``, ``p1``, ... unless given."""
+    data = np.asarray(data, dtype=np.float64)
+    columns = tuple(columns or (f"p{j}" for j in range(data.shape[1])))
+    panel = TelemetryPanel("m", np.arange(len(data)), columns, data)
+    return NormalRows((panel,), (np.ones(len(data), dtype=bool),))
+
+
+def split_rows(data, rng, columns=None):
+    """Panels and masks whose selected rows, stacked in panel order, are the rows of
+    ``data``: the rows are cut into one to four runs, each a panel, and every panel
+    also holds masked-out rows of noise between them."""
+    data = np.asarray(data, dtype=np.float64)
+    columns = tuple(columns or (f"p{j}" for j in range(data.shape[1])))
+    cuts = np.sort(rng.integers(0, len(data) + 1, size=rng.integers(0, 4)))
+    panels, masks = [], []
+    for u, run in enumerate(np.split(data, cuts)):
+        mask = np.zeros(2 * len(run) + 1, dtype=bool)
+        mask[rng.choice(mask.size, size=len(run), replace=False)] = True
+        values = rng.normal(size=(mask.size, data.shape[1]))
+        values[mask] = run
+        panels.append(TelemetryPanel(f"u{u}", np.arange(mask.size), columns, values))
+        masks.append(mask)
+    return panels, masks
 
 
 def firings(alarm):

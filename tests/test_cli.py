@@ -1339,6 +1339,20 @@ def test_a_missing_input_path_is_named(tmp_path, capsys, command, payload, key):
     assert capsys.readouterr().err == f"fleetwarn: config is missing io.{key}\n"
 
 
+@pytest.mark.parametrize("events", ["absent", "bad-header", "directory"])
+def test_curves_refuses_a_missing_telemetry_before_reading_events(tmp_path, capsys, events):
+    # A baseline sweep reads the telemetry, so its absence is named whatever events.csv holds.
+    if events == "bad-header":
+        (tmp_path / "events.csv").write_text("unit,start\nu1,5\n")
+    elif events == "directory":
+        (tmp_path / "events.csv").mkdir()
+    cfg = write_config(tmp_path / "c.json", {
+        "io": {"events": "events.csv"}, "curves": {"baseline_param": "x"},
+    })
+    assert main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "fleetwarn: config is missing io.telemetry\n"
+
+
 @pytest.mark.parametrize("command", ["run", "crossval", "curves"])
 def test_a_header_only_telemetry_file_is_refused_by_every_command(tmp_path, capsys, command):
     (tmp_path / "telemetry.csv").write_text("unit_id,flight,phase,a,b\n")

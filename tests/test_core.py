@@ -23,7 +23,9 @@ from fleetwarn.core import (
     ColumnStats,
     EventRecord,
     FleetAxis,
+    ROW_BLOCK,
     MatchParams,
+    NormalRows,
     TelemetryPanel,
     apply_column_stats,
     csv_float,
@@ -49,7 +51,7 @@ from oracles import (
     write_alarms_reference,
     write_telemetry_reference,
 )
-from support import alarm_series, firings, run_python, write_scores_csv
+from support import alarm_series, firings, run_python, split_rows, write_scores_csv
 
 
 def make_panel(values, columns=("x",), unit="u1", flights=None):
@@ -126,7 +128,51 @@ class TestEventRecord:
 
 def zscored(panel, mask):
     """``panel``'s values z-scored with stats fitted on its ``mask`` rows alone."""
-    return apply_column_stats(panel, fit_column_stats(panel.values[mask], panel.columns))
+    return apply_column_stats(panel, fit_column_stats(NormalRows((panel,), (mask,))))
+
+
+def assert_stats_equal(stats, mean, std):
+    """``stats`` holds ``mean`` and ``std`` bit for bit, bar the bits of a NaN mean."""
+    assert np.array_equal(np.isnan(stats.mean), np.isnan(mean))
+    observed = ~np.isnan(mean)
+    assert stats.mean[observed].tobytes() == mean[observed].tobytes()
+    assert stats.std.tobytes() == std.tobytes()
+
+
+class TestNormalRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 37]),
+           st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_blocks_and_gathers_are_the_stacked_rows(self, n_rows, n_cols, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n_rows, n_cols))
+        values[rng.random(values.shape) < 0.2] = np.nan
+        panels, masks = split_rows(values, rng)
+        rows = NormalRows(panels, masks)
+        blocks = [block.copy() for block in rows.blocks()]
+        assert [len(b) for b in blocks] == [min(ROW_BLOCK, n_rows - lo)
+                                           for lo in range(0, n_rows, ROW_BLOCK)]
+        stacked = np.concatenate(blocks) if blocks else np.empty((0, n_cols))
+        assert rows.n_rows == n_rows and stacked.tobytes() == values.tobytes()
+        cols = rng.permutation(n_cols)[: rng.integers(1, n_cols + 1)]
+        gathered = rows.gather(cols)
+        assert gathered.flags.f_contiguous
+        assert gathered.tobytes() == np.ascontiguousarray(values[:, cols]).tobytes()
+
+    def test_every_block_is_written_into_one_buffer(self):
+        values = np.arange(3.0 * ROW_BLOCK).reshape(-1, 1)
+        panels, masks = split_rows(values, np.random.default_rng(4))
+        bases = {block.__array_interface__["data"][0]
+                 for block in NormalRows(panels, masks).blocks()}
+        assert len(bases) == 1
+
+    def test_refuses_stats_or_masks_that_do_not_fit(self):
+        a = TelemetryPanel("a", np.arange(3), ("x", "y"), np.ones((3, 2)))
+        stats = ColumnStats(("x", "z"), np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="stats columns do not match panel columns"):
+            NormalRows((a,), (np.ones(3, dtype=bool),), stats)
+        with pytest.raises(ValueError, match="one mask per panel"):
+            NormalRows((a,), ())
 
 
 class TestNormalize:
@@ -168,7 +214,7 @@ class TestNormalize:
     def test_fleet_pooled_stats(self):
         a = make_panel([0.0, 2.0], unit="a")
         b = make_panel([4.0, 6.0], unit="b")
-        stats = fit_column_stats(np.vstack([a.values, b.values]), a.columns)
+        stats = fit_column_stats(NormalRows((a, b), (np.ones(2, dtype=bool),) * 2))
         assert stats.mean[0] == pytest.approx(3.0)
         out = apply_column_stats(b, stats)
         assert out[1, 0] == pytest.approx((6.0 - 3.0) / stats.std[0])
@@ -210,20 +256,35 @@ class TestNormalize:
         if not any(m.any() for m in masks):
             masks[0][0] = True
         rows = np.vstack([p.values[m] for p, m in zip(panels, masks)])
-        mean, std = fit_column_stats_reference(rows)
-        before = rows.tobytes()
-        got = fit_column_stats(rows, columns)
-        assert rows.tobytes() == before
-        assert np.array_equal(np.isnan(got.mean), np.isnan(mean))
-        observed = ~np.isnan(mean)
-        assert got.mean[observed].tobytes() == mean[observed].tobytes()
-        assert got.std.tobytes() == std.tobytes()
+        got = fit_column_stats(NormalRows(panels, masks))
+        assert_stats_equal(got, *fit_column_stats_reference(rows))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_blocked_fit_bit_equal_to_numpy_on_the_stack(self, data):
+        """Read in blocks of ``ROW_BLOCK`` rows, the stats are ``np.nanmean`` and
+        ``np.nanstd`` of the stacked rows bit for bit: on both sides of one and two block
+        heights, for one column (which numpy sums pairwise) and for several (row by row),
+        with -0.0 cells and all-missing columns."""
+        n_rows = data.draw(st.sampled_from([1, 2, 9, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                            2 * ROW_BLOCK - 1, 2 * ROW_BLOCK,
+                                            2 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 229]))
+        n_cols = data.draw(st.sampled_from([1, 1, 2, 3, 8, 41]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = (rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.integers(-3, 4, size=n_cols)
+                  + rng.normal(size=n_cols) * 10.0 ** rng.integers(0, 7, size=n_cols))
+        values[rng.random(values.shape) < data.draw(st.sampled_from([0.0, 0.1, 0.6]))] = np.nan
+        values[rng.random(values.shape) < 0.05] = -0.0
+        values[:, rng.random(n_cols) < 0.2] = np.nan  # all-missing columns
+        panels, masks = split_rows(values, rng)
+        got = fit_column_stats(NormalRows(panels, masks))
+        assert_stats_equal(got, *fit_column_stats_reference(values))
 
     def test_fit_warns_of_nothing(self):
         panel = make_panel([[1.0, np.nan], [3.0, np.nan]], columns=("x", "y"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stats = fit_column_stats(panel.values.copy(), panel.columns)
+            stats = fit_column_stats(NormalRows((panel,), (np.ones(2, dtype=bool),)))
         assert math.isnan(stats.mean[1]) and stats.std[1] == 0.0
         assert (stats.mean[0], stats.std[0]) == (2.0, 1.0)
 

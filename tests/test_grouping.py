@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetwarn.core import TelemetryPanel
+from fleetwarn.core import ROW_BLOCK, NormalRows, TelemetryPanel
 from fleetwarn.grouping import (
-    _BLOCK_ROWS,
     DependenceMatrix,
     ParameterGrouping,
     build_groups,
     dependence_from_rows,
     write_groups_json,
 )
-from oracles import bfs_components, pearson_reference, scipy_components
+from oracles import bfs_components, pearson_matrix_reference, pearson_reference, scipy_components
+from support import rows_of, split_rows
 
 
 def read_groups_json(path):
@@ -37,38 +37,38 @@ def panel_from(values, columns):
 class TestPearson:
     def test_perfect_linear(self):
         x = np.linspace(0, 1, 20)
-        dep = dependence_from_rows(np.column_stack([x, 2 * x]), ("x", "y"))
+        dep = dependence_from_rows(rows_of(np.column_stack([x, 2 * x]), ("x", "y")))
         assert dep.values[0, 1] == pytest.approx(1.0)
 
     def test_perfect_negative(self):
         x = np.linspace(0, 1, 20)
-        dep = dependence_from_rows(np.column_stack([x, -x]), ("x", "y"))
+        dep = dependence_from_rows(rows_of(np.column_stack([x, -x]), ("x", "y")))
         assert dep.values[0, 1] == pytest.approx(-1.0)
 
     def test_hand_computed(self):
         # r = 4/5 by direct computation
         data = np.column_stack([[1, 2, 3, 4], [1, 3, 2, 4]])
-        dep = dependence_from_rows(data, ("x", "y"))
+        dep = dependence_from_rows(rows_of(data, ("x", "y")))
         assert dep.values[0, 1] == pytest.approx(0.8, abs=1e-12)
 
     def test_scale_and_shift_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=50)
         for a in (2.5, -0.7):
-            dep = dependence_from_rows(np.column_stack([x, a * x + 4.0]), ("x", "y"))
+            dep = dependence_from_rows(rows_of(np.column_stack([x, a * x + 4.0]), ("x", "y")))
             assert dep.values[0, 1] == pytest.approx(math.copysign(1.0, a))
 
     def test_pairwise_complete(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, np.nan])
         y = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
-        dep = dependence_from_rows(np.column_stack([x, y]), ("x", "y"))
+        dep = dependence_from_rows(rows_of(np.column_stack([x, y]), ("x", "y")))
         # complete rows are (1,1),(2,2),(4,4): perfectly linear
         assert dep.values[0, 1] == pytest.approx(1.0)
 
     def test_too_little_overlap_is_missing(self):
         x = np.array([1.0, np.nan, 3.0, np.nan])
         y = np.array([np.nan, 2.0, np.nan, 4.0])
-        dep = dependence_from_rows(np.column_stack([x, y]), ("x", "y"))
+        dep = dependence_from_rows(rows_of(np.column_stack([x, y]), ("x", "y")))
         assert math.isnan(dep.values[0, 1])
 
     def test_constant_column_is_missing(self):
@@ -77,7 +77,7 @@ class TestPearson:
         # and the pair's two-pass recomputation finds it constant
         for x, y in (([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([0.1, 0.1, 0.1], [1.0, 2.0, 4.0]),
                      ([1e6, 0.1, 0.1, 0.1], [np.nan, 1.0, 2.0, 4.0])):
-            dep = dependence_from_rows(np.column_stack([x, y]), ("x", "y"))
+            dep = dependence_from_rows(rows_of(np.column_stack([x, y]), ("x", "y")))
             assert math.isnan(dep.values[0, 1])
             assert dep.values[0, 0] == 1.0
 
@@ -87,30 +87,33 @@ class TestPearson:
         x = np.array([1e6, np.nan, 1.0, 1.1, 1.3, 0.7])
         y = np.array([np.nan, 5.0, 1.0, 2.0, 5.0, 3.0])
         data = np.column_stack([x, y])
-        got = dependence_from_rows(data, ("x", "y")).values[0, 1]
+        got = dependence_from_rows(rows_of(data, ("x", "y"))).values[0, 1]
         assert got == pytest.approx(pearson_reference(data)[0, 1], abs=1e-12)
 
     def test_panel_entry_point(self):
         panel = panel_from([[1, 2], [2, 4], [3, 6]], ("x", "y"))
-        dep = dependence_from_rows(panel.values, panel.columns, "pearson")
+        dep = dependence_from_rows(NormalRows((panel,), (np.ones(3, dtype=bool),)), "pearson")
         assert dep.values[0, 1] == pytest.approx(1.0)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
-            dependence_from_rows(np.array([[1.0, 2.0]]), ("x", "y"))
+            dependence_from_rows(rows_of(np.array([[1.0, 2.0]]), ("x", "y")))
 
 
 @st.composite
 def pearson_inputs(draw):
-    """Rows of noisy, constant and offset columns under assorted NaN masks."""
+    """Rows of noisy, constant, offset and outlier columns under assorted NaN masks.
+
+    An outlier column's first value lies far from its others, and the next column misses
+    that row, so the pair's shifted sums cancel."""
     n_rows = draw(
         st.one_of(
             st.integers(2, 12),
-            st.sampled_from([_BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 37]),
+            st.sampled_from([ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 37]),
         )
     )
     n_cols = draw(st.integers(2, 8))
-    kinds = draw(st.lists(st.sampled_from(["noise", "constant", "offset"]),
+    kinds = draw(st.lists(st.sampled_from(["noise", "constant", "offset", "outlier"]),
                           min_size=n_cols, max_size=n_cols))
     masking = draw(st.sampled_from(["none", "random", "disjoint", "one_overlap"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -121,6 +124,9 @@ def pearson_inputs(draw):
             data[:, j] = float(rng.integers(-5, 6))
         elif kind == "offset":
             data[:, j] += 1e6
+        elif kind == "outlier":
+            data[0, j] = 1e6
+            data[0, (j + 1) % n_cols] = np.nan
     if masking != "none":
         data[rng.random((n_rows, n_cols)) < draw(st.sampled_from([0.1, 0.5, 0.9]))] = np.nan
     if masking == "disjoint":
@@ -138,18 +144,50 @@ class TestPearsonOracle:
     @given(pearson_inputs())
     def test_matches_pairwise_loop(self, data):
         names = tuple(f"p{i}" for i in range(data.shape[1]))
-        got = dependence_from_rows(data, names).values
+        got = dependence_from_rows(rows_of(data, names)).values
         expect = pearson_reference(data)
         assert np.array_equal(np.isnan(got), np.isnan(expect))
         both = ~np.isnan(expect)
         assert np.max(np.abs(got[both] - expect[both])) <= 1e-12
 
 
+class TestPearsonBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(pearson_inputs(), st.integers(0, 2**32 - 1))
+    def test_row_source_equals_the_stacked_matrix(self, data, seed):
+        """Spread over panels with masked-out rows between them, the rows give the Pearson
+        matrix of their stack bit for bit, cancelled pairs included."""
+        panels, masks = split_rows(data, np.random.default_rng(seed))
+        got = dependence_from_rows(NormalRows(panels, masks)).values
+        expect, _ = pearson_matrix_reference(data)
+        assert got.tobytes() == expect.tobytes()
+
+    def test_a_column_first_observed_after_the_first_block(self):
+        # its shift is a value of the second block, not zero
+        rng = np.random.default_rng(31)
+        data = rng.normal(size=(2 * ROW_BLOCK + 37, 3)) + 3.0
+        data[: ROW_BLOCK + 5, 1] = np.nan
+        panels, masks = split_rows(data, rng)
+        expect, cancelled = pearson_matrix_reference(data)
+        assert cancelled == 0
+        assert dependence_from_rows(NormalRows(panels, masks)).values.tobytes() == expect.tobytes()
+
+    def test_cancelled_pairs_across_blocks(self):
+        rng = np.random.default_rng(29)
+        data = rng.normal(size=(2 * ROW_BLOCK + 37, 4))
+        data[:, 1] += data[:, 0]
+        data[0, 0], data[0, 1] = 1e6, np.nan  # pairs of column 0 without row 0 cancel
+        expect, cancelled = pearson_matrix_reference(data)
+        assert cancelled >= 2
+        panels, masks = split_rows(data, rng)
+        assert dependence_from_rows(NormalRows(panels, masks)).values.tobytes() == expect.tobytes()
+
+
 class TestMutualInformation:
     def test_symmetric_nonnegative(self):
         rng = np.random.default_rng(11)
         data = rng.normal(size=(200, 4))
-        dep = dependence_from_rows(data, ("a", "b", "c", "d"), "mutual_info")
+        dep = dependence_from_rows(rows_of(data, ("a", "b", "c", "d")), "mutual_info")
         off = dep.values[~np.eye(4, dtype=bool)]
         assert (off >= 0).all()
         assert np.allclose(dep.values, dep.values.T, equal_nan=True)
@@ -159,13 +197,14 @@ class TestMutualInformation:
         x = rng.normal(size=400)
         y = x + 0.01 * rng.normal(size=400)
         z = rng.normal(size=400)
-        dep = dependence_from_rows(np.column_stack([x, y, z]), ("x", "y", "z"), "mutual_info")
+        dep = dependence_from_rows(rows_of(np.column_stack([x, y, z]), ("x", "y", "z")),
+                                   "mutual_info")
         assert dep.values[0, 1] > 5 * dep.values[0, 2]
 
     def test_diagonal_is_entropy(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=100)
-        dep = dependence_from_rows(np.column_stack([x, x]), ("x", "y"), "mutual_info")
+        dep = dependence_from_rows(rows_of(np.column_stack([x, x]), ("x", "y")), "mutual_info")
         # equal-frequency bins on 100 points: 10 bins of 10 -> entropy ln 10
         assert dep.values[0, 0] == pytest.approx(math.log(10))
 
@@ -173,14 +212,14 @@ class TestMutualInformation:
                              ids=["no-complete-row", "one-complete-row"])
     def test_pair_with_fewer_than_two_complete_rows_is_missing(self, y):
         x = [1.0, 2.0, 3.0, 4.0, np.nan]
-        dep = dependence_from_rows(np.column_stack([x, y]), ("x", "y"), "mutual_info")
+        dep = dependence_from_rows(rows_of(np.column_stack([x, y]), ("x", "y")), "mutual_info")
         assert math.isnan(dep.values[0, 1]) and math.isnan(dep.values[1, 0])
         # x's own four values fill two bins of two
         assert dep.values[0, 0] == pytest.approx(math.log(2))
 
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="measure"):
-            dependence_from_rows(np.zeros((3, 2)), ("a", "b"), "kendall")
+            dependence_from_rows(rows_of(np.zeros((3, 2)), ("a", "b")), "kendall")
 
 
 class TestBuildGroups:

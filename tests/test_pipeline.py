@@ -1,5 +1,6 @@
 import functools
 import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -28,11 +29,11 @@ from fleetwarn import pipeline
 from fleetwarn.pipeline import (
     PipelineConfig,
     fit_alarm,
+    normal_rows,
     pooled_on,
     score_panels,
     select_target_events,
     train_model,
-    zscored_normal_rows,
 )
 from fleetwarn.simgen import GroupSpec, PlantedSpec, SimConfig, generate_fleet
 from fleetwarn.synth import SearchConfig
@@ -443,17 +444,19 @@ def test_training_equals_the_whole_panel_chain_bit_for_bit(fleet):
 
 @settings(max_examples=150, deadline=None)
 @given(odd_fleets(), st.data())
-def test_zscoring_a_stack_equals_stacking_zscored_panels(fleet, data):
+def test_zscored_row_source_equals_stacking_zscored_panels(fleet, data):
     panels, _, _, held = fleet
     panels = panels + held
     masks = [np.array(data.draw(st.lists(st.booleans(), min_size=p.n_flights,
                                          max_size=p.n_flights)), dtype=bool) for p in panels]
     if not any(m.any() for m in masks):
         masks[0][0] = True
-    stats, rows = zscored_normal_rows(panels, masks)
+    stats, rows = normal_rows(panels, masks)
     expect = np.vstack([apply_column_stats(p, stats)[m] for p, m in zip(panels, masks)])
-    assert rows.shape == expect.shape and rows.tobytes() == expect.tobytes()
-    assert rows.flags.c_contiguous
+    assert np.concatenate([b.copy() for b in rows.blocks()]).tobytes() == expect.tobytes()
+    cols = data.draw(st.lists(st.sampled_from(range(len(stats.columns))), min_size=1,
+                              unique=True))
+    assert rows.gather(cols).tobytes() == np.ascontiguousarray(expect[:, cols]).tobytes()
 
 
 def test_score_panels_picks_group_columns_by_name():
@@ -488,6 +491,29 @@ def test_one_zscored_panel_alive_at_a_time(monkeypatch):
     assert all(ref() is None for ref in returned)
 
 
+def test_training_holds_no_copy_of_the_normal_rows():
+    """The traced peak of ``train_model`` stays below the bytes of the fleet's normal rows,
+    so any N x P copy of them (a stack, or the NaN-filled copy ``np.nanmean`` makes) fails:
+    the stats and the dependence matrix read blocks, and the fits gather a few groups'
+    columns at a time."""
+    sim = SimConfig(units=8, flights_per_unit=1500, groups=(GroupSpec(5, 0.9),) * 6,
+                    planted=(PlantedSpec((0, 1), 3, 6, 9.0),), seed=4)
+    panels, events, _ = generate_fleet(sim)
+    cfg = PipelineConfig()
+    masks = [select_normal_regime(p, events, cfg.normal_before, cfg.normal_after) for p in panels]
+    normal_bytes = sum(int(m.sum()) for m in masks) * len(panels[0].columns) * 8
+    assert normal_bytes > 2_000_000  # 8,000+ rows of 30 columns, many times ROW_BLOCK
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train_model(panels, events, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < normal_bytes
+
+
 def test_an_empty_normal_regime_names_its_keys():
     panel = TelemetryPanel("u0", np.arange(1, 4), ("a", "b"), np.arange(6.0).reshape(3, 2))
     with pytest.raises(ValueError) as exc:
@@ -502,4 +528,4 @@ def test_normal_rows_refuse_panels_that_disagree_on_columns():
     a = TelemetryPanel("a", np.arange(3), ("x", "y"), np.ones((3, 2)))
     b = TelemetryPanel("b", np.arange(3), ("x", "z"), np.ones((3, 2)))
     with pytest.raises(ValueError, match="panels disagree on columns"):
-        zscored_normal_rows([a, b], [np.ones(3, dtype=bool)] * 2)
+        normal_rows([a, b], [np.ones(3, dtype=bool)] * 2)
