@@ -190,7 +190,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(raw, p.parent.resolve())
 
 
-def _require(cfg: RunConfig, **paths: Path | None) -> None:
+def _require(**paths: Path | None) -> None:
     for name, value in paths.items():
         if value is None:
             raise ConfigError(f"config is missing io.{name}")
@@ -212,7 +212,7 @@ def cmd_simulate(cfg: RunConfig, seed: int | None, out: Path) -> int:
 
 def _read_panels(cfg: RunConfig):
     """The panels of ``io.telemetry``; a file without rows is refused."""
-    _require(cfg, telemetry=cfg.telemetry)
+    _require(telemetry=cfg.telemetry)
     panels = read_telemetry_csv(cfg.telemetry)
     if not panels:
         raise ConfigError(f"{cfg.telemetry}: no telemetry rows")
@@ -220,7 +220,7 @@ def _read_panels(cfg: RunConfig):
 
 
 def _load_fleet(cfg: RunConfig):
-    _require(cfg, telemetry=cfg.telemetry, events=cfg.events)
+    _require(telemetry=cfg.telemetry, events=cfg.events)
     panels = _read_panels(cfg)
     events = read_events_csv(cfg.events)
     for key in cfg.pipeline.quantile_overrides:
@@ -284,13 +284,15 @@ def cmd_curves(cfg: RunConfig, out: Path) -> int:
     if cfg.scores is not None and cfg.baseline_param is not None:
         raise ConfigError("curves takes one score source: set io.scores or "
                           "curves.baseline_param, not both")
+    if cfg.scores is None and cfg.baseline_param is None:
+        raise ConfigError("curves needs io.scores or curves.baseline_param")
     if cfg.baseline_param is not None:
-        _require(cfg, telemetry=cfg.telemetry)  # before the events are read
-    _require(cfg, events=cfg.events)
+        _require(telemetry=cfg.telemetry)  # before the events are read
+    _require(events=cfg.events)
     events = select_target_events(read_events_csv(cfg.events), cfg.pipeline.code_prefix)
     if cfg.scores is not None:
         scores = read_scores_csv(cfg.scores)
-    elif cfg.baseline_param is not None:
+    else:
         panels = _read_panels(cfg)
         if cfg.baseline_param not in panels[0].columns:
             raise ConfigError(
@@ -301,8 +303,6 @@ def cmd_curves(cfg: RunConfig, out: Path) -> int:
             column = panel.values[:, panel.columns.index(cfg.baseline_param)]
             values = threshold_baseline(column, cfg.baseline_direction).tolist()
             scores[panel.unit_id] = dict(zip(panel.flights.tolist(), values))
-    else:
-        raise ConfigError("curves needs io.scores or curves.baseline_param")
     curve = roc_pr_curves(scores, events, cfg.tolerance)
     out.mkdir(parents=True, exist_ok=True)
     write_curves_csv(out / "curves.csv", curve)

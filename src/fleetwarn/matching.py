@@ -14,7 +14,8 @@ True > Irrelevant > False.  Counters aggregate across the fleet by
 summation, and an alarm is graded by three statistics: false firings per
 event (false_alarm_rate), fraction of events covered (coverage), and false
 firings per covered event (false_to_covered), plus a one-sided Welch t-test
-comparing per-window and per-segment firing counts.
+comparing per-window and per-segment firing counts.  Which graded alarms are
+kept is the search's rule: :class:`~fleetwarn.synth.SearchConfig`.
 """
 
 from __future__ import annotations
@@ -53,11 +54,8 @@ class FiringLabel:
     segment: int | None = None
 
 
-# Region kind of one flight on the fleet axis, and the kind of a firing there.
-_FALSE, _IRRELEVANT, _TRUE = 0, 1, 2
-_FIRING_KINDS = (FiringKind.FALSE, FiringKind.IRRELEVANT, FiringKind.TRUE)
 # The longest fleet axis a layout paints: its window and segment ids are int32,
-# and its per-flight arrays take 9 bytes a flight.
+# and its per-flight arrays take 8 bytes a flight.
 _MAX_AXIS_FLIGHTS = 2**31 - 1
 
 
@@ -67,13 +65,14 @@ class PeriodLayout:
 
     ``events`` maps every unit of the axis to its kept events, sorted by
     (onset, end, code); ``dropped`` holds the events the layout had to drop.
-    The arrays over ``axis``, the fleet axis of the observation ranges:
+    The arrays over ``axis``, the fleet axis of the observation ranges, give
+    each flight's region:
 
-    * ``kind``: the flight's region (``_TRUE``, ``_IRRELEVANT``, ``_FALSE``);
     * ``owner``: for true flights, the fleet-wide id of the earliest-onset
       window containing the flight (windows numbered in sorted unit order,
-      then event order);
-    * ``segment``: for false flights, the fleet-wide false-segment id;
+      then event order), and -1 elsewhere;
+    * ``segment``: for false flights, the fleet-wide false-segment id, and -1
+      elsewhere; a flight that is neither true nor false is irrelevant;
     * ``window_lo``/``window_hi``: the axis bounds ``[lo, hi)`` of every
       window, in window id order.
 
@@ -86,7 +85,6 @@ class PeriodLayout:
     params: MatchParams
     dropped: tuple[EventRecord, ...]
     axis: FleetAxis = field(repr=False)
-    kind: np.ndarray = field(repr=False, compare=False)
     owner: np.ndarray = field(repr=False, compare=False)
     segment: np.ndarray = field(repr=False, compare=False)
     window_lo: np.ndarray = field(repr=False, compare=False)
@@ -179,9 +177,9 @@ def layout_periods(
             f"the fleet axis would hold {axis.starts[-1]} flights, more than {_MAX_AXIS_FLIGHTS}; "
             f"the widest unit, {unit!r}, spans flights {ranges[unit][0]} to {ranges[unit][1]}"
         )
-    kind = np.full(axis.starts[-1], _FALSE, dtype=np.int8)
     owner = np.full(axis.starts[-1], -1, dtype=np.int32)
     segment = np.full(axis.starts[-1], -1, dtype=np.int32)
+    painted = np.zeros(axis.starts[-1], dtype=bool)  # the zones and windows
     bounds: list[tuple[int, int]] = []
     n_segments = 0
     kept: dict[str, tuple[EventRecord, ...]] = {}
@@ -197,22 +195,22 @@ def layout_periods(
         ]
         for _, (lo, hi) in spans:
             if lo < hi:
-                kind[lo:hi] = _IRRELEVANT
+                painted[lo:hi] = True
         unit_windows = [(lo, hi) for (lo, hi), _ in spans if lo < hi]
         # later windows first, so an overlap keeps its earliest owner
         for w, (lo, hi) in reversed(list(enumerate(unit_windows, start=len(bounds)))):
-            kind[lo:hi] = _TRUE
+            painted[lo:hi] = True
             owner[lo:hi] = w
         bounds.extend(unit_windows)
-        edges = np.flatnonzero(np.diff(kind[base:end] == _FALSE, prepend=False, append=False))
+        edges = np.flatnonzero(np.diff(~painted[base:end], prepend=False, append=False))
         for s, (lo, hi) in enumerate(edges.reshape(-1, 2).tolist(), start=n_segments):
             segment[base + lo : base + hi] = s
         n_segments += edges.size // 2
     windows = np.array(bounds, dtype=np.int64).reshape(-1, 2)
-    for array in (kind, owner, segment, windows):
+    for array in (owner, segment, windows):
         array.setflags(write=False)
     return PeriodLayout(
-        events=kept, params=params, dropped=tuple(dropped), axis=axis, kind=kind, owner=owner,
+        events=kept, params=params, dropped=tuple(dropped), axis=axis, owner=owner,
         segment=segment, window_lo=windows[:, 0], window_hi=windows[:, 1],
         n_false_segments=n_segments,
     )
@@ -237,16 +235,17 @@ def classify_firings(alarm: AlarmSeries, layout: PeriodLayout) -> list[FiringLab
     units, flights = layout.axis.locate(pos)
     # one past the highest false-segment id before each unit: the unit's first id
     seg0 = np.maximum.accumulate(np.append(-1, layout.segment))[list(layout.axis.starts)] + 1
-    for u, t, k, s in zip(units.tolist(), flights.tolist(), layout.kind[pos].tolist(),
+    for u, t, o, s in zip(units.tolist(), flights.tolist(), layout.owner[pos].tolist(),
                           layout.segment[pos].tolist()):
         unit = layout.axis.units[u]
-        if k == _FALSE:
-            labels.append(FiringLabel(unit, t, _FIRING_KINDS[k], segment=s - int(seg0[u])))
+        kind = FiringKind.FALSE if s >= 0 else FiringKind.TRUE if o >= 0 else FiringKind.IRRELEVANT
+        if kind is FiringKind.FALSE:
+            labels.append(FiringLabel(unit, t, kind, segment=s - int(seg0[u])))
             continue
-        region = 0 if k == _TRUE else 1  # the window or the zone of each event
+        region = 0 if kind is FiringKind.TRUE else 1  # the window or the zone of each event
         spans = [_spans(ev, layout.params)[region] for ev in layout.events[unit]]
         owners = tuple(i for i, (lo, hi) in enumerate(spans) if lo <= t < hi)
-        labels.append(FiringLabel(unit, t, _FIRING_KINDS[k], events=owners))
+        labels.append(FiringLabel(unit, t, kind, events=owners))
     return labels
 
 
@@ -260,16 +259,15 @@ def _grade(
     window events.
     """
     pos = _positions(alarm, layout)  # sorted, so true positions can be searched by window bound
-    kind = layout.kind[pos]
-    true_pos = pos[kind == _TRUE]
-    window_counts = np.bincount(layout.owner[true_pos], minlength=layout.window_lo.size)
-    segment_counts = np.bincount(
-        layout.segment[pos[kind == _FALSE]], minlength=layout.n_false_segments
-    )
+    owner, segment = layout.owner[pos], layout.segment[pos]
+    true = owner >= 0
+    true_pos, false_ids = pos[true], segment[segment >= 0]
+    window_counts = np.bincount(owner[true], minlength=layout.window_lo.size)
+    segment_counts = np.bincount(false_ids, minlength=layout.n_false_segments)
     fired_in_window = np.searchsorted(true_pos, layout.window_hi) - np.searchsorted(
         true_pos, layout.window_lo
     )
-    irrelevant = int(np.count_nonzero(kind == _IRRELEVANT))
+    irrelevant = pos.size - true_pos.size - false_ids.size
     return window_counts, segment_counts, irrelevant, int(np.count_nonzero(fired_in_window))
 
 
@@ -362,23 +360,6 @@ def match_stats(alarm: AlarmSeries, layout: PeriodLayout) -> MatchStats:
         fired_false_segments=int(np.count_nonzero(segment_counts)),
         p_value=significance_test(window_counts, segment_counts),
     )
-
-
-def gate_ttest(stats: MatchStats, alpha: float) -> bool:
-    """An alarm is promising if it covers more than one event significantly."""
-    return stats.covered_events > 1 and stats.p_value < alpha
-
-
-def hard_filter(stats: MatchStats, theta: float) -> bool:
-    """Implication-grade alarm: enough covered events and zero false firings."""
-    return stats.covered_events >= theta and stats.fired_false_segments == 0
-
-
-def soft_filter(stats: MatchStats, theta: float) -> bool:
-    """Tolerate false firings up to ``theta`` per covered event."""
-    if math.isinf(stats.false_to_covered):
-        return False
-    return stats.false_to_covered <= theta
 
 
 def stats_to_jsonable(stats: MatchStats) -> dict:

@@ -16,22 +16,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from fleetwarn.core import AlarmSeries, FleetAxis, write_json
-from fleetwarn.matching import (
-    MatchStats,
-    PeriodLayout,
-    gate_ttest,
-    hard_filter,
-    match_stats,
-    soft_filter,
-    stats_to_jsonable,
-)
+from fleetwarn.matching import MatchStats, PeriodLayout, match_stats, stats_to_jsonable
 
 FILTER_KINDS = ("hard", "soft")
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Gate and filter settings for the combination search."""
+    """Gate and filter settings for the combination search, and the rule they set."""
 
     alpha: float = 0.05
     filter_kind: str = "hard"
@@ -49,6 +41,23 @@ class SearchConfig:
             raise ValueError(f"filter.theta must be >= 0, got {self.theta}")
         if self.filter_kind == "hard" and self.theta % 1:
             raise ValueError(f"filter.theta must be a whole number of events, got {self.theta}")
+
+    def passes_gate(self, stats: MatchStats) -> bool:
+        """An alarm is promising if it covers more than one event significantly."""
+        return stats.covered_events > 1 and stats.p_value < self.alpha
+
+    def admits(self, stats: MatchStats) -> bool:
+        """The gate, then the filter.
+
+        The hard filter wants at least ``theta`` covered events and no fired
+        false segment; the soft one at most ``theta`` false firings per
+        covered event, a finite ratio once the gate has passed.
+        """
+        if not self.passes_gate(stats):
+            return False
+        if self.filter_kind == "hard":
+            return stats.covered_events >= self.theta and stats.fired_false_segments == 0
+        return stats.false_to_covered <= self.theta
 
 
 @dataclass(frozen=True)
@@ -95,14 +104,6 @@ def pool_or(alarms: Iterable[AlarmSeries], axis: FleetAxis) -> AlarmSeries:
     return AlarmSeries("pooled", axis, positions)
 
 
-def _passes(stats: MatchStats, cfg: SearchConfig) -> bool:
-    if not gate_ttest(stats, cfg.alpha):
-        return False
-    if cfg.filter_kind == "hard":
-        return hard_filter(stats, cfg.theta)
-    return soft_filter(stats, cfg.theta)
-
-
 def search_combinations(
     pool: Sequence[AlarmSeries],
     layout: PeriodLayout,
@@ -126,7 +127,7 @@ def search_combinations(
     if len({a.alarm_id for a in ordered}) != len(ordered):
         raise ValueError("duplicate alarm ids in pool")
 
-    gated = [alarm for alarm in ordered if gate_ttest(match_stats(alarm, layout), cfg.alpha)]
+    gated = [alarm for alarm in ordered if cfg.passes_gate(match_stats(alarm, layout))]
 
     # ``gated`` is sorted by id, so candidates come by size, then in member-id order:
     # the first survivor of each firing set has the smallest member set.
@@ -135,7 +136,7 @@ def search_combinations(
         for members in combinations(gated, size):
             composed = compose_and(members)
             stats = match_stats(composed, layout)
-            if _passes(stats, cfg):
+            if cfg.admits(stats):
                 combo = Combination(members=tuple(a.alarm_id for a in members), alarm=composed,
                                     stats=stats, provenance=cfg.filter_kind)
                 by_signature.setdefault(composed.signature(), combo)

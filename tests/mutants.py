@@ -93,9 +93,29 @@ MUTANTS = (
     ),
     Mutant(
         "true and false firing kinds swapped", "src/fleetwarn/matching.py",
-        "_FIRING_KINDS = (FiringKind.FALSE, FiringKind.IRRELEVANT, FiringKind.TRUE)",
-        "_FIRING_KINDS = (FiringKind.TRUE, FiringKind.IRRELEVANT, FiringKind.FALSE)",
+        "kind = FiringKind.FALSE if s >= 0 else FiringKind.TRUE if o >= 0 else",
+        "kind = FiringKind.TRUE if s >= 0 else FiringKind.FALSE if o >= 0 else",
         ("tests/test_matching.py::TestClassify::test_base_example_labels",),
+    ),
+    Mutant(
+        "irrelevant count keeps the false firings", "src/fleetwarn/matching.py",
+        "irrelevant = pos.size - true_pos.size - false_ids.size",
+        "irrelevant = pos.size - true_pos.size",
+        ("tests/test_matching.py::TestMatchStats::test_base_example_counters",),
+    ),
+    Mutant(
+        "false runs cross the zones", "src/fleetwarn/matching.py",
+        "        for _, (lo, hi) in spans:\n            if lo < hi:\n"
+        "                painted[lo:hi] = True\n",
+        "",
+        ("tests/test_matching.py::TestLayout::test_base_regions",),
+    ),
+    Mutant(
+        "admission without the gate", "src/fleetwarn/synth.py",
+        "        if not self.passes_gate(stats):\n            return False\n",
+        "",
+        ("tests/test_synth.py::TestFilters::test_gate_needs_repeat_coverage",
+         "tests/test_synth.py::TestFilters::test_gate_needs_significance"),
     ),
     Mutant(
         "no near-tie runs of eigenvalues", "src/fleetwarn/detect.py",
@@ -161,8 +181,8 @@ MUTANTS = (
     ),
     Mutant(
         "curves reads the events before naming a missing telemetry", "src/fleetwarn/cli.py",
-        "    if cfg.baseline_param is not None:\n        _require(cfg, telemetry=cfg.telemetry)",
-        "    if False:\n        _require(cfg, telemetry=cfg.telemetry)",
+        "    if cfg.baseline_param is not None:\n        _require(telemetry=cfg.telemetry)",
+        "    if False:\n        _require(telemetry=cfg.telemetry)",
         tuple("tests/test_cli.py::test_curves_refuses_a_missing_telemetry_before_reading_events"
               f"[{case}]" for case in ("absent", "bad-header", "directory")),
     ),

@@ -13,6 +13,7 @@ import numpy as np
 import fleetwarn
 from fleetwarn.core import AlarmSeries, FleetAxis, NormalRows, TelemetryPanel, write_csv
 from fleetwarn.evaluation import Curve, CurvePoint
+from fleetwarn.matching import MatchStats
 
 # The flight range of every unit of a test alarm built without an axis, so
 # that alarms over the same units share one fleet axis, as one fleet's do.
@@ -37,6 +38,26 @@ def alarm_series(alarm_id, firings, axis=None):
                 raise ValueError(f"flight {t} of unit {unit!r} is off the axis")
             positions.append(t + axis.shift(unit))
     return AlarmSeries(alarm_id, axis, np.array(sorted(positions), dtype=np.int64))
+
+
+def make_stats(**kw):
+    """A ``MatchStats`` that passes the gate and both filters at ``theta`` 2, with
+    the fields in ``kw`` replaced; the ratios are not recomputed."""
+    base = dict(
+        window_events=4,
+        false_segments=5,
+        true_firings=3,
+        false_firings=0,
+        irrelevant_firings=0,
+        covered_events=3,
+        fired_false_segments=0,
+        false_alarm_rate=0.0,
+        coverage=0.75,
+        false_to_covered=0.0,
+        p_value=0.001,
+    )
+    base.update(kw)
+    return MatchStats(**base)
 
 
 def rows_of(data, columns=None):

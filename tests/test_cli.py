@@ -1070,6 +1070,20 @@ class TestCurves:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("events", ["absent", "unmatched"])
+    def test_no_score_source_is_refused_before_reading_events(self, tmp_path, capsys, events):
+        # Neither an absent events file nor one without a target event is reached.
+        if events == "unmatched":
+            (tmp_path / "events.csv").write_text("unit_id,onset,end,code\nu1,5,6,X1\n")
+        cfg = write_config(tmp_path / "c.json", {
+            "io": {"events": "events.csv"}, "target": {"code_prefix": "E"},
+        })
+        assert main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "fleetwarn: curves needs io.scores or curves.baseline_param\n"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 class TestInputNamesStayInOutDir:
     """Column names and unit ids become output file names, so a name that

@@ -13,7 +13,7 @@ from oracles import (
     brute_force_match,
     welch_reference_p,
 )
-from support import alarm_series
+from support import alarm_series, make_stats
 from fleetwarn.core import (
     EventRecord,
     FleetAxis,
@@ -21,20 +21,13 @@ from fleetwarn.core import (
     write_json,
 )
 from fleetwarn.matching import (
-    _FALSE,
-    _IRRELEVANT,
-    _TRUE,
     FiringKind,
-    MatchStats,
     _stdtr,
     classify_firings,
-    gate_ttest,
-    hard_filter,
     layout_periods,
     match_stats,
     significance_samples,
     significance_test,
-    soft_filter,
     stats_to_jsonable,
 )
 
@@ -90,23 +83,19 @@ def random_fleets(draw):
     return fleet_of(events, params, ranges, firings)
 
 
-_KINDS = {"F": _FALSE, "I": _IRRELEVANT, "T": _TRUE}
-
-
 def assert_regions(layout, runs, windows):
     """A one-unit ``layout`` holds exactly the flight ``runs`` and ``windows``.
 
     ``runs`` are (kind, lo, hi, id) over the unit's whole range, half-open in
     flights; ``id`` is the owning window of a "T" run and the false segment
-    of an "F" run.  ``windows`` are the window bounds, in flights.
+    of an "F" run.  An "I" run has neither, so owner and segment pin each
+    flight's region.  ``windows`` are the window bounds, in flights.
     """
     shift = layout.axis.shift(layout.axis.units[0])
-    kind, owner, segment = (np.full(layout.kind.size, -1) for _ in range(3))
+    owner, segment = (np.full(layout.owner.size, -1) for _ in range(2))
     for k, lo, hi, i in runs:
-        kind[lo + shift : hi + shift] = _KINDS[k]
         if k != "I":
             (owner if k == "T" else segment)[lo + shift : hi + shift] = i
-    assert layout.kind.tolist() == kind.tolist()
     assert layout.owner.tolist() == owner.tolist()
     assert layout.segment.tolist() == segment.tolist()
     assert layout.n_false_segments == len({i for k, _, _, i in runs if k == "F"})
@@ -218,9 +207,9 @@ class TestLayout:
             n_segments += len(segments)
             for t in range(first, last + 1):
                 p = base + t - first
-                assert layout.kind[p] == _KINDS[labels[t]]
                 o = int(layout.owner[p])
                 if labels[t] == "T":
+                    assert o >= 0
                     assert (layout.window_lo[o], layout.window_hi[o]) == window_of[min(owners[t])]
                 else:
                     assert o == -1
@@ -643,48 +632,6 @@ class TestFiringPreconditions:
         with pytest.raises(ValueError) as exc:
             alarm_series("a", {unit: {flight}}, self.LAYOUT.axis)
         assert str(exc.value) == f"flight {flight} of unit {unit!r} is off the axis"
-
-
-def make_stats(**kw):
-    base = dict(
-        window_events=4,
-        false_segments=5,
-        true_firings=3,
-        false_firings=0,
-        irrelevant_firings=0,
-        covered_events=3,
-        fired_false_segments=0,
-        false_alarm_rate=0.0,
-        coverage=0.75,
-        false_to_covered=0.0,
-        p_value=0.001,
-    )
-    base.update(kw)
-    return MatchStats(**base)
-
-
-class TestFilters:
-    def test_gate_needs_repeat_coverage(self):
-        assert not gate_ttest(make_stats(covered_events=1), alpha=0.05)
-        assert gate_ttest(make_stats(covered_events=2), alpha=0.05)
-
-    def test_gate_needs_significance(self):
-        assert not gate_ttest(make_stats(p_value=0.05), alpha=0.05)
-        assert gate_ttest(make_stats(p_value=0.049), alpha=0.05)
-
-    def test_hard_filter(self):
-        assert hard_filter(make_stats(covered_events=2), theta=2)
-        assert not hard_filter(make_stats(covered_events=1), theta=2)
-        assert not hard_filter(make_stats(fired_false_segments=1), theta=2)
-
-    def test_soft_filter(self):
-        assert soft_filter(make_stats(false_to_covered=1.9), theta=2.0)
-        assert soft_filter(make_stats(false_to_covered=2.0), theta=2.0)
-        assert not soft_filter(make_stats(false_to_covered=2.1), theta=2.0)
-
-    def test_soft_filter_rejects_uncovered(self):
-        st = make_stats(covered_events=0, false_to_covered=float("inf"))
-        assert not soft_filter(st, theta=1e12)
 
 
 class TestJsonable:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_search
-from support import alarm_series, firings
+from support import alarm_series, firings, make_stats
 from fleetwarn.core import EventRecord, FleetAxis, MatchParams
 from fleetwarn.matching import MatchStats, layout_periods, match_stats
 from fleetwarn.synth import (
@@ -185,6 +185,48 @@ class TestArraysAgainstSets:
             compose_and([a, b])
         with pytest.raises(ValueError, match="disagree on the unit universe"):
             pool_or([a, b], a.axis)
+
+
+class TestFilters:
+    """``SearchConfig``'s rule: the gate, then the hard or soft filter.  Each
+    filter case that fails passes the gate, so it fails on the filter."""
+
+    def test_gate_needs_repeat_coverage(self):
+        cfg = SearchConfig(theta=1)  # the hard filter alone admits one covered event
+        assert not cfg.passes_gate(make_stats(covered_events=1))
+        assert not cfg.admits(make_stats(covered_events=1))
+        assert cfg.passes_gate(make_stats(covered_events=2))
+        assert cfg.admits(make_stats(covered_events=2))
+
+    def test_gate_needs_significance(self):
+        cfg = SearchConfig()
+        assert not cfg.passes_gate(make_stats(p_value=0.05))
+        assert not cfg.admits(make_stats(p_value=0.05))
+        assert cfg.passes_gate(make_stats(p_value=0.049))
+        assert cfg.admits(make_stats(p_value=0.049))
+
+    def test_hard_filter(self):
+        cfg = SearchConfig(filter_kind="hard", theta=3)
+        assert cfg.admits(make_stats(covered_events=3))
+        assert cfg.passes_gate(make_stats(covered_events=2))
+        assert not cfg.admits(make_stats(covered_events=2))
+        assert not cfg.admits(make_stats(fired_false_segments=1))
+
+    def test_soft_filter(self):
+        cfg = SearchConfig(filter_kind="soft", theta=2.0)
+        assert cfg.admits(make_stats(false_to_covered=1.9))
+        assert cfg.admits(make_stats(false_to_covered=2.0))
+        assert cfg.passes_gate(make_stats(false_to_covered=2.1))
+        assert not cfg.admits(make_stats(false_to_covered=2.1))
+
+    def test_soft_filter_rejects_uncovered(self):
+        # An infinite theta admits every gated candidate, and still none that
+        # covers fewer than two events.
+        cfg = SearchConfig(filter_kind="soft", theta=math.inf)
+        for ratio in (0.0, 2.1, 1e12):
+            assert cfg.admits(make_stats(false_to_covered=ratio))
+        assert not cfg.admits(make_stats(covered_events=1, false_to_covered=3.0))
+        assert not cfg.admits(make_stats(covered_events=0, false_to_covered=math.inf))
 
 
 class TestSearchFixture:
