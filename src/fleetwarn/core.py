@@ -153,13 +153,14 @@ class FleetAxis:
                 raise ValueError(f"bad observation range for unit {unit!r}")
         return cls(units, tuple(ranges[u][0] for u in units), (0, *itertools.accumulate(sizes)))
 
-    def shift(self, unit: str) -> int:
-        """Position minus flight on ``unit``."""
+    def positions(self, unit: str, flights: np.ndarray) -> np.ndarray:
+        """The positions of ``unit``'s ``flights`` (an array or one int); see :meth:`locate`."""
         i = self.units.index(unit)
-        return self.starts[i] - self.first[i]
+        # A flight's offset from its unit's first flight fits in int64; start - first may not.
+        return flights - self.first[i] + self.starts[i]
 
     def locate(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The unit index and the flight of each position."""
+        """The unit index and the flight of each position; :meth:`positions` is its inverse."""
         i = np.searchsorted(self.starts, positions, side="right") - 1
         shifts = np.array(self.starts[:-1], dtype=np.int64) - np.array(self.first, dtype=np.int64)
         return i, positions - shifts[i]

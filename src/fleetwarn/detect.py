@@ -9,6 +9,7 @@ scores.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,7 +153,8 @@ def score_reconstruction(det: SubspaceDetector, rows: np.ndarray) -> np.ndarray:
         centered = rows - det.mean
         residual = centered - (centered @ det.basis) @ det.basis.T
         scores = np.einsum("ij,ij->i", residual, residual)
-    scores[~np.isfinite(rows).all(axis=1)] = np.nan
+    # AND-ed a column at a time: a row-wise all() over a few columns is several times slower
+    scores[~functools.reduce(np.logical_and, map(np.isfinite, rows.T))] = np.nan
     return scores
 
 
@@ -186,10 +188,8 @@ def binarize(
         raise ValueError("threshold not set; call fit_threshold first")
     positions = [np.empty(0, dtype=np.int64)]
     for unit, (flights, values) in sorted(scores.items()):
-        i = axis.units.index(unit)
-        # A flight's offset from its unit's first flight fits in int64; the shift may not.
-        positions.append(np.asarray(flights)[np.asarray(values) > det.threshold]
-                         - axis.first[i] + axis.starts[i])
+        fired = np.asarray(flights)[np.asarray(values) > det.threshold]
+        positions.append(axis.positions(unit, fired))
     return AlarmSeries(det.alarm_id, axis, np.concatenate(positions))
 
 

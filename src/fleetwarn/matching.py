@@ -183,14 +183,14 @@ def layout_periods(
     bounds: list[tuple[int, int]] = []
     n_segments = 0
     kept: dict[str, tuple[EventRecord, ...]] = {}
-    for unit, first, base, end in zip(axis.units, axis.first, axis.starts, axis.starts[1:]):
+    for unit, base, end in zip(axis.units, axis.starts, axis.starts[1:]):
         evs = kept[unit] = tuple(
             sorted(per_unit.get(unit, []), key=lambda e: (e.onset, e.end, e.code))
         )
         # each event's window and zone on the axis, clipped to the unit's slice
-        shift = base - first
         spans = [
-            [(max(lo + shift, base), min(hi + shift, end)) for lo, hi in _spans(ev, params)]
+            [(max(axis.positions(unit, lo), base), min(axis.positions(unit, hi), end))
+             for lo, hi in _spans(ev, params)]
             for ev in evs
         ]
         for _, (lo, hi) in spans:

@@ -105,13 +105,10 @@ def select_target_events(
     return kept
 
 
-def normal_rows(
-    panels: Sequence[TelemetryPanel], masks: Sequence[np.ndarray]
-) -> tuple[ColumnStats, NormalRows]:
-    """The column stats fitted on the panels' masked (normal) rows, and those rows as a row
-    source z-scored with them; neither stacks the rows."""
-    stats = fit_column_stats(NormalRows(panels, masks))
-    return stats, NormalRows(panels, masks, stats)
+def normal_rows(panels: Sequence[TelemetryPanel], masks: Sequence[np.ndarray]) -> NormalRows:
+    """The panels' masked (normal) rows as a row source z-scored with the column stats fitted
+    on them, its ``stats``; neither stacks the rows."""
+    return NormalRows(panels, masks, fit_column_stats(NormalRows(panels, masks)))
 
 
 def fit_detectors(
@@ -154,18 +151,21 @@ def score_panels(
     return scores
 
 
-def fit_alarm(
-    det: SubspaceDetector,
-    scores: Mapping[str, tuple[np.ndarray, np.ndarray]],
-    masks: Sequence[np.ndarray],
-    q: float,
+def fit_alarms(
+    normal: NormalRows, groups: Sequence[tuple[str, ...]], rank: int, quantiles: Sequence[float],
     axis: FleetAxis,
-) -> tuple[SubspaceDetector, AlarmSeries]:
-    """Threshold ``det`` at the q-quantile of its ``scores`` (from :func:`score_panels`) on
-    the masked (normal) flights, and binarize those same scores into its alarm on ``axis``."""
-    normal = np.concatenate([values[m] for (_, values), m in zip(scores.values(), masks)])
-    det = replace(det, quantile=q, threshold=fit_threshold(normal, q))
-    return det, binarize(det, scores, axis)
+) -> list[tuple[SubspaceDetector, AlarmSeries]]:
+    """Each group's detector from :func:`fit_detectors`, thresholded at its quantile of its
+    scores on the ``normal`` rows, and its alarm on ``axis``: those same scores of every
+    flight of ``normal.panels``, z-scored with ``normal.stats``, binarized."""
+    detectors = fit_detectors(normal, groups, rank)
+    fitted = []
+    for det, q, scores in zip(detectors, quantiles,
+                              score_panels(detectors, normal.panels, normal.stats)):
+        on_normal = [values[rows] for (_, values), rows in zip(scores.values(), normal.rows)]
+        det = replace(det, quantile=q, threshold=fit_threshold(np.concatenate(on_normal), q))
+        fitted.append((det, binarize(det, scores, axis)))
+    return fitted
 
 
 def train_model(
@@ -192,14 +192,10 @@ def train_model(
         raise ValueError(f"every flight lies fewer than {cfg.normal_before} flights before or "
                          f"{cfg.normal_after} after an event of its unit (detect.normal_before, "
                          "detect.normal_after): the normal regime is empty")
-    stats, normal = normal_rows(panels, masks)
+    normal = normal_rows(panels, masks)
     grouping = build_groups(dependence_from_rows(normal, cfg.measure), cfg.rho)
-    detectors = fit_detectors(normal, grouping.groups, cfg.rank)
-    fitted = [
-        fit_alarm(det, scores, masks, cfg.quantile_overrides.get(det.group[0], cfg.quantile),
-                  layout.axis)
-        for det, scores in zip(detectors, score_panels(detectors, panels, stats))
-    ]
+    quantiles = [cfg.quantile_overrides.get(group[0], cfg.quantile) for group in grouping.groups]
+    fitted = fit_alarms(normal, grouping.groups, cfg.rank, quantiles, layout.axis)
     alarms = tuple(alarm for _, alarm in fitted)
 
     precursors = search_combinations(alarms, layout, cfg.search, target_code=cfg.code_prefix)
@@ -211,7 +207,7 @@ def train_model(
         keys = ", ".join(map(repr, unused))
         warnings.warn(f"detect.quantile_overrides {noun} {keys} {verb} no group; ignored")
     return TrainedModel(
-        column_stats=stats,
+        column_stats=normal.stats,
         grouping=grouping,
         detectors=tuple(det for det, _ in fitted),
         alarms=alarms,

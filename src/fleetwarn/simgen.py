@@ -24,7 +24,7 @@ import numpy as np
 
 from fleetwarn.core import EventRecord, FleetAxis, TelemetryPanel
 from fleetwarn.detect import select_normal_regime
-from fleetwarn.pipeline import fit_alarm, fit_detectors, normal_rows, score_panels
+from fleetwarn.pipeline import fit_alarms, normal_rows
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def _anomalies_exceed_q95(
     anomalies: Sequence[dict],
 ) -> bool:
     """Self-check: every planted flight fires in the rank-1 alarm of each of
-    its groups, fitted with :func:`fit_alarm` at the 0.95 quantile on the
+    its groups, fitted with :func:`fit_alarms` at the 0.95 quantile on the
     fleet's normal regime.
 
     With nothing planted it holds without a fit.  A planted fleet with no
@@ -237,13 +237,12 @@ def _anomalies_exceed_q95(
             f"flights before or {after} after an event of its unit, so no flight is left "
             f"in the normal regime the check fits on"
         )
-    stats, normal = normal_rows(panels, masks)
     group_cols = cfg.group_columns()
-    detectors = fit_detectors(normal, [group_cols[g] for g in planted_groups], rank=1)
     axis = FleetAxis.from_ranges({p.unit_id: p.observation_range() for p in panels})
-    for g, det, scores in zip(planted_groups, detectors, score_panels(detectors, panels, stats)):
-        _, alarm = fit_alarm(det, scores, masks, q, axis)
-        planted = [axis.shift(anom["unit"]) + anom["flight"] for anom in anomalies
+    fitted = fit_alarms(normal_rows(panels, masks), [group_cols[g] for g in planted_groups], 1,
+                        [q] * len(planted_groups), axis)
+    for g, (_, alarm) in zip(planted_groups, fitted):
+        planted = [axis.positions(anom["unit"], anom["flight"]) for anom in anomalies
                    if g in cfg.planted[anom["spec"]].groups]
         if not np.isin(planted, alarm.positions).all():
             return False

@@ -54,6 +54,34 @@ MUTANTS = (
         ("tests/test_metamorphic.py::test_cli_run_ignores_non_target_events",),
     ),
     Mutant(
+        "thresholds from every row", "src/fleetwarn/pipeline.py",
+        "[values[rows] for (_, values)",
+        "[values for (_, values)",
+        ("tests/test_pipeline.py::test_training_equals_the_whole_panel_chain_bit_for_bit",
+         "tests/test_pipeline.py::test_alarms_fire_exactly_above_threshold_fitted_on_same_scores"),
+    ),
+    Mutant(
+        "positions without the unit's start", "src/fleetwarn/core.py",
+        "return flights - self.first[i] + self.starts[i]",
+        "return flights - self.first[i]",
+        ("tests/test_detect.py::TestBinarize::test_flights_at_both_ends_of_int64",
+         "tests/test_matching.py::TestLayout::test_regions_partition_range"),
+    ),
+    Mutant(
+        "self-check passes when any planted flight fires", "src/fleetwarn/simgen.py",
+        "np.isin(planted, alarm.positions).all()",
+        "np.isin(planted, alarm.positions).any()",
+        ("tests/test_simgen.py::TestInjection::"
+         "test_verified_only_when_every_planted_flight_fires[0.75-False]",
+         "tests/test_simgen.py::TestInjection::test_verified_equals_the_stacked_reference"),
+    ),
+    Mutant(
+        "mutual information as a difference of logs", "src/fleetwarn/grouping.py",
+        "np.log(joint[nz] / np.outer(pi, pj)[nz])",
+        "(np.log(joint[nz]) - np.log(np.outer(pi, pj)[nz]))",
+        ("tests/test_grouping.py::TestMutualInfoBlocks::test_row_source_equals_the_stacked_matrix",),
+    ),
+    Mutant(
         "curve flights clamped at 0", "src/fleetwarn/evaluation.py",
         "flight, value, unit = flight[scored], value[scored], unit[scored]",
         "flight, value, unit = np.maximum(flight[scored], 0), value[scored], unit[scored]",

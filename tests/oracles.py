@@ -35,7 +35,15 @@ from fleetwarn.core import (
 )
 from fleetwarn.detect import fit_subspace_from_rows, fit_threshold, score_reconstruction
 from fleetwarn.evaluation import CurvePoint, greedy_max_matching
-from fleetwarn.grouping import _CANCELLATION, _pair_pearson, build_groups, dependence_from_rows
+from fleetwarn.grouping import (
+    _CANCELLATION,
+    _bin_count,
+    _entropy,
+    _equal_frequency_bins,
+    _pair_pearson,
+    build_groups,
+    dependence_from_rows,
+)
 from support import firings, rows_of
 
 
@@ -305,6 +313,35 @@ def pearson_matrix_reference(data):
     return out, int(np.triu(cancelled, 1).sum())
 
 
+def mutual_info_reference(data):
+    """``grouping._mutual_info_matrix`` on one stacked matrix: each column's entropy on its
+    finite values, and each pair's plug-in mutual information on its complete rows, binned
+    by ``_equal_frequency_bins`` into ``_bin_count`` bins per column."""
+    n_cols = data.shape[1]
+    out = np.full((n_cols, n_cols), np.nan)
+    for i in range(n_cols):
+        xi = data[:, i]
+        out[i, i] = _entropy(xi[np.isfinite(xi)])
+        for j in range(i + 1, n_cols):
+            both = np.isfinite(data[:, i]) & np.isfinite(data[:, j])
+            x, y = data[both, i], data[both, j]
+            n = x.size
+            if n < 2:
+                continue
+            n_bins = _bin_count(n)
+            bi = _equal_frequency_bins(x, n_bins)
+            bj = _equal_frequency_bins(y, n_bins)
+            joint = np.zeros((n_bins, n_bins))
+            np.add.at(joint, (bi, bj), 1.0)
+            joint /= n
+            pi = joint.sum(axis=1)
+            pj = joint.sum(axis=0)
+            nz = joint > 0
+            mi = float(np.sum(joint[nz] * np.log(joint[nz] / np.outer(pi, pj)[nz])))
+            out[i, j] = out[j, i] = max(mi, 0.0)
+    return out
+
+
 def exact_max_matching(flags, onsets, tolerance):
     """Maximum bipartite matching size via augmenting paths."""
     flags = sorted(flags)
@@ -487,12 +524,40 @@ def held_out_positions_reference(detectors, mean, std, panels):
     positions = []
     for det in detectors:
         idx = [panels[0].columns.index(name) for name in det.group]
+        # flight t of the i-th unit sits at starts[i] + (t - its first flight)
         positions.append(np.concatenate([np.empty(0, dtype=np.int64)] + [
             p.flights[score_reconstruction(det, v.take(idx, axis=1)) > det.threshold]
-            + axis.shift(p.unit_id)
-            for p, v in zip(panels, normalized)
+            - p.flights[0] + start
+            for p, v, start in zip(panels, normalized, axis.starts)
         ]))
     return positions
+
+
+def verified_q95_reference(cfg, panels, events, anomalies):
+    """``simgen``'s self-check the long way: z-score every whole panel with the stats of the
+    stacked normal rows (at least 50 flights before and 30 past every event of the unit),
+    fit each planted group's rank-1 detector on the z-scored stack, threshold it at the
+    nearest-rank 0.95 quantile of the normal flights' scores, and hold when every planted
+    flight of the group scores above it."""
+    masks = [normal_regime_reference(p, events, 50, 30) for p in panels]
+    mean, std = fit_column_stats_reference(np.vstack([p.values[m] for p, m in zip(panels, masks)]))
+    normalized = [apply_column_stats_reference(p.values, mean, std) for p in panels]
+    rows = np.vstack([v[m] for v, m in zip(normalized, masks)])
+    columns = panels[0].columns
+    for g in sorted({g for spec in cfg.planted for g in spec.groups}):
+        group = tuple(cfg.group_columns()[g])
+        idx = [columns.index(name) for name in group]
+        det = fit_subspace_from_rows(rows[:, idx], group, 1)
+        scores = [score_reconstruction(det, v.take(idx, axis=1)) for v in normalized]
+        normal = np.concatenate([s[m] for s, m in zip(scores, masks)])
+        normal = np.sort(normal[np.isfinite(normal)])
+        threshold = normal[-(-95 * normal.size // 100) - 1]  # the ceil(0.95 N)-th smallest
+        by_flight = {(p.unit_id, t): score for p, s in zip(panels, scores)
+                     for t, score in zip(p.flights.tolist(), s.tolist())}
+        if not all(by_flight[anom["unit"], anom["flight"]] > threshold for anom in anomalies
+                   if g in cfg.planted[anom["spec"]].groups):
+            return False
+    return True
 
 
 def _first_telemetry_problem(path, columns):

@@ -36,7 +36,7 @@ def alarm_series(alarm_id, firings, axis=None):
         for t in set(flights):
             if not 0 <= t - axis.first[i] < axis.starts[i + 1] - axis.starts[i]:
                 raise ValueError(f"flight {t} of unit {unit!r} is off the axis")
-            positions.append(t + axis.shift(unit))
+            positions.append(axis.positions(unit, t))
     return AlarmSeries(alarm_id, axis, np.array(sorted(positions), dtype=np.int64))
 
 

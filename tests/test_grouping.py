@@ -14,7 +14,13 @@ from fleetwarn.grouping import (
     dependence_from_rows,
     write_groups_json,
 )
-from oracles import bfs_components, pearson_matrix_reference, pearson_reference, scipy_components
+from oracles import (
+    bfs_components,
+    mutual_info_reference,
+    pearson_matrix_reference,
+    pearson_reference,
+    scipy_components,
+)
 from support import rows_of, split_rows
 
 
@@ -181,6 +187,17 @@ class TestPearsonBlocks:
         assert cancelled >= 2
         panels, masks = split_rows(data, rng)
         assert dependence_from_rows(NormalRows(panels, masks)).values.tobytes() == expect.tobytes()
+
+
+class TestMutualInfoBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(pearson_inputs(), st.integers(0, 2**32 - 1))
+    def test_row_source_equals_the_stacked_matrix(self, data, seed):
+        """Spread over panels with masked-out rows between them, the rows give the mutual
+        information matrix of their stack bit for bit."""
+        rows = NormalRows(*split_rows(data, np.random.default_rng(seed)))
+        got = dependence_from_rows(rows, "mutual_info").values
+        assert got.tobytes() == mutual_info_reference(data).tobytes()
 
 
 class TestMutualInformation:

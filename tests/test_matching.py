@@ -91,7 +91,7 @@ def assert_regions(layout, runs, windows):
     of an "F" run.  An "I" run has neither, so owner and segment pin each
     flight's region.  ``windows`` are the window bounds, in flights.
     """
-    shift = layout.axis.shift(layout.axis.units[0])
+    shift = layout.axis.positions(layout.axis.units[0], 0)  # position minus flight
     owner, segment = (np.full(layout.owner.size, -1) for _ in range(2))
     for k, lo, hi, i in runs:
         if k != "I":

@@ -15,6 +15,7 @@ from fleetwarn.core import (
     FleetAxis,
     MatchParams,
     NoTargetEventsError,
+    NormalRows,
     TelemetryPanel,
     apply_column_stats,
 )
@@ -28,7 +29,7 @@ from fleetwarn.detect import (
 from fleetwarn import pipeline
 from fleetwarn.pipeline import (
     PipelineConfig,
-    fit_alarm,
+    fit_alarms,
     normal_rows,
     pooled_on,
     score_panels,
@@ -197,19 +198,14 @@ def test_thresholds_bit_equal_to_complete_row_reference():
         data = data @ rng.standard_normal((12, 12))
         data[rng.random(data.shape) < 0.02] = np.nan
         cols = sorted(rng.choice(12, int(rng.integers(2, 7)), replace=False).tolist())
-        rows = data[:, cols]  # a column selection, as train_model passes it
+        rows = data[:, cols]
         complete = rows[np.isfinite(rows).all(axis=1)]
         panel = TelemetryPanel("u", np.arange(1, len(data) + 1), columns, data)
-        everything = np.ones(len(data), dtype=bool)
+        identity = ColumnStats(columns, np.zeros(12), np.ones(12))
+        normal = NormalRows((panel,), (np.ones(len(data), dtype=bool),), identity)
         for rank in range(1, len(cols) + 1):
-            det = fit_subspace_from_rows(rows, tuple(f"p{c}" for c in cols), rank)
-            det, _ = fit_alarm(
-                det,
-                {"u": (panel.flights, score_reconstruction(det, rows))},
-                [everything],
-                0.99,
-                FleetAxis.from_ranges({"u": panel.observation_range()}),
-            )
+            [(det, _)] = fit_alarms(normal, [tuple(f"p{c}" for c in cols)], rank, [0.99],
+                                    FleetAxis.from_ranges({"u": panel.observation_range()}))
             centered = complete - det.mean
             residual = centered - (centered @ det.basis) @ det.basis.T
             scores = np.einsum("ij,ij->i", residual, residual)
@@ -451,7 +447,8 @@ def test_zscored_row_source_equals_stacking_zscored_panels(fleet, data):
                                          max_size=p.n_flights)), dtype=bool) for p in panels]
     if not any(m.any() for m in masks):
         masks[0][0] = True
-    stats, rows = normal_rows(panels, masks)
+    rows = normal_rows(panels, masks)
+    stats = rows.stats
     expect = np.vstack([apply_column_stats(p, stats)[m] for p, m in zip(panels, masks)])
     assert np.concatenate([b.copy() for b in rows.blocks()]).tobytes() == expect.tobytes()
     cols = data.draw(st.lists(st.sampled_from(range(len(stats.columns))), min_size=1,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetwarn.core import write_json
 from fleetwarn.simgen import (
@@ -12,6 +14,7 @@ from fleetwarn.simgen import (
     SimConfig,
     generate_fleet,
 )
+from oracles import verified_q95_reference
 
 QUIET = SimConfig(
     units=2,
@@ -218,6 +221,26 @@ class TestInjection:
     def test_planted_flights_verified_detectable(self):
         manifest = generate_fleet(BUSY)[2]
         assert manifest["verified_q95"] is True
+
+    # At 0.75 some planted flights of each group fire and others do not.
+    @pytest.mark.parametrize("magnitude, verified", [(0.0, False), (0.75, False), (1.0, True)])
+    def test_verified_only_when_every_planted_flight_fires(self, magnitude, verified):
+        cfg = SimConfig(units=4, flights_per_unit=300,
+                        planted=(PlantedSpec((0, 1), 5, 15, magnitude),), seed=1)
+        panels, events, manifest = generate_fleet(cfg)
+        assert manifest["verified_q95"] is verified
+        assert verified_q95_reference(cfg, panels, events, manifest["anomalies"]) is verified
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+    def test_verified_equals_the_stacked_reference(self, seed, magnitude):
+        """At magnitudes around the detection limit some planted flights fire and others
+        do not, so the check must hold for every one of them."""
+        cfg = SimConfig(units=4, flights_per_unit=400, event_rate=1.0,
+                        planted=(PlantedSpec((0, 1), 5, 15, magnitude),), seed=seed)
+        panels, events, manifest = generate_fleet(cfg)
+        assert manifest["verified_q95"] is verified_q95_reference(
+            cfg, panels, events, manifest["anomalies"])
 
 
 class TestManifest:
